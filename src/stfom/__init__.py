@@ -39,6 +39,7 @@ from .errors import (
     ConstantsError,
     Diagnostic,
     EmptyInputError,
+    FilterError,
     FormulaError,
     MaterialError,
     MissingNoiseError,
@@ -103,7 +104,7 @@ __all__ = [
     "CAVENDISH_FOM", "CSV_HEADER", "Catalog", "CatalogError",
     "Constants", "ConstantsError", "DEFAULT_ANCHORS",
     "DEFAULT_CONSTANTS_TEXT", "Diagnostic", "EmptyInputError",
-    "ExperimentRecord", "FigurePoint", "FomResult", "Formula",
+    "ExperimentRecord", "FigurePoint", "FilterError", "FomResult", "Formula",
     "FormulaError", "MaterialError", "MaterialSpec", "MissingNoiseError",
     "ModelId", "ModelMismatchError", "NegativeInputError",
     "NonFiniteError", "NonPositiveError", "ParseError", "PeriodicTable",

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Literal, Mapping
 
-from .errors import CatalogError, Diagnostic, MaterialError, FormulaError
+from .errors import (
+    CatalogError,
+    Diagnostic,
+    FilterError,
+    FormulaError,
+    MaterialError,
+)
 from .fom import FomResult
 from .formula import MaterialSpec, format_material, parse_material
 
@@ -206,70 +212,80 @@ def parse_records(text: str) -> Catalog:
                                        f"expected {len(_CSV_COLUMNS)} cells, "
                                        f"got {len(cells)}"))
             continue
-        cell = dict(zip(_CSV_COLUMNS, cells))
+        (name, year_text, reference, category, material_text, mass_text,
+         n_override_text, f0_text, sqrt_sf_text, sqrt_sa_text, temp_text,
+         quality_text, mode, location, secondhand_text, notes) = cells
         row_problems: list[Diagnostic] = []
 
-        name = cell["name"]
         if name in seen:
             row_problems.append(Diagnostic(row_number, "name", "DuplicateName",
                                            f"duplicate record name {name!r}"))
         try:
-            year = int(cell["year"])
+            year = int(year_text)
         except ValueError:
             row_problems.append(Diagnostic(row_number, "year", "BadNumber",
-                                           f"not a year: {cell['year']!r}"))
+                                           f"not a year: {year_text!r}"))
             year = 0
         material = None
         try:
-            material = parse_material(cell["material"])
+            material = parse_material(material_text)
         except (MaterialError, FormulaError) as exc:
             row_problems.append(Diagnostic(row_number, "material", "BadMaterial",
                                            str(exc)))
-        mass_kg = _parse_optional_float(cell["mass_kg"], "mass_kg",
+        mass_kg = _parse_optional_float(mass_text, "mass_kg",
                                         row_number, row_problems)
         if mass_kg is None and not any(p.column == "mass_kg" for p in row_problems):
             row_problems.append(Diagnostic(row_number, "mass_kg", "MissingRequired",
                                            "mass_kg must not be empty"))
-        n_override = _parse_optional_float(cell["n_override"], "n_override",
+        n_override = _parse_optional_float(n_override_text, "n_override",
                                            row_number, row_problems)
-        f0_hz = _parse_optional_float(cell["f0_hz"], "f0_hz",
+        f0_hz = _parse_optional_float(f0_text, "f0_hz",
                                       row_number, row_problems)
-        sqrt_sf = _parse_optional_float(cell["sqrt_sf"], "sqrt_sf",
+        sqrt_sf = _parse_optional_float(sqrt_sf_text, "sqrt_sf",
                                         row_number, row_problems)
-        sqrt_sa = _parse_optional_float(cell["sqrt_sa"], "sqrt_sa",
+        sqrt_sa = _parse_optional_float(sqrt_sa_text, "sqrt_sa",
                                         row_number, row_problems)
-        temp_k = _parse_optional_float(cell["temp_k"], "temp_k",
+        temp_k = _parse_optional_float(temp_text, "temp_k",
                                        row_number, row_problems)
-        quality = _parse_optional_float(cell["quality"], "quality",
+        quality = _parse_optional_float(quality_text, "quality",
                                         row_number, row_problems)
         secondhand = False
-        if cell["secondhand"] in ("true", "false"):
-            secondhand = cell["secondhand"] == "true"
+        if secondhand_text in ("true", "false"):
+            secondhand = secondhand_text == "true"
         else:
             row_problems.append(Diagnostic(row_number, "secondhand", "BadFlag",
                                            "secondhand must be true or false, "
-                                           f"got {cell['secondhand']!r}"))
-
-        if mass_kg is not None and material is not None:
-            row_problems.extend(_validate_fields(
-                row=row_number, name=name, category=cell["category"],
-                mass_kg=mass_kg, n_override=n_override, f0_hz=f0_hz,
-                sqrt_sf=sqrt_sf, sqrt_sa=sqrt_sa, temp_k=temp_k,
-                quality=quality, mode=cell["mode"], location=cell["location"],
-            ))
+                                           f"got {secondhand_text!r}"))
 
         if row_problems:
+            # Report the field checks too, so every problem shows at once.
+            if mass_kg is not None and material is not None:
+                row_problems.extend(_validate_fields(
+                    row=row_number, name=name, category=category,
+                    mass_kg=mass_kg, n_override=n_override, f0_hz=f0_hz,
+                    sqrt_sf=sqrt_sf, sqrt_sa=sqrt_sa, temp_k=temp_k,
+                    quality=quality, mode=mode, location=location,
+                ))
             problems.extend(row_problems)
             continue
+        # A clean row is checked once, by the record's own constructor.
+        try:
+            record = ExperimentRecord(
+                name=name, year=year, reference=reference,
+                category=category, material=material, mass_kg=mass_kg,
+                n_override=n_override, f0_hz=f0_hz, sqrt_sf=sqrt_sf,
+                sqrt_sa=sqrt_sa, temp_k=temp_k, quality=quality,
+                mode=mode, location=location,
+                secondhand=secondhand, notes=notes,
+            )
+        except CatalogError as exc:
+            problems.extend(
+                Diagnostic(row_number, d.column, d.code, d.message)
+                for d in exc.diagnostics
+            )
+            continue
         seen.add(name)
-        records.append(ExperimentRecord(
-            name=name, year=year, reference=cell["reference"],
-            category=cell["category"], material=material, mass_kg=mass_kg,
-            n_override=n_override, f0_hz=f0_hz, sqrt_sf=sqrt_sf,
-            sqrt_sa=sqrt_sa, temp_k=temp_k, quality=quality,
-            mode=cell["mode"], location=cell["location"],
-            secondhand=secondhand, notes=cell["notes"],
-        ))
+        records.append(record)
 
     if problems:
         raise CatalogError(tuple(problems))
@@ -297,12 +313,17 @@ def serialize_records(catalog: Catalog) -> str:
     return out.getvalue()
 
 
-def _record_filter(record: ExperimentRecord, which: RecordFilter) -> bool:
+def _filtered(catalog: Catalog, which: RecordFilter) -> list[ExperimentRecord]:
     if which == "all":
-        return True
+        return list(catalog)
     if which == "absolute-on-earth":
-        return record.mode == "absolute" and record.location == "earth"
-    raise ValueError(f"unknown filter {which!r}")
+        return [r for r in catalog if r.mode == "absolute" and r.location == "earth"]
+    raise FilterError(f"unknown filter {which!r}")
+
+
+def _fom_order(results: Mapping[str, FomResult]):
+    """Sort key: figure of merit, then name, so the order is total."""
+    return lambda r: (results[r.name].fom, r.name)
 
 
 def rank(
@@ -314,8 +335,17 @@ def rank(
 
     Ties break on the record name so the order is total and repeatable.
     """
-    selected = [r for r in catalog if _record_filter(r, which)]
-    return sorted(selected, key=lambda r: (results[r.name].fom, r.name))
+    return sorted(_filtered(catalog, which), key=_fom_order(results))
+
+
+def best_record(
+    catalog: Catalog,
+    results: Mapping[str, FomResult],
+    which: RecordFilter = "all",
+) -> ExperimentRecord | None:
+    """The first record of rank(catalog, results, which), found without
+    sorting; None when no record passes the filter."""
+    return min(_filtered(catalog, which), key=_fom_order(results), default=None)
 
 
 def select_for_figure(
@@ -328,15 +358,16 @@ def select_for_figure(
     Categories with fewer than k records contribute all of them.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
+        raise FilterError(f"k must be >= 1, got {k!r}")
+    order = _fom_order(results)
     by_category: dict[str, list[ExperimentRecord]] = {}
     for record in catalog:
         by_category.setdefault(record.category, []).append(record)
     chosen: list[ExperimentRecord] = []
     for category_records in by_category.values():
-        category_records.sort(key=lambda r: (results[r.name].fom, r.name))
+        category_records.sort(key=order)
         chosen.extend(category_records[:k])
-    return sorted(chosen, key=lambda r: (results[r.name].fom, r.name))
+    return sorted(chosen, key=order)
 
 
 @dataclass(frozen=True)

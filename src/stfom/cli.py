@@ -68,9 +68,23 @@ def _load_constants(cfg: RunConfig) -> Constants:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write through a temporary file of its own in path's directory.
+
+    The temporary name is unique to the call, so concurrent runs on one
+    --out never share it, and it is removed if anything fails before the
+    rename.  It is created with mode 0o666 less the umask, as an ordinary
+    file is; tempfile.mkstemp would leave the output readable by its owner
+    only.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _print_warnings(results) -> None:

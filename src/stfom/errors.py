@@ -33,6 +33,10 @@ class MaterialError(FormulaError):
     """Malformed mixture expression or invalid mass fractions."""
 
 
+class FilterError(StfomError, ValueError):
+    """An unknown record filter or a non-positive selection size."""
+
+
 class NonFiniteError(StfomError):
     """A NaN or infinity was about to enter the data model."""
 

@@ -184,13 +184,46 @@ class MaterialSpec:
 # A '+' starts a new mixture component only when a fraction follows;
 # otherwise it is a charge token ending the previous formula.
 _COMPONENT_SPLIT_RE = re.compile(r"\+(?=[0-9.])")
+# Unicode \s matches exactly the code points for which str.isspace() is true.
+_WHITESPACE_RE = re.compile(r"\s")
+
+# Per-process caches for the standard table only: PeriodicTable is
+# unhashable, so a call with any other table bypasses them, and a call that
+# raises stores nothing.  Keys are material texts or id() of a MaterialSpec.
+# An id-keyed value holds its spec, so the id cannot be reused while the
+# entry lives.  A MaterialSpec is never a key itself: its dataclass hash
+# recurses through every Formula in Python on each lookup.  A full cache is
+# emptied rather than grown, which bounds the memory of distinct inputs.
+_CACHE_LIMIT = 4096
+_MATERIALS: dict[str, MaterialSpec] = {}
+_COMPOSITIONS: dict[int, tuple[MaterialSpec, list[tuple[float, float, int]]]] = {}
+_FORMATTED: dict[int, tuple[MaterialSpec, str]] = {}
+
+
+def _remember(cache: dict, key, value) -> None:
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    cache[key] = value
 
 
 def parse_material(text: str, table: PeriodicTable | None = None) -> MaterialSpec:
-    """Parse a bare formula or a 'frac*Formula+frac*Formula' mixture."""
+    """Parse a bare formula or a 'frac*Formula+frac*Formula' mixture.
+
+    With the standard table, equal texts return the same MaterialSpec.
+    """
+    if table is not None and table is not _STANDARD_TABLE:
+        return _parse_material(text, table)
+    mat = _MATERIALS.get(text)
+    if mat is None:
+        mat = _parse_material(text, _STANDARD_TABLE)
+        _remember(_MATERIALS, text, mat)
+    return mat
+
+
+def _parse_material(text: str, table: PeriodicTable) -> MaterialSpec:
     if not text:
         raise MaterialError("empty material expression")
-    if any(ch.isspace() for ch in text):
+    if _WHITESPACE_RE.search(text):
         raise MaterialError("material expression must not contain whitespace")
     if "*" not in text:
         return MaterialSpec.pure(parse_formula(text, table))
@@ -210,11 +243,18 @@ def parse_material(text: str, table: PeriodicTable | None = None) -> MaterialSpe
 
 def format_material(mat: MaterialSpec) -> str:
     """Canonical text for a material; inverse of parse_material."""
+    entry = _FORMATTED.get(id(mat))
+    if entry is not None:
+        return entry[1]
     if len(mat.components) == 1 and mat.components[0][1] == 1.0:
-        return mat.components[0][0].canonical()
-    return "+".join(
-        f"{fraction!r}*{formula.canonical()}" for formula, fraction in mat.components
-    )
+        text = mat.components[0][0].canonical()
+    else:
+        text = "+".join(
+            f"{fraction!r}*{formula.canonical()}"
+            for formula, fraction in mat.components
+        )
+    _remember(_FORMATTED, id(mat), (mat, text))
+    return text
 
 
 def nuclei_per_formula(formula: Formula) -> int:
@@ -243,10 +283,30 @@ def nuclei_count(
     """
     if mass_kg < 0.0:
         raise NegativeInputError("mass_kg", mass_kg)
-    if table is None:
-        table = PeriodicTable.standard()
     total = 0.0
-    for formula, fraction in mat.components:
-        moles = mass_kg * fraction / molar_mass(formula, table)
-        total += moles * n_avogadro * nuclei_per_formula(formula)
+    for fraction, formula_mass, nuclei in _composition(mat, table):
+        moles = mass_kg * fraction / formula_mass
+        total += moles * n_avogadro * nuclei
     return total
+
+
+def _composition(
+    mat: MaterialSpec, table: PeriodicTable | None
+) -> list[tuple[float, float, int]]:
+    """(mass fraction, molar mass, nuclei per formula unit) per component."""
+    if table is not None and table is not _STANDARD_TABLE:
+        return _components(mat, table)
+    entry = _COMPOSITIONS.get(id(mat))
+    if entry is None:
+        entry = (mat, _components(mat, _STANDARD_TABLE))
+        _remember(_COMPOSITIONS, id(mat), entry)
+    return entry[1]
+
+
+def _components(
+    mat: MaterialSpec, table: PeriodicTable
+) -> list[tuple[float, float, int]]:
+    return [
+        (fraction, molar_mass(formula, table), nuclei_per_formula(formula))
+        for formula, fraction in mat.components
+    ]

@@ -14,7 +14,6 @@ import io
 import math
 from dataclasses import dataclass
 from typing import Mapping
-from xml.sax.saxutils import escape
 
 from .bounds import (
     CAVENDISH_FOM,
@@ -26,7 +25,14 @@ from .bounds import (
     orders_of_improvement,
     si_bound,
 )
-from .catalog import CATEGORIES, Catalog, RecordFilter, rank, select_for_figure
+from .catalog import (
+    CATEGORIES,
+    Catalog,
+    RecordFilter,
+    best_record,
+    rank,
+    select_for_figure,
+)
 from .errors import EmptyInputError
 from .fom import FomResult
 from .formula import format_material
@@ -139,8 +145,14 @@ def _py(fom: float) -> float:
     return _PLOT_BOTTOM - frac * (_PLOT_BOTTOM - _PLOT_TOP)
 
 
+def _escape(text: str) -> str:
+    """XML character data; '&' goes first so no entity is escaped twice."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _attr(text: str) -> str:
-    return escape(text, {'"': "&quot;"})
+    """A double-quoted XML attribute value.  "'" stays as it is."""
+    return _escape(text).replace('"', "&quot;")
 
 
 def emit_figure(
@@ -243,7 +255,7 @@ def emit_figure(
             f'<circle class="point" data-name="{_attr(p.name)}" '
             f'data-category="{p.category}" data-marker="{p.marker}" '
             f'cx="{x:.2f}" cy="{y:.2f}" r="5" {paint}>'
-            f'<title>{escape(p.name)}: {format_sig(p.fom)}</title></circle>'
+            f'<title>{_escape(p.name)}: {format_sig(p.fom)}</title></circle>'
         )
         data_lines.append(
             f"{p.name.replace(' ', '_')} {p.category} "
@@ -257,7 +269,7 @@ def emit_figure(
                 f'd="M {x:.2f} {ty - 6:.2f} L {x + 6:.2f} {ty:.2f} '
                 f'L {x:.2f} {ty + 6:.2f} L {x - 6:.2f} {ty:.2f} Z" '
                 f'fill="none" stroke="{color}" stroke-width="1.5">'
-                f'<title>{escape(p.name)} thermal floor: '
+                f'<title>{_escape(p.name)} thermal floor: '
                 f'{format_sig(p.thermal_fom)}</title></path>'
             )
             data_lines.append(
@@ -304,10 +316,10 @@ def emit_bounds_summary(
     if constants is None:
         constants = Constants()
 
-    ranked = rank(catalog, results, which)
-    if not ranked:
+    best = best_record(catalog, results, which)
+    if best is None:
         raise EmptyInputError("no records pass the filter")
-    conservative_pool = rank(catalog, results, "absolute-on-earth")
+    conservative = best_record(catalog, results, "absolute-on-earth")
 
     try:
         baseline_record = catalog.get("Cavendish 1798")
@@ -327,9 +339,7 @@ def emit_bounds_summary(
     def rounded(value: float) -> float:
         return float(format_sig(value))
 
-    best = ranked[0]
     best_fom = rounded(results[best.name].fom)
-    conservative = conservative_pool[0] if conservative_pool else None
 
     if conservative is not None:
         conservative_fom = rounded(results[conservative.name].fom)

@@ -8,6 +8,8 @@ from stfom import (
     Catalog,
     CatalogError,
     ExperimentRecord,
+    FilterError,
+    StfomError,
     embedded_catalog,
     embedded_reference_values,
     evaluate_catalog,
@@ -17,6 +19,7 @@ from stfom import (
     select_for_figure,
     serialize_records,
 )
+from stfom.catalog import best_record
 
 GOOD_ROW = (
     "Probe '21,2021,synthetic,membrane,Si3N4,1e-9,,1e3,1e-15,,300,1e4,"
@@ -260,3 +263,49 @@ def test_select_for_figure_rejects_bad_k(catalog, results):
 
 def test_embedded_catalog_is_cached_and_immutable():
     assert embedded_catalog() is embedded_catalog()
+
+
+def test_field_diagnostics_of_a_clean_row_carry_its_row_number():
+    bad = _records_text(
+        GOOD_ROW,
+        GOOD_ROW.replace("Probe '21", "Probe 2").replace("membrane", "squishy")
+                .replace("1e-15", "-1e-15"),
+    )
+    with pytest.raises(CatalogError) as err:
+        parse_records(bad)
+    assert [(d.row, d.column, d.code) for d in err.value.diagnostics] == [
+        (2, "category", "BadCategory"),
+        (2, "sqrt_sf", "BadNumber"),
+    ]
+
+
+def test_row_with_parse_problems_also_reports_field_problems():
+    bad = _records_text(
+        GOOD_ROW.replace("membrane", "squishy").replace("false", "maybe"),
+    )
+    with pytest.raises(CatalogError) as err:
+        parse_records(bad)
+    assert [(d.row, d.code) for d in err.value.diagnostics] == [
+        (1, "BadFlag"), (1, "BadCategory"),
+    ]
+
+
+def test_filter_and_selection_errors_are_stfom_errors(catalog, results):
+    with pytest.raises(FilterError) as err:
+        rank(catalog, results, "best-only")
+    assert isinstance(err.value, StfomError)
+    with pytest.raises(StfomError):
+        best_record(catalog, results, "best-only")
+    with pytest.raises(FilterError) as err:
+        select_for_figure(catalog, results, k=0)
+    assert isinstance(err.value, StfomError)
+
+
+@pytest.mark.parametrize("which", ["all", "absolute-on-earth"])
+def test_best_record_is_the_first_ranked(catalog, results, which):
+    assert best_record(catalog, results, which) is rank(catalog, results, which)[0]
+
+
+def test_best_record_of_an_empty_selection_is_none(catalog, results):
+    differential = Catalog(tuple(r for r in catalog if r.mode == "differential"))
+    assert best_record(differential, results, "absolute-on-earth") is None

@@ -1,10 +1,17 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import stfom
+
 from stfom import CSV_HEADER, embedded_catalog, serialize_records
-from stfom.cli import main
+from stfom.cli import _write_atomic, main
 
 
 def _read(path):
@@ -188,3 +195,49 @@ def test_formula_command_rejects_bad_text(capsys):
 def test_validate_embedded_catalog(capsys):
     assert main(["validate"]) == 0
     assert capsys.readouterr().out == "ok: 46 records\n"
+
+
+def test_failed_write_leaves_no_temporary_files(tmp_path, monkeypatch):
+    (tmp_path / "table.csv").write_text("old\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["compute", "--out", str(tmp_path)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == "old\n"
+
+
+def test_concurrent_writers_never_share_a_temporary_file(tmp_path):
+    target = tmp_path / "table.csv"
+    texts = [f"writer {i}\n" * 1000 for i in range(4)]
+    errors = []
+
+    def write(text):
+        try:
+            for _ in range(25):
+                _write_atomic(target, text)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(text,)) for text in texts]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert errors == []
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    assert target.read_text(encoding="utf-8") in texts
+
+
+def test_import_leaves_network_and_mail_modules_unloaded():
+    src = str(Path(stfom.__file__).resolve().parents[1])
+    code = ("import sys, stfom, stfom.cli; "
+            "print(' '.join(m for m in ('xml.sax', 'urllib.request', 'ssl', 'email') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == ""

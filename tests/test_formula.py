@@ -287,3 +287,78 @@ def test_periodic_table_rejects_non_positive_weight():
 def test_periodic_table_unknown_symbol():
     with pytest.raises(UnknownElementError):
         PeriodicTable.standard().weight("Zz")
+
+
+# ------------------------------------------------------ standard-table caches
+
+def _reference_nuclei(mass, mat, table=None, n_avogadro=AVOGADRO):
+    """nuclei_count's arithmetic, recomputed from scratch on every call."""
+    total = 0.0
+    for formula, fraction in mat.components:
+        moles = mass * fraction / molar_mass(formula, table)
+        total += moles * n_avogadro * nuclei_per_formula(formula)
+    return total
+
+
+def test_custom_table_is_never_served_from_the_standard_caches():
+    standard = parse_material("Si3N4")
+    without_si = PeriodicTable({k: v for k, v in STANDARD_ATOMIC_WEIGHTS.items()
+                                if k != "Si"})
+    with pytest.raises(UnknownElementError):
+        parse_material("Si3N4", without_si)
+    assert parse_material("Si3N4") is standard
+
+    heavy_si = PeriodicTable({**STANDARD_ATOMIC_WEIGHTS, "Si": 2 * SI})
+    n_standard = nuclei_count(1e-9, standard)
+    n_heavy = nuclei_count(1e-9, standard, heavy_si)
+    assert n_heavy != n_standard
+    assert n_heavy == _reference_nuclei(1e-9, standard, heavy_si)
+    assert nuclei_count(1e-9, standard) == n_standard
+
+
+@pytest.mark.parametrize("text", ["", "Xx2", "si", "0.5*SiO2", "Si O2"])
+def test_bad_material_text_raises_on_every_call(text):
+    for _ in range(3):
+        with pytest.raises((MaterialError, ParseError, UnknownElementError)):
+            parse_material(text)
+
+
+def test_whitespace_check_rejects_every_space_code_point():
+    import sys
+
+    from stfom.formula import _WHITESPACE_RE
+
+    spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for c in spaces:
+        with pytest.raises(MaterialError, match="whitespace"):
+            parse_material(f"Si{chr(c)}O2")
+    matched = [c for c in range(sys.maxunicode + 1)
+               if _WHITESPACE_RE.search(chr(c))]
+    assert matched == spaces
+
+
+_formula_texts = st.sampled_from(
+    ["C", "Au", "SiO2", "B2O3", "Si3N4", "Nd2Fe14B", "GaAs", "Be+", "H2O"])
+
+
+@given(
+    mass=st.floats(min_value=0.0, max_value=1e3,
+                   allow_nan=False, allow_infinity=False),
+    first=_formula_texts,
+    second=_formula_texts,
+    fraction=st.floats(min_value=0.01, max_value=0.99,
+                       allow_nan=False, allow_infinity=False),
+    n_avogadro=st.floats(min_value=1e20, max_value=1e26,
+                         allow_nan=False, allow_infinity=False),
+)
+def test_cached_nuclei_count_is_bit_identical(mass, first, second, fraction,
+                                              n_avogadro):
+    for text in (first, f"{fraction!r}*{first}+{1.0 - fraction!r}*{second}"):
+        mat = parse_material(text)
+        expected = _reference_nuclei(mass, mat, n_avogadro=n_avogadro)
+        assert nuclei_count(mass, mat, n_avogadro=n_avogadro) == expected
+        assert nuclei_count(mass, mat, n_avogadro=n_avogadro) == expected
+        assert nuclei_count(mass, parse_material(text),
+                            n_avogadro=n_avogadro) == expected
+

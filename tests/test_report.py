@@ -318,3 +318,17 @@ def test_summary_without_any_absolute_earth_record(catalog):
     assert "ultra-local-discrete.best_bound" in entries
     with pytest.raises(EmptyInputError):
         emit_bounds_summary(differential, partial, which="absolute-on-earth")
+
+
+def test_table_keeps_both_spellings_of_zero_noise():
+    def record(name, sqrt_sf):
+        return ExperimentRecord(
+            name=name, year=2024, reference="synthetic", category="membrane",
+            material=parse_material("Si3N4"), mass_kg=1e-9, sqrt_sf=sqrt_sf,
+        )
+
+    catalog = Catalog((record("Plus", 0.0), record("Minus", -0.0)))
+    rows = {row[0]: row for row in _table_rows(catalog, evaluate_catalog(catalog))[1:]}
+    assert rows["Plus"][6:8] == ["0.00e0", "0.00e0"]
+    assert rows["Minus"][6:8] == ["-0.00e0", "-0.00e0"]
+
