@@ -13,10 +13,8 @@ from .bounds import (
     CAVENDISH_FOM,
     DEFAULT_ANCHORS,
     BoundAnchor,
-    BoundReport,
     ModelId,
     anchored_bound,
-    bound_report,
     fom_threshold,
     orders_of_improvement,
     si_bound,
@@ -45,11 +43,9 @@ from .errors import (
     MissingNoiseError,
     ModelMismatchError,
     NegativeInputError,
-    NonFiniteError,
     NonPositiveError,
     ParseError,
     StfomError,
-    UnitMismatchError,
     UnknownConstantError,
     UnknownElementError,
 )
@@ -80,8 +76,6 @@ from .formula import (
 from .quantities import (
     DEFAULT_CONSTANTS_TEXT,
     Constants,
-    Quantity,
-    Unit,
     angular_frequency,
     asd_to_psd,
     load_constants,
@@ -100,18 +94,18 @@ from .report import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundAnchor", "BoundReport", "CATEGORIES", "CATEGORY_COLORS",
+    "BoundAnchor", "CATEGORIES", "CATEGORY_COLORS",
     "CAVENDISH_FOM", "CSV_HEADER", "Catalog", "CatalogError",
     "Constants", "ConstantsError", "DEFAULT_ANCHORS",
     "DEFAULT_CONSTANTS_TEXT", "Diagnostic", "EmptyInputError",
     "ExperimentRecord", "FigurePoint", "FilterError", "FomResult", "Formula",
     "FormulaError", "MaterialError", "MaterialSpec", "MissingNoiseError",
     "ModelId", "ModelMismatchError", "NegativeInputError",
-    "NonFiniteError", "NonPositiveError", "ParseError", "PeriodicTable",
-    "Quantity", "QuotedValues", "STANDARD_ATOMIC_WEIGHTS", "StfomError",
-    "Unit", "UnitMismatchError", "UnknownConstantError",
+    "NonPositiveError", "ParseError", "PeriodicTable",
+    "QuotedValues", "STANDARD_ATOMIC_WEIGHTS", "StfomError",
+    "UnknownConstantError",
     "UnknownElementError", "accel_asd_from_force", "anchored_bound",
-    "angular_frequency", "asd_to_psd", "bound_report",
+    "angular_frequency", "asd_to_psd",
     "build_figure_points", "classify_thermal", "embedded_catalog",
     "embedded_reference_values", "emit_bounds_summary", "emit_figure",
     "emit_table", "evaluate_catalog", "evaluate_record", "fom_from_psd",

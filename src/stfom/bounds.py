@@ -114,38 +114,3 @@ def orders_of_improvement(fom: float, baseline_fom: float = CAVENDISH_FOM) -> fl
     if baseline_fom <= 0.0:
         raise NonPositiveError("baseline_fom", baseline_fom)
     return math.log10(baseline_fom / fom)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Everything a single (model, FOM) pair implies."""
-
-    model: ModelId
-    fom: float
-    anchored: float
-    si: float
-    lower_bound: float
-    below_lower_bound: bool
-    orders_vs_baseline: float
-
-
-def bound_report(
-    model: ModelId,
-    fom: float,
-    anchor: BoundAnchor | None = None,
-    constants: Constants | None = None,
-    baseline_fom: float = CAVENDISH_FOM,
-) -> BoundReport:
-    """Assemble the anchored bound, SI bound, and baseline comparison."""
-    if anchor is None:
-        anchor = DEFAULT_ANCHORS[model]
-    anchored = anchored_bound(model, fom, anchor)
-    return BoundReport(
-        model=model,
-        fom=fom,
-        anchored=anchored,
-        si=si_bound(model, fom, constants),
-        lower_bound=anchor.lower_bound,
-        below_lower_bound=anchored < anchor.lower_bound,
-        orders_vs_baseline=orders_of_improvement(fom, baseline_fom),
-    )

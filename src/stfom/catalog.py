@@ -129,10 +129,10 @@ def _validate_fields(
         bad("f0_hz", "BadNumber", f"resonance frequency must be > 0, got {f0_hz!r}")
     if sqrt_sf is None and sqrt_sa is None:
         bad("sqrt_sf", "MissingRequired", "need sqrt_sf or sqrt_sa")
-    if sqrt_sf is not None and sqrt_sf < 0.0:
-        bad("sqrt_sf", "BadNumber", f"noise density must be >= 0, got {sqrt_sf!r}")
-    if sqrt_sa is not None and sqrt_sa < 0.0:
-        bad("sqrt_sa", "BadNumber", f"noise density must be >= 0, got {sqrt_sa!r}")
+    if sqrt_sf is not None and sqrt_sf <= 0.0:
+        bad("sqrt_sf", "BadNumber", f"noise density must be > 0, got {sqrt_sf!r}")
+    if sqrt_sa is not None and sqrt_sa <= 0.0:
+        bad("sqrt_sa", "BadNumber", f"noise density must be > 0, got {sqrt_sa!r}")
     if temp_k is not None and temp_k < 0.0:
         bad("temp_k", "BadNumber", f"temperature must be >= 0, got {temp_k!r}")
     if quality is not None and quality <= 0.0:
@@ -378,175 +378,115 @@ class QuotedValues:
     fom: float
 
 
-# The embedded catalog: 46 published experiments.  Values are kept
-# verbatim as the sources print them (strings, converted at load) so
-# tests against these rows exercise the computation, not transcription.
-# Columns: name, year, reference, category, material, mass_kg,
-# quoted N, f0_hz, sqrt_sf, sqrt_sa, quoted FOM, mode, location,
-# secondhand, n_override, notes.
-_EMBEDDED_ROWS: tuple[tuple, ...] = (
-    ("Asenbaum '17", 2017, "Asenbaum et al. (2017)", "atom-interferometry",
-     "Rb", "1.44e-19", "1.00e6", "", "7.08e-28", "4.91e-9", "2.41e-11",
-     "differential", "earth", False, "", ""),
-    ("Biedermann '15", 2015, "Biedermann et al. (2015)", "atom-interferometry",
-     "Cs", "2.21e-17", "1.00e8", "", "9.09e-25", "4.12e-8", "1.70e-7",
-     "differential", "earth", False, "", ""),
-    ("Armano '18", 2018, "Armano et al. (2018)", "massive",
-     "Au", "1.93", "5.89e24", "", "3.35e-15", "1.74e-15", "1.78e-5",
-     "differential", "space", False, "",
-     "satellite test masses near the Sun-Earth L1 point"),
-    ("Gisler '22", 2022, "Gisler et al. (2022)", "nanowire",
-     "Si3N4", "9.30e-15", "2.79e11", "1.41e6", "9.60e-21", "1.03e-6", "2.98e-1",
-     "absolute", "earth", False, "", ""),
-    ("Seis '22", 2022, "Seis et al. (2022)", "membrane",
-     "Si3N4", "1.50e-11", "4.51e14", "1.49e6", "6.50e-19", "4.33e-8", "8.46e-1",
-     "absolute", "earth", False, "", ""),
-    ("Martynov '16", 2016, "Martynov et al. (2016)", "massive",
-     "SiO2", "4.00e1", "1.20e27", "1.00e2", "1.57e-12", "3.92e-14", "1.85",
-     "absolute", "earth", True, "", "interferometer mirror"),
-    ("Fogliano '21", 2021, "Fogliano et al. (2021)", "nanowire",
-     "SiC", "1.60e-14", "4.82e11", "1.16e4", "4.00e-20", "2.50e-6", "3.01",
-     "absolute", "earth", False, "", ""),
-    ("Fuchs '24", 2024, "Fuchs et al. (2024)", "magnetic-levitation",
-     "Nd2Fe14B", "4.00e-7", "3.79e18", "2.67e1", "5.00e-16", "1.25e-9", "5.92",
-     "absolute", "earth", False, "", ""),
-    ("Hamilton '15", 2015, "Hamilton et al. (2015)", "atom-interferometry",
-     "Cs", "4.41e-18", "2.00e7", "", "2.60e-21", "5.89e-4", "6.93",
-     "differential", "earth", False, "", ""),
-    ("Mamin '01", 2001, "Mamin and Rugar (2001)", "nanobeam",
-     "Si", "6.85e-13", "1.47e13", "4.98e3", "8.20e-19", "1.20e-6", "2.11e1",
-     "absolute", "earth", False, "", ""),
-    ("Timberlake '23", 2023, "Timberlake et al. (2023)", "magnetic-levitation",
-     "Nd2Fe14B", "2.30e-8", "2.18e17", "4.24e1", "3.40e-16", "1.48e-8", "4.76e1",
-     "absolute", "earth", False, "", ""),
-    ("Liang '22", 2022, "Liang et al. (2022)", "optical-levitation",
-     "SiO2", "4.68e-18", "1.41e8", "1.75e5", "4.34e-21", "9.27e-4", "1.21e2",
-     "absolute", "earth", False, "", ""),
-    ("Maiwald '09", 2009, "Maiwald et al. (2009)", "trapped-ion",
-     "Mg+", "4.04e-26", "1", "1.00e6", "4.60e-25", "1.14e1", "1.30e2",
-     "absolute", "earth", False, "1", "single ion"),
-    ("Norte '16", 2016, "Norte et al. (2016)", "membrane",
-     "Si3N4", "2.30e-11", "6.91e14", "1.50e5", "1.00e-17", "4.35e-7", "1.31e2",
-     "absolute", "earth", False, "", ""),
-    ("Monteiro '20", 2020, "Monteiro et al. (2020)", "optical-levitation",
-     "SiO2", "9.42e-13", "2.27e14", "6.30e1", "8.78e-19", "9.32e-7", "1.97e2",
-     "absolute", "earth", False, "2.27e14",
-     "quoted nucleus count kept; mass and composition imply about 8x fewer"),
-    ("Kampel '17", 2017, "Kampel et al. (2017)", "membrane",
-     "Si3N4", "1.00e-11", "3.00e14", "1.60e6", "9.81e-18", "9.81e-7", "2.89e2",
-     "absolute", "earth", True, "", ""),
-    ("Héritier '18", 2018, "Héritier et al. (2018)", "nanowire",
-     "C", "4.10e-15", "2.06e11", "2.50e4", "1.88e-19", "4.59e-5", "4.33e2",
-     "absolute", "earth", False, "", "diamond nanowire"),
-    ("Tebbenjohanns '20", 2020, "Tebbenjohanns et al. (2020)", "optical-levitation",
-     "SiO2", "3.49e-18", "1.05e8", "1.46e5", "8.00e-21", "2.29e-3", "5.52e2",
-     "absolute", "earth", True, "", ""),
-    ("Tebbenjohanns '19", 2019, "Tebbenjohanns et al. (2019)", "optical-levitation",
-     "SiO2", "3.49e-18", "1.05e8", "1.46e5", "1.00e-20", "2.87e-3", "8.63e2",
-     "absolute", "earth", True, "", ""),
-    ("Lewandowski '21", 2021, "Lewandowski et al. (2021)", "magnetic-levitation",
-     "0.8*SiO2+0.2*B2O3", "2.50e-10", "8.26e15", "1.75", "8.83e-17", "3.53e-7",
-     "1.03e3", "absolute", "earth", False, "",
-     "borosilicate glass as 80% silica, 20% boron trioxide by mass"),
-    ("Teufel '09", 2009, "Teufel et al. (2009)", "nanowire",
-     "Al", "5.50e-15", "1.23e11", "1.04e6", "5.10e-19", "9.27e-5", "1.05e3",
-     "absolute", "earth", False, "", ""),
-    ("Cripe '19", 2019, "Cripe et al. (2019)", "nanobeam",
-     "GaAs", "5.00e-11", "4.16e14", "8.76e2", "9.81e-17", "1.96e-6", "1.60e3",
-     "absolute", "earth", True, "", ""),
-    ("Reinhardt '16", 2016, "Reinhardt et al. (2016)", "membrane",
-     "Si3N4", "4.00e-12", "1.20e14", "4.08e4", "2.00e-17", "5.00e-6", "3.00e3",
-     "absolute", "earth", False, "", ""),
-    ("Gieseler '13", 2013, "Gieseler et al. (2013)", "optical-levitation",
-     "SiO2", "3.00e-18", "9.03e7", "1.25e5", "2.00e-20", "6.67e-3", "4.01e3",
-     "absolute", "earth", False, "", ""),
-    ("Delić '20", 2020, "Delić et al. (2020)", "optical-levitation",
-     "SiO2", "2.83e-18", "8.52e7", "3.05e5", "1.94e-20", "6.87e-3", "4.02e3",
-     "absolute", "earth", False, "", ""),
-    ("Corbitt '07", 2007, "Corbitt et al. (2007)", "mesoscopic",
-     "SiO2", "1.00e-3", "3.01e22", "1.80e3", "3.95e-13", "3.95e-10", "4.70e3",
-     "absolute", "earth", False, "", ""),
-    ("Westphal '21", 2021, "Westphal et al. (2021)", "mesoscopic",
-     "Au", "2.18e-4", "6.66e20", "3.59e-3", "9.07e-13", "4.16e-9", "1.15e4",
-     "absolute", "earth", False, "", ""),
-    ("Rider '18", 2018, "Rider et al. (2018)", "optical-levitation",
-     "SiO2", "1.53e-13", "4.62e12", "2.50e2", "1.15e-17", "7.50e-5", "2.60e4",
-     "absolute", "earth", False, "", ""),
-    ("Kawasaki '20", 2020, "Kawasaki et al. (2020)", "optical-levitation",
-     "SiO2", "8.40e-14", "2.53e12", "3.01e2", "1.00e-17", "1.19e-4", "3.58e4",
-     "absolute", "earth", False, "", ""),
-    ("Hempston '17", 2017, "Hempston et al. (2017)", "optical-levitation",
-     "SiO2", "7.60e-19", "2.29e7", "7.20e4", "3.20e-20", "4.21e-2", "4.06e4",
-     "absolute", "earth", False, "", ""),
-    ("De Bonis '18", 2018, "De Bonis et al. (2018)", "nanotube",
-     "C", "8.60e-21", "4.32e5", "2.92e7", "4.30e-21", "5.00e-1", "1.08e5",
-     "absolute", "earth", False, "", ""),
-    ("Hälg '21", 2021, "Hälg et al. (2021)", "membrane",
-     "Si3N4", "1.40e-11", "4.21e14", "1.42e6", "2.80e-16", "2.00e-5", "1.68e5",
-     "absolute", "earth", False, "", ""),
-    ("Priel '22", 2022, "Priel et al. (2022)", "optical-levitation",
-     "SiO2", "5.85e-13", "1.76e13", "1.00e5", "1.00e-16", "1.71e-4", "5.14e5",
-     "absolute", "earth", False, "", ""),
-    ("Moser '13", 2013, "Moser et al. (2013)", "nanotube",
-     "C", "1.00e-20", "5.02e5", "4.20e6", "1.20e-20", "1.20", "7.23e5",
-     "absolute", "earth", False, "", ""),
-    ("Weber '16", 2016, "Weber et al. (2016)", "nanotube",
-     "C", "9.60e-18", "4.82e8", "4.60e7", "3.90e-19", "4.06e-2", "7.95e5",
-     "absolute", "earth", False, "", ""),
-    ("Ranjit '16", 2016, "Ranjit et al. (2016)", "optical-levitation",
-     "SiO2", "3.75e-17", "1.13e9", "2.83e3", "1.63e-18", "4.35e-2", "2.14e6",
-     "absolute", "earth", False, "", ""),
-    ("Krause '12", 2012, "Krause et al. (2012)", "membrane",
-     "Si3N4", "1.00e-11", "3.00e14", "2.75e4", "9.81e-16", "9.81e-5", "2.89e6",
-     "absolute", "earth", False, "", ""),
-    ("Nichol '12", 2012, "Nichol et al. (2012)", "nanowire",
-     "Si", "2.66e-17", "5.72e8", "7.86e5", "1.95e-18", "7.33e-2", "3.07e6",
-     "absolute", "earth", False, "", ""),
-    ("Biercuk '10", 2010, "Biercuk et al. (2010)", "trapped-ion",
-     "Be+", "1.95e-24", "1.30e2", "8.67e5", "3.90e-22", "2.00e2", "5.22e6",
-     "absolute", "earth", False, "1.30e2", "ion crystal"),
-    ("Ranjit '15", 2015, "Ranjit et al. (2015)", "optical-levitation",
-     "SiO2", "3.75e-14", "1.13e12", "1.07e3", "2.17e-16", "5.79e-3", "3.78e7",
-     "absolute", "earth", False, "", ""),
-    ("Affolter '20", 2020, "Affolter et al. (2020)", "trapped-ion",
-     "Be+", "1.50e-24", "1.00e2", "1.58e6", "1.20e-21", "8.02e2", "6.43e7",
-     "absolute", "earth", False, "1.00e2", "ion crystal"),
-    ("Timberlake '19", 2019, "Timberlake et al. (2019)", "magnetic-levitation",
-     "Nd2Fe14B", "4.00e-6", "3.79e19", "1.94e1", "7.85e-12", "1.96e-6", "1.46e8",
-     "absolute", "earth", False, "", ""),
-    ("Guzmán C. '14", 2014, "Guzmán Cervantes et al. (2014)", "mesoscopic",
-     "SiO2", "2.50e-5", "7.53e20", "1.07e4", "2.45e-11", "9.81e-7", "7.24e8",
-     "absolute", "earth", False, "", ""),
-    ("Shaniv '17", 2017, "Shaniv and Ozeri (2017)", "trapped-ion",
-     "Sr+", "1.44e-25", "1", "1.13e6", "2.80e-20", "1.94e5", "3.78e10",
-     "absolute", "earth", False, "1", "single ion"),
-    ("Blums '18", 2018, "Blums et al. (2018)", "trapped-ion",
-     "Yb+", "2.89e-25", "1", "8.29e5", "3.47e-19", "1.20e6", "1.44e12",
-     "absolute", "earth", False, "1", "single ion"),
-    ("Cavendish 1798", 1798, "Cavendish (1798)", "massive",
-     "Pb", "1.00", "1.00e26", "2.00e-3", "1.00e-6", "1.00e-6", "1.00e14",
-     "absolute", "earth", False, "1.00e26",
-     "historical torsion balance; round quoted nucleus count kept"),
-)
+# The embedded catalog: 46 published experiments in the records format,
+# loaded by parse_records like any user file.  Values are kept verbatim as
+# the sources print them, so tests against these rows exercise the
+# computation, not transcription.
+_EMBEDDED_CSV = CSV_HEADER + "\n" + """\
+Asenbaum '17,2017,Asenbaum et al. (2017),atom-interferometry,Rb,1.44e-19,,,7.08e-28,4.91e-9,,,differential,earth,false,
+Biedermann '15,2015,Biedermann et al. (2015),atom-interferometry,Cs,2.21e-17,,,9.09e-25,4.12e-8,,,differential,earth,false,
+Armano '18,2018,Armano et al. (2018),massive,Au,1.93,,,3.35e-15,1.74e-15,,,differential,space,false,satellite test masses near the Sun-Earth L1 point
+Gisler '22,2022,Gisler et al. (2022),nanowire,Si3N4,9.30e-15,,1.41e6,9.60e-21,1.03e-6,,,absolute,earth,false,
+Seis '22,2022,Seis et al. (2022),membrane,Si3N4,1.50e-11,,1.49e6,6.50e-19,4.33e-8,,,absolute,earth,false,
+Martynov '16,2016,Martynov et al. (2016),massive,SiO2,4.00e1,,1.00e2,1.57e-12,3.92e-14,,,absolute,earth,true,interferometer mirror
+Fogliano '21,2021,Fogliano et al. (2021),nanowire,SiC,1.60e-14,,1.16e4,4.00e-20,2.50e-6,,,absolute,earth,false,
+Fuchs '24,2024,Fuchs et al. (2024),magnetic-levitation,Nd2Fe14B,4.00e-7,,2.67e1,5.00e-16,1.25e-9,,,absolute,earth,false,
+Hamilton '15,2015,Hamilton et al. (2015),atom-interferometry,Cs,4.41e-18,,,2.60e-21,5.89e-4,,,differential,earth,false,
+Mamin '01,2001,Mamin and Rugar (2001),nanobeam,Si,6.85e-13,,4.98e3,8.20e-19,1.20e-6,,,absolute,earth,false,
+Timberlake '23,2023,Timberlake et al. (2023),magnetic-levitation,Nd2Fe14B,2.30e-8,,4.24e1,3.40e-16,1.48e-8,,,absolute,earth,false,
+Liang '22,2022,Liang et al. (2022),optical-levitation,SiO2,4.68e-18,,1.75e5,4.34e-21,9.27e-4,,,absolute,earth,false,
+Maiwald '09,2009,Maiwald et al. (2009),trapped-ion,Mg+,4.04e-26,1,1.00e6,4.60e-25,1.14e1,,,absolute,earth,false,single ion
+Norte '16,2016,Norte et al. (2016),membrane,Si3N4,2.30e-11,,1.50e5,1.00e-17,4.35e-7,,,absolute,earth,false,
+Monteiro '20,2020,Monteiro et al. (2020),optical-levitation,SiO2,9.42e-13,2.27e14,6.30e1,8.78e-19,9.32e-7,,,absolute,earth,false,quoted nucleus count kept; mass and composition imply about 8x fewer
+Kampel '17,2017,Kampel et al. (2017),membrane,Si3N4,1.00e-11,,1.60e6,9.81e-18,9.81e-7,,,absolute,earth,true,
+Héritier '18,2018,Héritier et al. (2018),nanowire,C,4.10e-15,,2.50e4,1.88e-19,4.59e-5,,,absolute,earth,false,diamond nanowire
+Tebbenjohanns '20,2020,Tebbenjohanns et al. (2020),optical-levitation,SiO2,3.49e-18,,1.46e5,8.00e-21,2.29e-3,,,absolute,earth,true,
+Tebbenjohanns '19,2019,Tebbenjohanns et al. (2019),optical-levitation,SiO2,3.49e-18,,1.46e5,1.00e-20,2.87e-3,,,absolute,earth,true,
+Lewandowski '21,2021,Lewandowski et al. (2021),magnetic-levitation,0.8*SiO2+0.2*B2O3,2.50e-10,,1.75,8.83e-17,3.53e-7,,,absolute,earth,false,"borosilicate glass as 80% silica, 20% boron trioxide by mass"
+Teufel '09,2009,Teufel et al. (2009),nanowire,Al,5.50e-15,,1.04e6,5.10e-19,9.27e-5,,,absolute,earth,false,
+Cripe '19,2019,Cripe et al. (2019),nanobeam,GaAs,5.00e-11,,8.76e2,9.81e-17,1.96e-6,,,absolute,earth,true,
+Reinhardt '16,2016,Reinhardt et al. (2016),membrane,Si3N4,4.00e-12,,4.08e4,2.00e-17,5.00e-6,,,absolute,earth,false,
+Gieseler '13,2013,Gieseler et al. (2013),optical-levitation,SiO2,3.00e-18,,1.25e5,2.00e-20,6.67e-3,,,absolute,earth,false,
+Delić '20,2020,Delić et al. (2020),optical-levitation,SiO2,2.83e-18,,3.05e5,1.94e-20,6.87e-3,,,absolute,earth,false,
+Corbitt '07,2007,Corbitt et al. (2007),mesoscopic,SiO2,1.00e-3,,1.80e3,3.95e-13,3.95e-10,,,absolute,earth,false,
+Westphal '21,2021,Westphal et al. (2021),mesoscopic,Au,2.18e-4,,3.59e-3,9.07e-13,4.16e-9,,,absolute,earth,false,
+Rider '18,2018,Rider et al. (2018),optical-levitation,SiO2,1.53e-13,,2.50e2,1.15e-17,7.50e-5,,,absolute,earth,false,
+Kawasaki '20,2020,Kawasaki et al. (2020),optical-levitation,SiO2,8.40e-14,,3.01e2,1.00e-17,1.19e-4,,,absolute,earth,false,
+Hempston '17,2017,Hempston et al. (2017),optical-levitation,SiO2,7.60e-19,,7.20e4,3.20e-20,4.21e-2,,,absolute,earth,false,
+De Bonis '18,2018,De Bonis et al. (2018),nanotube,C,8.60e-21,,2.92e7,4.30e-21,5.00e-1,,,absolute,earth,false,
+Hälg '21,2021,Hälg et al. (2021),membrane,Si3N4,1.40e-11,,1.42e6,2.80e-16,2.00e-5,,,absolute,earth,false,
+Priel '22,2022,Priel et al. (2022),optical-levitation,SiO2,5.85e-13,,1.00e5,1.00e-16,1.71e-4,,,absolute,earth,false,
+Moser '13,2013,Moser et al. (2013),nanotube,C,1.00e-20,,4.20e6,1.20e-20,1.20,,,absolute,earth,false,
+Weber '16,2016,Weber et al. (2016),nanotube,C,9.60e-18,,4.60e7,3.90e-19,4.06e-2,,,absolute,earth,false,
+Ranjit '16,2016,Ranjit et al. (2016),optical-levitation,SiO2,3.75e-17,,2.83e3,1.63e-18,4.35e-2,,,absolute,earth,false,
+Krause '12,2012,Krause et al. (2012),membrane,Si3N4,1.00e-11,,2.75e4,9.81e-16,9.81e-5,,,absolute,earth,false,
+Nichol '12,2012,Nichol et al. (2012),nanowire,Si,2.66e-17,,7.86e5,1.95e-18,7.33e-2,,,absolute,earth,false,
+Biercuk '10,2010,Biercuk et al. (2010),trapped-ion,Be+,1.95e-24,1.30e2,8.67e5,3.90e-22,2.00e2,,,absolute,earth,false,ion crystal
+Ranjit '15,2015,Ranjit et al. (2015),optical-levitation,SiO2,3.75e-14,,1.07e3,2.17e-16,5.79e-3,,,absolute,earth,false,
+Affolter '20,2020,Affolter et al. (2020),trapped-ion,Be+,1.50e-24,1.00e2,1.58e6,1.20e-21,8.02e2,,,absolute,earth,false,ion crystal
+Timberlake '19,2019,Timberlake et al. (2019),magnetic-levitation,Nd2Fe14B,4.00e-6,,1.94e1,7.85e-12,1.96e-6,,,absolute,earth,false,
+Guzmán C. '14,2014,Guzmán Cervantes et al. (2014),mesoscopic,SiO2,2.50e-5,,1.07e4,2.45e-11,9.81e-7,,,absolute,earth,false,
+Shaniv '17,2017,Shaniv and Ozeri (2017),trapped-ion,Sr+,1.44e-25,1,1.13e6,2.80e-20,1.94e5,,,absolute,earth,false,single ion
+Blums '18,2018,Blums et al. (2018),trapped-ion,Yb+,2.89e-25,1,8.29e5,3.47e-19,1.20e6,,,absolute,earth,false,single ion
+Cavendish 1798,1798,Cavendish (1798),massive,Pb,1.00,1.00e26,2.00e-3,1.00e-6,1.00e-6,,,absolute,earth,false,historical torsion balance; round quoted nucleus count kept
+"""
+
+# The derived columns the sources print for each embedded record: the
+# nucleus count N and the figure of merit, by record name.
+_QUOTED_VALUES: dict[str, tuple[float, float]] = {
+    "Asenbaum '17": (1.00e6, 2.41e-11),
+    "Biedermann '15": (1.00e8, 1.70e-7),
+    "Armano '18": (5.89e24, 1.78e-5),
+    "Gisler '22": (2.79e11, 2.98e-1),
+    "Seis '22": (4.51e14, 8.46e-1),
+    "Martynov '16": (1.20e27, 1.85),
+    "Fogliano '21": (4.82e11, 3.01),
+    "Fuchs '24": (3.79e18, 5.92),
+    "Hamilton '15": (2.00e7, 6.93),
+    "Mamin '01": (1.47e13, 2.11e1),
+    "Timberlake '23": (2.18e17, 4.76e1),
+    "Liang '22": (1.41e8, 1.21e2),
+    "Maiwald '09": (1.0, 1.30e2),
+    "Norte '16": (6.91e14, 1.31e2),
+    "Monteiro '20": (2.27e14, 1.97e2),
+    "Kampel '17": (3.00e14, 2.89e2),
+    "Héritier '18": (2.06e11, 4.33e2),
+    "Tebbenjohanns '20": (1.05e8, 5.52e2),
+    "Tebbenjohanns '19": (1.05e8, 8.63e2),
+    "Lewandowski '21": (8.26e15, 1.03e3),
+    "Teufel '09": (1.23e11, 1.05e3),
+    "Cripe '19": (4.16e14, 1.60e3),
+    "Reinhardt '16": (1.20e14, 3.00e3),
+    "Gieseler '13": (9.03e7, 4.01e3),
+    "Delić '20": (8.52e7, 4.02e3),
+    "Corbitt '07": (3.01e22, 4.70e3),
+    "Westphal '21": (6.66e20, 1.15e4),
+    "Rider '18": (4.62e12, 2.60e4),
+    "Kawasaki '20": (2.53e12, 3.58e4),
+    "Hempston '17": (2.29e7, 4.06e4),
+    "De Bonis '18": (4.32e5, 1.08e5),
+    "Hälg '21": (4.21e14, 1.68e5),
+    "Priel '22": (1.76e13, 5.14e5),
+    "Moser '13": (5.02e5, 7.23e5),
+    "Weber '16": (4.82e8, 7.95e5),
+    "Ranjit '16": (1.13e9, 2.14e6),
+    "Krause '12": (3.00e14, 2.89e6),
+    "Nichol '12": (5.72e8, 3.07e6),
+    "Biercuk '10": (1.30e2, 5.22e6),
+    "Ranjit '15": (1.13e12, 3.78e7),
+    "Affolter '20": (1.00e2, 6.43e7),
+    "Timberlake '19": (3.79e19, 1.46e8),
+    "Guzmán C. '14": (7.53e20, 7.24e8),
+    "Shaniv '17": (1.0, 3.78e10),
+    "Blums '18": (1.0, 1.44e12),
+    "Cavendish 1798": (1.00e26, 1.00e14),
+}
 
 
 @lru_cache(maxsize=1)
 def embedded_catalog() -> Catalog:
     """The packaged reference catalog of 46 published experiments."""
-    records = []
-    for (name, year, reference, category, material, mass, _n, f0,
-         sqrt_sf, sqrt_sa, _fom, mode, location, secondhand,
-         n_override, notes) in _EMBEDDED_ROWS:
-        records.append(ExperimentRecord(
-            name=name, year=year, reference=reference, category=category,
-            material=parse_material(material), mass_kg=float(mass),
-            n_override=float(n_override) if n_override else None,
-            f0_hz=float(f0) if f0 else None,
-            sqrt_sf=float(sqrt_sf) if sqrt_sf else None,
-            sqrt_sa=float(sqrt_sa) if sqrt_sa else None,
-            mode=mode, location=location, secondhand=secondhand, notes=notes,
-        ))
-    return Catalog(tuple(records))
+    return parse_records(_EMBEDDED_CSV)
 
 
 def embedded_reference_values() -> dict[str, QuotedValues]:
@@ -557,6 +497,6 @@ def embedded_reference_values() -> dict[str, QuotedValues]:
     checks the whole pipeline.
     """
     return {
-        row[0]: QuotedValues(n_nuclei=float(row[6]), fom=float(row[10]))
-        for row in _EMBEDDED_ROWS
+        name: QuotedValues(n_nuclei=n_nuclei, fom=fom)
+        for name, (n_nuclei, fom) in _QUOTED_VALUES.items()
     }

@@ -17,17 +17,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import (
-    Catalog,
-    RecordFilter,
-    embedded_catalog,
-    parse_records,
-    rank,
-)
-from .errors import CatalogError, StfomError
+from .catalog import Catalog, embedded_catalog, parse_records, rank
+from .errors import CatalogError, Diagnostic, StfomError
 from .fom import evaluate_catalog
 from .formula import (
     molar_mass,
@@ -44,27 +37,16 @@ from .report import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved inputs for one command invocation."""
-
-    records_path: Path | None = None
-    constants_path: Path | None = None
-    k_per_category: int = 3
-    record_filter: RecordFilter = "all"
-    output_dir: Path = Path(".")
-
-
-def _load_catalog(cfg: RunConfig) -> Catalog:
-    if cfg.records_path is None:
-        return embedded_catalog()
-    return parse_records(cfg.records_path.read_text(encoding="utf-8"))
-
-
-def _load_constants(cfg: RunConfig) -> Constants:
-    if cfg.constants_path is None:
-        return Constants()
-    return load_constants(cfg.constants_path.read_text(encoding="utf-8"))
+def _read_text(path: Path) -> str:
+    """Read an input file as UTF-8; a leading byte order mark is dropped."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CatalogError((
+            Diagnostic(0, "file", "BadEncoding",
+                       f"{path} is not UTF-8 text: {exc.reason} "
+                       f"at byte offset {exc.start}"),
+        )) from None
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -87,57 +69,36 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _print_warnings(results) -> None:
-    for result in results.values():
-        for warning in result.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+def _write_outputs(out: Path, files: dict[str, str]) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        _write_atomic(out / name, text)
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    catalog = _load_catalog(cfg)
-    constants = _load_constants(cfg)
-    results = evaluate_catalog(catalog, constants=constants)
-    _print_warnings(results)
-
-    filtered = Catalog(tuple(rank(catalog, results, cfg.record_filter)))
-    table_text = emit_table(filtered, results)
-    bounds_text = emit_bounds_summary(
-        catalog, results, constants=constants, which=cfg.record_filter
-    )
-
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(cfg.output_dir / "table.csv", table_text)
-    _write_atomic(cfg.output_dir / "bounds.txt", bounds_text)
-    print(f"wrote table.csv ({len(filtered)} rows) and bounds.txt to {cfg.output_dir}")
+def cmd_compute(args, catalog, constants, results) -> int:
+    filtered = Catalog(tuple(rank(catalog, results, args.filter)))
+    _write_outputs(args.out, {
+        "table.csv": emit_table(filtered, results),
+        "bounds.txt": emit_bounds_summary(catalog, results, constants=constants,
+                                          which=args.filter),
+    })
+    print(f"wrote table.csv ({len(filtered)} rows) and bounds.txt to {args.out}")
     return 0
 
 
-def cmd_figure(cfg: RunConfig) -> int:
-    catalog = _load_catalog(cfg)
-    constants = _load_constants(cfg)
-    results = evaluate_catalog(catalog, constants=constants)
-    _print_warnings(results)
-
-    filtered = Catalog(tuple(rank(catalog, results, cfg.record_filter)))
-    points = build_figure_points(filtered, results, cfg.k_per_category)
+def cmd_figure(args, catalog, constants, results) -> int:
+    filtered = Catalog(tuple(rank(catalog, results, args.filter)))
+    points = build_figure_points(filtered, results, args.k)
     svg_text, data_text = emit_figure(points)
-
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(cfg.output_dir / "figure.svg", svg_text)
-    _write_atomic(cfg.output_dir / "figure.dat", data_text)
+    _write_outputs(args.out, {"figure.svg": svg_text, "figure.dat": data_text})
     shown = sum(1 for p in points if p.in_figure)
-    print(f"wrote figure.svg and figure.dat ({shown} points) to {cfg.output_dir}")
+    print(f"wrote figure.svg and figure.dat ({shown} points) to {args.out}")
     return 0
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    catalog = _load_catalog(cfg)
-    constants = _load_constants(cfg)
-    results = evaluate_catalog(catalog, constants=constants)
-    _print_warnings(results)
+def cmd_bounds(args, catalog, constants, results) -> int:
     sys.stdout.write(
-        emit_bounds_summary(catalog, results, constants=constants,
-                            which=cfg.record_filter)
+        emit_bounds_summary(catalog, results, constants=constants, which=args.filter)
     )
     return 0
 
@@ -150,13 +111,6 @@ def cmd_formula(text: str) -> int:
     print(f"nuclei = {nuclei_per_formula(formula)}")
     if formula.charge_ignored:
         print("charge token ignored")
-    return 0
-
-
-def cmd_validate(cfg: RunConfig) -> int:
-    catalog = _load_catalog(cfg)
-    _load_constants(cfg)
-    print(f"ok: {len(catalog)} records")
     return 0
 
 
@@ -204,25 +158,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each record command takes the parsed arguments, the loaded inputs and
+# the evaluated results; main does the loading, evaluation and warnings.
+_RECORD_COMMANDS = {"compute": cmd_compute, "figure": cmd_figure,
+                    "bounds": cmd_bounds}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "formula":
             return cmd_formula(args.text)
-        cfg = RunConfig(
-            records_path=args.records,
-            constants_path=args.constants,
-            k_per_category=getattr(args, "k", 3),
-            record_filter=getattr(args, "filter", "all"),
-            output_dir=getattr(args, "out", Path(".")),
-        )
-        handler = {
-            "compute": cmd_compute,
-            "figure": cmd_figure,
-            "bounds": cmd_bounds,
-            "validate": cmd_validate,
-        }[args.command]
-        return handler(cfg)
+        catalog = (embedded_catalog() if args.records is None
+                   else parse_records(_read_text(args.records)))
+        constants = (Constants() if args.constants is None
+                     else load_constants(_read_text(args.constants)))
+        if args.command == "validate":
+            print(f"ok: {len(catalog)} records")
+            return 0
+        results = evaluate_catalog(catalog, constants=constants)
+        for result in results.values():
+            for warning in result.warnings:
+                print(f"warning: {warning}", file=sys.stderr)
+        return _RECORD_COMMANDS[args.command](args, catalog, constants, results)
     except CatalogError as exc:
         for diagnostic in exc.diagnostics:
             print(str(diagnostic), file=sys.stderr)

@@ -37,14 +37,6 @@ class FilterError(StfomError, ValueError):
     """An unknown record filter or a non-positive selection size."""
 
 
-class NonFiniteError(StfomError):
-    """A NaN or infinity was about to enter the data model."""
-
-
-class UnitMismatchError(StfomError):
-    """Arithmetic attempted between quantities of different units."""
-
-
 class ConstantsError(StfomError):
     """Malformed physical constants configuration."""
 

@@ -78,6 +78,19 @@ def fom_from_variance(sigma_a: float, n_nuclei: float, delta_t: float) -> float:
         raise NonPositiveError("delta_t", delta_t)
     return fom_from_psd(sigma_a * sigma_a * delta_t, n_nuclei)
 
+def _check_thermal_inputs(
+    temp_k: float, mass_kg: float, omega0: float, quality: float
+) -> None:
+    """The input checks shared by thermal_force_psd and thermal_fom."""
+    if temp_k < 0.0:
+        raise NegativeInputError("temp_k", temp_k)
+    if mass_kg <= 0.0:
+        raise NonPositiveError("mass_kg", mass_kg)
+    if omega0 <= 0.0:
+        raise NonPositiveError("omega0", omega0)
+    if quality <= 0.0:
+        raise NonPositiveError("quality", quality)
+
 def thermal_force_psd(
     temp_k: float,
     mass_kg: float,
@@ -98,14 +111,7 @@ def thermal_force_psd(
     quality : float
         Mechanical quality factor, dimensionless.
     """
-    if temp_k < 0.0:
-        raise NegativeInputError("temp_k", temp_k)
-    if mass_kg <= 0.0:
-        raise NonPositiveError("mass_kg", mass_kg)
-    if omega0 <= 0.0:
-        raise NonPositiveError("omega0", omega0)
-    if quality <= 0.0:
-        raise NonPositiveError("quality", quality)
+    _check_thermal_inputs(temp_k, mass_kg, omega0, quality)
     return 4.0 * k_b * temp_k * mass_kg * omega0 / quality
 
 def thermal_fom(
@@ -123,14 +129,7 @@ def thermal_fom(
     """
     if n_nuclei < 0.0:
         raise NegativeInputError("n_nuclei", n_nuclei)
-    if temp_k < 0.0:
-        raise NegativeInputError("temp_k", temp_k)
-    if mass_kg <= 0.0:
-        raise NonPositiveError("mass_kg", mass_kg)
-    if omega0 <= 0.0:
-        raise NonPositiveError("omega0", omega0)
-    if quality <= 0.0:
-        raise NonPositiveError("quality", quality)
+    _check_thermal_inputs(temp_k, mass_kg, omega0, quality)
     return 4.0 * n_nuclei * k_b * temp_k * omega0 / (mass_kg * quality)
 
 def classify_thermal(

@@ -1,4 +1,4 @@
-"""Physical constants, unit-tagged scalars, and spectral density conversions.
+"""Physical constants and spectral density conversions.
 
 The package works in SI throughout.  Frequencies are stored in Hz and
 converted to angular frequency in exactly one place, angular_frequency().
@@ -10,16 +10,13 @@ psd_to_asd() move between them.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
 from .errors import (
     ConstantsError,
     NegativeInputError,
-    NonFiniteError,
     NonPositiveError,
-    UnitMismatchError,
     UnknownConstantError,
 )
 
@@ -45,75 +42,6 @@ m_P 2.176434e-8
 r_N 1.0e-15
 m_N 1.6726e-27
 """
-
-
-class Unit(enum.Enum):
-    """Closed set of unit tags used by the analysis.
-
-    This is a fixed enumeration, not a dimensional algebra: quantities of
-    the same unit add, everything scales by plain numbers, and the only
-    unit-changing operations are the dedicated ASD/PSD conversions.
-    """
-
-    KILOGRAM = "kg"
-    HERTZ = "Hz"
-    RADIAN_PER_SECOND = "rad/s"
-    KELVIN = "K"
-    SECOND = "s"
-    NEWTON = "N"
-    METER_PER_SECOND2 = "m/s^2"
-    FORCE_ASD = "N/sqrt(Hz)"
-    ACCEL_ASD = "m s^-2/sqrt(Hz)"
-    FORCE_PSD = "N^2/Hz"
-    ACCEL_PSD = "m^2 s^-4/Hz"
-    FOM = "m^2/s^3"
-    KILOGRAM_PER_MOL = "kg/mol"
-    PER_MOL = "1/mol"
-    DIMENSIONLESS = "1"
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A finite scalar tagged with one of the closed units."""
-
-    value: float
-    unit: Unit
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise NonFiniteError(f"quantity value must be finite, got {self.value!r}")
-
-    def _check_same_unit(self, other: Quantity) -> None:
-        if not isinstance(other, Quantity):
-            raise UnitMismatchError(f"expected a Quantity, got {type(other).__name__}")
-        if other.unit is not self.unit:
-            raise UnitMismatchError(
-                f"cannot combine {self.unit.value} with {other.unit.value}"
-            )
-
-    def __add__(self, other: Quantity) -> Quantity:
-        self._check_same_unit(other)
-        return Quantity(self.value + other.value, self.unit)
-
-    def __sub__(self, other: Quantity) -> Quantity:
-        self._check_same_unit(other)
-        return Quantity(self.value - other.value, self.unit)
-
-    def __mul__(self, factor: float) -> Quantity:
-        if isinstance(factor, Quantity):
-            raise UnitMismatchError(
-                "quantities do not multiply; scale by a plain number"
-            )
-        return Quantity(self.value * factor, self.unit)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, divisor: float) -> Quantity:
-        if isinstance(divisor, Quantity):
-            raise UnitMismatchError(
-                "quantities do not divide; scale by a plain number"
-            )
-        return Quantity(self.value / divisor, self.unit)
 
 
 @dataclass(frozen=True)
@@ -188,41 +116,16 @@ def angular_frequency(f0_hz: float) -> float:
     return 2.0 * math.pi * f0_hz
 
 
-_ASD_TO_PSD_UNIT = {
-    Unit.FORCE_ASD: Unit.FORCE_PSD,
-    Unit.ACCEL_ASD: Unit.ACCEL_PSD,
-    Unit.DIMENSIONLESS: Unit.DIMENSIONLESS,
-}
-_PSD_TO_ASD_UNIT = {psd: asd for asd, psd in _ASD_TO_PSD_UNIT.items()}
-
-
-def asd_to_psd(x):
-    """Square an amplitude spectral density into a power spectral density.
-
-    Accepts a plain non-negative float or a Quantity carrying one of the
-    ASD units (force, acceleration, or dimensionless as a fixed point).
-    """
-    if isinstance(x, Quantity):
-        unit = _ASD_TO_PSD_UNIT.get(x.unit)
-        if unit is None:
-            raise UnitMismatchError(f"{x.unit.value} is not an amplitude density")
-        if x.value < 0.0:
-            raise NegativeInputError("amplitude spectral density", x.value)
-        return Quantity(x.value * x.value, unit)
+def asd_to_psd(x: float) -> float:
+    """Square a non-negative amplitude spectral density into a power
+    spectral density."""
     if x < 0.0:
         raise NegativeInputError("amplitude spectral density", x)
     return x * x
 
 
-def psd_to_asd(x):
+def psd_to_asd(x: float) -> float:
     """Square root of a power spectral density, inverse of asd_to_psd."""
-    if isinstance(x, Quantity):
-        unit = _PSD_TO_ASD_UNIT.get(x.unit)
-        if unit is None:
-            raise UnitMismatchError(f"{x.unit.value} is not a power density")
-        if x.value < 0.0:
-            raise NegativeInputError("power spectral density", x.value)
-        return Quantity(math.sqrt(x.value), unit)
     if x < 0.0:
         raise NegativeInputError("power spectral density", x)
     return math.sqrt(x)

@@ -13,7 +13,6 @@ from stfom import (
     NegativeInputError,
     NonPositiveError,
     anchored_bound,
-    bound_report,
     fom_threshold,
     orders_of_improvement,
     si_bound,
@@ -153,14 +152,3 @@ def test_orders_of_improvement():
     assert orders_of_improvement(CAVENDISH_FOM) == 0.0
     assert orders_of_improvement(1.0, 1000.0) == pytest.approx(3.0, rel=1e-12)
 
-
-def test_bound_report_assembles_consistently():
-    report = bound_report(DISCRETE, 2.98e-1)
-    assert report.anchored == 1.0e-16
-    assert report.lower_bound == 1.0e-25
-    assert not report.below_lower_bound
-    assert report.orders_vs_baseline == pytest.approx(14.53, abs=5e-3)
-
-    deep = bound_report(DISCRETE, 2.41e-11)
-    assert deep.below_lower_bound
-    assert deep.si == pytest.approx(si_bound(DISCRETE, 2.41e-11), rel=1e-15)

@@ -145,6 +145,52 @@ def test_bad_records_file_reports_diagnostics(tmp_path, capsys):
     assert len(err.splitlines()) == 2
 
 
+
+RECORD_COMMANDS = ("validate", "compute", "figure", "bounds")
+
+
+@pytest.mark.parametrize("column, row", [
+    ("sqrt_sf", "Still,2021,synthetic,membrane,Si3N4,1e-9,,1e3,0,,,,absolute,earth,false,"),
+    ("sqrt_sa", "Still,2021,synthetic,membrane,Si3N4,1e-9,,1e3,,0.0,,,absolute,earth,false,"),
+])
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+def test_zero_noise_density_is_rejected_by_every_record_command(
+        tmp_path, capsys, monkeypatch, command, column, row):
+    monkeypatch.chdir(tmp_path)
+    records = tmp_path / "records.csv"
+    records.write_text(CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
+    assert main([command, "--records", str(records)]) == 1
+    assert capsys.readouterr().err == (
+        f"row 1, column {column}: BadNumber: noise density must be > 0, got 0.0\n")
+    assert list(tmp_path.iterdir()) == [records]
+
+
+@pytest.mark.parametrize("option", ["--records", "--constants"])
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+def test_input_that_is_not_utf8_is_a_diagnostic(tmp_path, capsys, monkeypatch,
+                                                 command, option):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(CSV_HEADER.encode() + b"\nM\xfcller,2021\n")
+    assert main([command, option, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("row 0, column file: BadEncoding: ")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    records = tmp_path / "records.csv"
+    records.write_bytes(bom + serialize_records(embedded_catalog()).encode())
+    constants = tmp_path / "constants.txt"
+    constants.write_bytes(bom + b"r_N 1.0e-15\n")
+    assert main(["bounds"]) == 0
+    plain = capsys.readouterr()
+    assert main(["bounds", "--records", str(records),
+                 "--constants", str(constants)]) == 0
+    assert capsys.readouterr() == plain
+
 def test_missing_records_file_is_io_error(tmp_path, capsys):
     assert main(["validate", "--records", str(tmp_path / "absent.csv")]) == 2
     assert capsys.readouterr().err.startswith("io error:")

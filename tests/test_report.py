@@ -11,6 +11,7 @@ from stfom import (
     EmptyInputError,
     ExperimentRecord,
     FigurePoint,
+    FomResult,
     build_figure_points,
     emit_bounds_summary,
     emit_figure,
@@ -321,14 +322,17 @@ def test_summary_without_any_absolute_earth_record(catalog):
 
 
 def test_table_keeps_both_spellings_of_zero_noise():
-    def record(name, sqrt_sf):
+    def record(name):
         return ExperimentRecord(
             name=name, year=2024, reference="synthetic", category="membrane",
-            material=parse_material("Si3N4"), mass_kg=1e-9, sqrt_sf=sqrt_sf,
+            material=parse_material("Si3N4"), mass_kg=1e-9, sqrt_sf=1e-15,
         )
 
-    catalog = Catalog((record("Plus", 0.0), record("Minus", -0.0)))
-    rows = {row[0]: row for row in _table_rows(catalog, evaluate_catalog(catalog))[1:]}
+    # A record's noise density must be > 0, so the zeros enter as results.
+    catalog = Catalog((record("Plus"), record("Minus")))
+    results = {name: FomResult(n_nuclei=1.0, sqrt_sf=zero, sqrt_sa=zero, fom=zero)
+               for name, zero in (("Plus", 0.0), ("Minus", -0.0))}
+    rows = {row[0]: row for row in _table_rows(catalog, results)[1:]}
     assert rows["Plus"][6:8] == ["0.00e0", "0.00e0"]
     assert rows["Minus"][6:8] == ["-0.00e0", "-0.00e0"]
 
