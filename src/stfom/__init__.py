@@ -44,6 +44,7 @@ from .errors import (
     ModelMismatchError,
     NegativeInputError,
     NonPositiveError,
+    OutOfRangeError,
     ParseError,
     StfomError,
     UnknownConstantError,
@@ -65,7 +66,6 @@ from .formula import (
     STANDARD_ATOMIC_WEIGHTS,
     Formula,
     MaterialSpec,
-    PeriodicTable,
     format_material,
     molar_mass,
     nuclei_count,
@@ -101,7 +101,7 @@ __all__ = [
     "ExperimentRecord", "FigurePoint", "FilterError", "FomResult", "Formula",
     "FormulaError", "MaterialError", "MaterialSpec", "MissingNoiseError",
     "ModelId", "ModelMismatchError", "NegativeInputError",
-    "NonPositiveError", "ParseError", "PeriodicTable",
+    "NonPositiveError", "OutOfRangeError", "ParseError",
     "QuotedValues", "STANDARD_ATOMIC_WEIGHTS", "StfomError",
     "UnknownConstantError",
     "UnknownElementError", "accel_asd_from_force", "anchored_bound",

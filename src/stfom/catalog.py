@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Literal, Mapping
@@ -48,6 +49,9 @@ CATEGORIES: tuple[str, ...] = (
 _CATEGORY_SET = frozenset(CATEGORIES)
 
 RecordFilter = Literal["all", "absolute-on-earth"]
+
+# A subnormal mass loses precision and overflows the densities divided by it.
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -121,8 +125,12 @@ def _validate_fields(
         bad("name", "MissingRequired", "record name must not be empty")
     if category not in _CATEGORY_SET:
         bad("category", "BadCategory", f"unknown category {category!r}")
+    mass_ok = math.isfinite(mass_kg) and mass_kg >= _SMALLEST_NORMAL
     if not (math.isfinite(mass_kg) and mass_kg > 0.0):
         bad("mass_kg", "BadNumber", f"mass must be > 0, got {mass_kg!r}")
+    elif not mass_ok:
+        bad("mass_kg", "BadNumber",
+            f"mass must be at least {_SMALLEST_NORMAL!r}, got {mass_kg!r}")
     if n_override is not None and n_override < 1.0:
         bad("n_override", "BadNumber", f"nucleus count must be >= 1, got {n_override!r}")
     if f0_hz is not None and f0_hz <= 0.0:
@@ -133,6 +141,15 @@ def _validate_fields(
         bad("sqrt_sf", "BadNumber", f"noise density must be > 0, got {sqrt_sf!r}")
     if sqrt_sa is not None and sqrt_sa <= 0.0:
         bad("sqrt_sa", "BadNumber", f"noise density must be > 0, got {sqrt_sa!r}")
+    # The FOM squares the authoritative acceleration density.
+    accel = None
+    if sqrt_sf is not None and sqrt_sf > 0.0 and mass_ok:
+        column, accel = "sqrt_sf", sqrt_sf / mass_kg
+    elif sqrt_sf is None and sqrt_sa is not None and sqrt_sa > 0.0:
+        column, accel = "sqrt_sa", sqrt_sa
+    if accel is not None and not 0.0 < accel * accel < math.inf:
+        bad(column, "BadNumber",
+            f"acceleration density {accel!r} squared is not a finite float > 0")
     if temp_k is not None and temp_k < 0.0:
         bad("temp_k", "BadNumber", f"temperature must be >= 0, got {temp_k!r}")
     if quality is not None and quality <= 0.0:

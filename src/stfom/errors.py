@@ -67,6 +67,19 @@ class NegativeInputError(StfomError):
         self.value = value
 
 
+class OutOfRangeError(StfomError):
+    """A record's derived value is zero, infinite or NaN as a float."""
+
+    def __init__(self, record: str, name: str, value: float):
+        super().__init__(
+            f"{record}: {name} is {value!r}, outside the range of a float; "
+            "the record's inputs are too large or too small"
+        )
+        self.record = record
+        self.name = name
+        self.value = value
+
+
 class ModelMismatchError(StfomError):
     """A bound anchor was used with a different model than it belongs to."""
 

@@ -24,8 +24,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import MissingNoiseError, NegativeInputError, NonPositiveError
-from .formula import PeriodicTable, nuclei_count
+from .errors import (
+    MissingNoiseError,
+    NegativeInputError,
+    NonPositiveError,
+    OutOfRangeError,
+)
+from .formula import nuclei_count
 from .quantities import BOLTZMANN, Constants, angular_frequency
 
 if TYPE_CHECKING:
@@ -175,7 +180,6 @@ class FomResult:
 
 def evaluate_record(
     record: "ExperimentRecord",
-    table: PeriodicTable | None = None,
     constants: Constants | None = None,
 ) -> FomResult:
     """Compute the figure of merit and thermal context for one record.
@@ -184,10 +188,9 @@ def evaluate_record(
     present; the acceleration density is recomputed from it and a warning
     is attached if the quoted one disagrees by more than 2%.  A measured
     noise below the thermal floor is physically suspect, so it is flagged
-    with a warning rather than rejected.
+    with a warning rather than rejected.  A nucleus count, density or FOM
+    that is not a finite float > 0 raises OutOfRangeError.
     """
-    if table is None:
-        table = PeriodicTable.standard()
     if constants is None:
         constants = Constants()
     warnings: list[str] = []
@@ -195,7 +198,7 @@ def evaluate_record(
     if record.n_override is not None:
         n_nuclei = record.n_override
     else:
-        n_nuclei = nuclei_count(record.mass_kg, record.material, table, constants.N_A)
+        n_nuclei = nuclei_count(record.mass_kg, record.material, constants.N_A)
 
     if record.sqrt_sf is not None:
         sqrt_sf = record.sqrt_sf
@@ -214,6 +217,12 @@ def evaluate_record(
         raise MissingNoiseError(f"{record.name}: no noise density to evaluate")
 
     fom = fom_from_psd(sqrt_sa * sqrt_sa, n_nuclei)
+    # Valid inputs can still overflow, for example the nucleus count of a
+    # 1e300 kg mass; validation cannot see it without the material.
+    for name, value in (("n_nuclei", n_nuclei), ("sqrt_sf", sqrt_sf),
+                        ("sqrt_sa", sqrt_sa), ("fom", fom)):
+        if not 0.0 < value < math.inf:
+            raise OutOfRangeError(record.name, name, value)
 
     thermal_sqrt_sf = None
     thermal_fom_value = None
@@ -253,8 +262,6 @@ def evaluate_record(
     )
 
 
-def evaluate_catalog(catalog, table=None, constants=None) -> dict[str, FomResult]:
+def evaluate_catalog(catalog, constants=None) -> dict[str, FomResult]:
     """Evaluate every record; returns a name -> FomResult mapping."""
-    return {
-        record.name: evaluate_record(record, table, constants) for record in catalog
-    }
+    return {record.name: evaluate_record(record, constants) for record in catalog}

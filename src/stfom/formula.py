@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -62,35 +63,6 @@ STANDARD_ATOMIC_WEIGHTS: Mapping[str, float] = MappingProxyType({
 
 
 @dataclass(frozen=True)
-class PeriodicTable:
-    """Immutable symbol -> atomic weight (kg/mol) lookup."""
-
-    entries: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        for symbol, weight in self.entries.items():
-            if weight <= 0.0:
-                raise NegativeInputError(f"atomic weight of {symbol}", weight)
-
-    @classmethod
-    def standard(cls) -> PeriodicTable:
-        return _STANDARD_TABLE
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.entries
-
-    def weight(self, symbol: str) -> float:
-        """Atomic weight in kg/mol; raises UnknownElementError if absent."""
-        try:
-            return self.entries[symbol]
-        except KeyError:
-            raise UnknownElementError(symbol) from None
-
-
-_STANDARD_TABLE = PeriodicTable(STANDARD_ATOMIC_WEIGHTS)
-
-
-@dataclass(frozen=True)
 class Formula:
     """Parsed formula: element terms in input order plus an ion flag."""
 
@@ -118,15 +90,14 @@ _TERM_RE = re.compile(r"([A-Z][a-z]?)([0-9]*)")
 _CHARGE_RE = re.compile(r"([0-9]*)([+-])$")
 
 
-def parse_formula(text: str, table: PeriodicTable | None = None) -> Formula:
-    """Parse formula text, validating every symbol against the table.
+def parse_formula(text: str) -> Formula:
+    """Parse formula text, validating every symbol against the standard
+    atomic weights.
 
     Raises ParseError with the offending character position for grammar
     violations and UnknownElementError for syntactically valid symbols
-    missing from the table.
+    missing from STANDARD_ATOMIC_WEIGHTS.
     """
-    if table is None:
-        table = PeriodicTable.standard()
     if not text:
         raise ParseError(0, "empty formula")
 
@@ -142,7 +113,7 @@ def parse_formula(text: str, table: PeriodicTable | None = None) -> Formula:
         if match is None or not match.group(1):
             raise ParseError(i, f"expected an element symbol, found {body[i]!r}")
         symbol, count_text = match.group(1), match.group(2)
-        if symbol not in table:
+        if symbol not in STANDARD_ATOMIC_WEIGHTS:
             raise UnknownElementError(symbol)
         if count_text:
             count = int(count_text)
@@ -180,6 +151,28 @@ class MaterialSpec:
     def pure(cls, formula: Formula) -> MaterialSpec:
         return cls(((formula, 1.0),))
 
+    # Derived values are computed on first use, not in __post_init__:
+    # validation never needs them.  cached_property writes the instance
+    # __dict__, which a frozen dataclass allows, and a raising call stores
+    # nothing.
+
+    @cached_property
+    def _nuclei_terms(self) -> tuple[tuple[float, float, int], ...]:
+        """(mass fraction, molar mass, nuclei per formula unit) per component."""
+        return tuple(
+            (fraction, molar_mass(formula), nuclei_per_formula(formula))
+            for formula, fraction in self.components
+        )
+
+    @cached_property
+    def _canonical(self) -> str:
+        if len(self.components) == 1 and self.components[0][1] == 1.0:
+            return self.components[0][0].canonical()
+        return "+".join(
+            f"{fraction!r}*{formula.canonical()}"
+            for formula, fraction in self.components
+        )
+
 
 # A '+' starts a new mixture component only when a fraction follows;
 # otherwise it is a charge token ending the previous formula.
@@ -187,46 +180,35 @@ _COMPONENT_SPLIT_RE = re.compile(r"\+(?=[0-9.])")
 # Unicode \s matches exactly the code points for which str.isspace() is true.
 _WHITESPACE_RE = re.compile(r"\s")
 
-# Per-process caches for the standard table only: PeriodicTable is
-# unhashable, so a call with any other table bypasses them, and a call that
-# raises stores nothing.  Keys are material texts or id() of a MaterialSpec.
-# An id-keyed value holds its spec, so the id cannot be reused while the
-# entry lives.  A MaterialSpec is never a key itself: its dataclass hash
-# recurses through every Formula in Python on each lookup.  A full cache is
-# emptied rather than grown, which bounds the memory of distinct inputs.
+# Equal texts share one MaterialSpec, so each material's derived values are
+# computed once per process.  A call that raises stores nothing, and a full
+# cache is emptied rather than grown, which bounds the memory of distinct
+# inputs.
 _CACHE_LIMIT = 4096
 _MATERIALS: dict[str, MaterialSpec] = {}
-_COMPOSITIONS: dict[int, tuple[MaterialSpec, list[tuple[float, float, int]]]] = {}
-_FORMATTED: dict[int, tuple[MaterialSpec, str]] = {}
 
 
-def _remember(cache: dict, key, value) -> None:
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
-
-
-def parse_material(text: str, table: PeriodicTable | None = None) -> MaterialSpec:
+def parse_material(text: str) -> MaterialSpec:
     """Parse a bare formula or a 'frac*Formula+frac*Formula' mixture.
 
-    With the standard table, equal texts return the same MaterialSpec.
+    Equal texts return the same MaterialSpec.
     """
-    if table is not None and table is not _STANDARD_TABLE:
-        return _parse_material(text, table)
     mat = _MATERIALS.get(text)
     if mat is None:
-        mat = _parse_material(text, _STANDARD_TABLE)
-        _remember(_MATERIALS, text, mat)
+        mat = _parse_material(text)
+        if len(_MATERIALS) >= _CACHE_LIMIT:
+            _MATERIALS.clear()
+        _MATERIALS[text] = mat
     return mat
 
 
-def _parse_material(text: str, table: PeriodicTable) -> MaterialSpec:
+def _parse_material(text: str) -> MaterialSpec:
     if not text:
         raise MaterialError("empty material expression")
     if _WHITESPACE_RE.search(text):
         raise MaterialError("material expression must not contain whitespace")
     if "*" not in text:
-        return MaterialSpec.pure(parse_formula(text, table))
+        return MaterialSpec.pure(parse_formula(text))
 
     components: list[tuple[Formula, float]] = []
     for part in _COMPONENT_SPLIT_RE.split(text):
@@ -237,24 +219,13 @@ def _parse_material(text: str, table: PeriodicTable) -> MaterialSpec:
             fraction = float(fraction_text)
         except ValueError:
             raise MaterialError(f"bad mass fraction {fraction_text!r}") from None
-        components.append((parse_formula(formula_text, table), fraction))
+        components.append((parse_formula(formula_text), fraction))
     return MaterialSpec(tuple(components))
 
 
 def format_material(mat: MaterialSpec) -> str:
     """Canonical text for a material; inverse of parse_material."""
-    entry = _FORMATTED.get(id(mat))
-    if entry is not None:
-        return entry[1]
-    if len(mat.components) == 1 and mat.components[0][1] == 1.0:
-        text = mat.components[0][0].canonical()
-    else:
-        text = "+".join(
-            f"{fraction!r}*{formula.canonical()}"
-            for formula, fraction in mat.components
-        )
-    _remember(_FORMATTED, id(mat), (mat, text))
-    return text
+    return mat._canonical
 
 
 def nuclei_per_formula(formula: Formula) -> int:
@@ -262,18 +233,17 @@ def nuclei_per_formula(formula: Formula) -> int:
     return sum(count for _, count in formula.terms)
 
 
-def molar_mass(formula: Formula, table: PeriodicTable | None = None) -> float:
+def molar_mass(formula: Formula) -> float:
     """Molar mass of one formula unit in kg/mol."""
-    if table is None:
-        table = PeriodicTable.standard()
-    return sum(count * table.weight(symbol) for symbol, count in formula.terms)
+    try:
+        return sum(count * STANDARD_ATOMIC_WEIGHTS[symbol]
+                   for symbol, count in formula.terms)
+    except KeyError as exc:
+        raise UnknownElementError(exc.args[0]) from None
 
 
 def nuclei_count(
-    mass_kg: float,
-    mat: MaterialSpec,
-    table: PeriodicTable | None = None,
-    n_avogadro: float = AVOGADRO,
+    mass_kg: float, mat: MaterialSpec, n_avogadro: float = AVOGADRO
 ) -> float:
     """Total nuclei in mass_kg of the material.
 
@@ -284,29 +254,7 @@ def nuclei_count(
     if mass_kg < 0.0:
         raise NegativeInputError("mass_kg", mass_kg)
     total = 0.0
-    for fraction, formula_mass, nuclei in _composition(mat, table):
+    for fraction, formula_mass, nuclei in mat._nuclei_terms:
         moles = mass_kg * fraction / formula_mass
         total += moles * n_avogadro * nuclei
     return total
-
-
-def _composition(
-    mat: MaterialSpec, table: PeriodicTable | None
-) -> list[tuple[float, float, int]]:
-    """(mass fraction, molar mass, nuclei per formula unit) per component."""
-    if table is not None and table is not _STANDARD_TABLE:
-        return _components(mat, table)
-    entry = _COMPOSITIONS.get(id(mat))
-    if entry is None:
-        entry = (mat, _components(mat, _STANDARD_TABLE))
-        _remember(_COMPOSITIONS, id(mat), entry)
-    return entry[1]
-
-
-def _components(
-    mat: MaterialSpec, table: PeriodicTable
-) -> list[tuple[float, float, int]]:
-    return [
-        (fraction, molar_mass(formula, table), nuclei_per_formula(formula))
-        for formula, fraction in mat.components
-    ]

@@ -18,7 +18,6 @@ from typing import Mapping
 from .bounds import (
     CAVENDISH_FOM,
     DEFAULT_ANCHORS,
-    BoundAnchor,
     ModelId,
     anchored_bound,
     fom_threshold,
@@ -155,10 +154,7 @@ def _attr(text: str) -> str:
     return _escape(text).replace('"', "&quot;")
 
 
-def emit_figure(
-    points: tuple[FigurePoint, ...],
-    anchors: Mapping[ModelId, BoundAnchor] | None = None,
-) -> tuple[str, str]:
+def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
     """Render the figure; returns (svg_text, data_text).
 
     The data text lists one 'name category mass fom marker' line per
@@ -167,8 +163,6 @@ def emit_figure(
     that would probe each model below its current lower bound; each band
     rect carries its threshold in a data attribute.
     """
-    if anchors is None:
-        anchors = DEFAULT_ANCHORS
     plotted = sorted(
         (p for p in points if p.in_figure), key=lambda p: (p.fom, p.name)
     )
@@ -190,7 +184,7 @@ def emit_figure(
         ModelId.NON_LOCAL_CONTINUOUS: ("#9fb8cf", "0.55"),
     }
     for model in ModelId:
-        anchor = anchors[model]
+        anchor = DEFAULT_ANCHORS[model]
         threshold = fom_threshold(model, anchor.lower_bound, anchor)
         top = min(max(_py(threshold), _PLOT_TOP), _PLOT_BOTTOM)
         color, opacity = band_styles[model]
@@ -299,7 +293,6 @@ def emit_figure(
 def emit_bounds_summary(
     catalog: Catalog,
     results: Mapping[str, FomResult],
-    anchors: Mapping[ModelId, BoundAnchor] | None = None,
     constants: Constants | None = None,
     which: RecordFilter = "all",
 ) -> str:
@@ -311,8 +304,6 @@ def emit_bounds_summary(
     figures of merit so every printed line is consistent with the others
     at the precision shown.
     """
-    if anchors is None:
-        anchors = DEFAULT_ANCHORS
     if constants is None:
         constants = Constants()
 
@@ -359,7 +350,7 @@ def emit_bounds_summary(
     ]
 
     for model in ModelId:
-        anchor = anchors[model]
+        anchor = DEFAULT_ANCHORS[model]
         key = model.value
         lines.append(f"{key}.lower_bound: {format_sig(anchor.lower_bound)}")
         if conservative is not None:

@@ -165,6 +165,41 @@ def test_zero_noise_density_is_rejected_by_every_record_command(
     assert list(tmp_path.iterdir()) == [records]
 
 
+# Every number is finite, but a derived one is not: the squared acceleration
+# density underflows, a subnormal mass overflows it, and the nucleus count of
+# 1e300 kg of lead overflows.  Only the last depends on the material, so only
+# the record commands can see it.
+_OUT_OF_RANGE_ROWS = {
+    "underflow": ("Tiny,2021,synthetic,membrane,Si3N4,1e-11,,,,1e-170,,,"
+                  "absolute,earth,false,",
+                  "row 1, column sqrt_sa: BadNumber: "),
+    "subnormal-mass": ("Tiny,2021,synthetic,membrane,Si3N4,1e-320,,,1e-18,,,,"
+                       "absolute,earth,false,",
+                       "row 1, column mass_kg: BadNumber: "),
+    "overflow": ("Huge,2021,synthetic,massive,Pb,1e300,,,,1e-9,,,"
+                 "absolute,earth,false,",
+                 "error: Huge: n_nuclei is inf, "),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    (case, command) for case in _OUT_OF_RANGE_ROWS for command in RECORD_COMMANDS
+    if not (case == "overflow" and command == "validate")
+])
+def test_out_of_range_values_are_diagnostics(tmp_path, capsys, monkeypatch,
+                                             case, command):
+    row, expected = _OUT_OF_RANGE_ROWS[case]
+    monkeypatch.chdir(tmp_path)
+    records = tmp_path / "records.csv"
+    records.write_text(CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
+    assert main([command, "--records", str(records)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(expected)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [records]
+
+
 @pytest.mark.parametrize("option", ["--records", "--constants"])
 @pytest.mark.parametrize("command", RECORD_COMMANDS)
 def test_input_that_is_not_utf8_is_a_diagnostic(tmp_path, capsys, monkeypatch,

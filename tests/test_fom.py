@@ -10,6 +10,7 @@ from stfom import (
     MissingNoiseError,
     NegativeInputError,
     NonPositiveError,
+    OutOfRangeError,
     accel_asd_from_force,
     classify_thermal,
     evaluate_record,
@@ -190,6 +191,17 @@ def test_evaluate_record_needs_some_noise():
     object.__setattr__(rec, "sqrt_sf", None)  # bypass constructor validation
     with pytest.raises(MissingNoiseError):
         evaluate_record(rec)
+
+
+@pytest.mark.parametrize("name, fields", [
+    ("n_nuclei", dict(material=parse_material("Pb"), mass_kg=1e300,
+                      sqrt_sf=None, sqrt_sa=1e-9)),
+    ("sqrt_sf", dict(n_override=1.0, mass_kg=1e300, sqrt_sf=None, sqrt_sa=1e10)),
+    ("fom", dict(n_override=1e10, sqrt_sf=None, sqrt_sa=1e150)),
+])
+def test_evaluate_record_refuses_values_outside_float_range(name, fields):
+    with pytest.raises(OutOfRangeError, match=f"^probe: {name} is inf,"):
+        evaluate_record(_record(**fields))
 
 
 def test_evaluate_record_override_takes_precedence():

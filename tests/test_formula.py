@@ -6,7 +6,6 @@ from stfom import (
     MaterialError,
     MaterialSpec,
     ParseError,
-    PeriodicTable,
     STANDARD_ATOMIC_WEIGHTS,
     UnknownElementError,
     format_material,
@@ -278,42 +277,40 @@ def test_nuclei_count_linear_in_fractions(fraction):
     assert nuclei_count(mass, mix) == pytest.approx(blended, rel=1e-12)
 
 
-def test_periodic_table_rejects_non_positive_weight():
-    from stfom import NegativeInputError
-    with pytest.raises(NegativeInputError):
-        PeriodicTable({"C": 0.0})
-
-
-def test_periodic_table_unknown_symbol():
+def test_molar_mass_rejects_unknown_symbol():
     with pytest.raises(UnknownElementError):
-        PeriodicTable.standard().weight("Zz")
+        molar_mass(Formula((("Zz", 1),)))
 
 
-# ------------------------------------------------------ standard-table caches
+# ------------------------------------------------------------ material caches
 
-def _reference_nuclei(mass, mat, table=None, n_avogadro=AVOGADRO):
+def _reference_nuclei(mass, mat, n_avogadro=AVOGADRO):
     """nuclei_count's arithmetic, recomputed from scratch on every call."""
     total = 0.0
     for formula, fraction in mat.components:
-        moles = mass * fraction / molar_mass(formula, table)
+        moles = mass * fraction / molar_mass(formula)
         total += moles * n_avogadro * nuclei_per_formula(formula)
     return total
 
 
-def test_custom_table_is_never_served_from_the_standard_caches():
-    standard = parse_material("Si3N4")
-    without_si = PeriodicTable({k: v for k, v in STANDARD_ATOMIC_WEIGHTS.items()
-                                if k != "Si"})
-    with pytest.raises(UnknownElementError):
-        parse_material("Si3N4", without_si)
-    assert parse_material("Si3N4") is standard
-
-    heavy_si = PeriodicTable({**STANDARD_ATOMIC_WEIGHTS, "Si": 2 * SI})
-    n_standard = nuclei_count(1e-9, standard)
-    n_heavy = nuclei_count(1e-9, standard, heavy_si)
-    assert n_heavy != n_standard
-    assert n_heavy == _reference_nuclei(1e-9, standard, heavy_si)
-    assert nuclei_count(1e-9, standard) == n_standard
+def test_hand_built_specs_keep_their_own_values_when_ids_are_reused():
+    texts = ["C", "Au", "SiO2", "Si3N4"]
+    seen_ids = set()
+    for i in range(400):
+        first, second = texts[i % 4], texts[i // 4 % 4]
+        if i % 3 == 0:
+            text, mat = first, MaterialSpec.pure(parse_formula(first))
+        else:
+            fraction = (i % 7 + 1) / 8
+            text = f"{fraction!r}*{first}+{1.0 - fraction!r}*{second}"
+            mat = MaterialSpec(((parse_formula(first), fraction),
+                                (parse_formula(second), 1.0 - fraction)))
+        seen_ids.add(id(mat))
+        assert nuclei_count(1e-9, mat) == _reference_nuclei(1e-9, mat)
+        assert format_material(mat) == text
+        del mat
+    # Dropped specs hand their ids to later, different ones.
+    assert len(seen_ids) < 400
 
 
 @pytest.mark.parametrize("text", ["", "Xx2", "si", "0.5*SiO2", "Si O2"])
