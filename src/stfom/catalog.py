@@ -150,8 +150,8 @@ def _validate_fields(
     if accel is not None and not 0.0 < accel * accel < math.inf:
         bad(column, "BadNumber",
             f"acceleration density {accel!r} squared is not a finite float > 0")
-    if temp_k is not None and temp_k < 0.0:
-        bad("temp_k", "BadNumber", f"temperature must be >= 0, got {temp_k!r}")
+    if temp_k is not None and temp_k <= 0.0:
+        bad("temp_k", "BadNumber", f"temperature must be > 0, got {temp_k!r}")
     if quality is not None and quality <= 0.0:
         bad("quality", "BadNumber", f"quality factor must be > 0, got {quality!r}")
     if mode not in ("absolute", "differential"):

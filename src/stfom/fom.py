@@ -188,8 +188,8 @@ def evaluate_record(
     present; the acceleration density is recomputed from it and a warning
     is attached if the quoted one disagrees by more than 2%.  A measured
     noise below the thermal floor is physically suspect, so it is flagged
-    with a warning rather than rejected.  A nucleus count, density or FOM
-    that is not a finite float > 0 raises OutOfRangeError.
+    with a warning rather than rejected.  A nucleus count, density, FOM or
+    thermal floor that is not a finite float > 0 raises OutOfRangeError.
     """
     if constants is None:
         constants = Constants()
@@ -243,6 +243,11 @@ def evaluate_record(
             n_nuclei, record.temp_k, omega0, record.mass_kg,
             record.quality, constants.k_B,
         )
+        # A tiny positive temperature can still underflow the floor to 0.
+        for name, value in (("thermal_sqrt_sf", thermal_sqrt_sf),
+                            ("thermal_fom", thermal_fom_value)):
+            if not 0.0 < value < math.inf:
+                raise OutOfRangeError(record.name, name, value)
         limited, marker = classify_thermal(sqrt_sf, thermal_sqrt_sf)
         if sqrt_sf < thermal_sqrt_sf:
             warnings.append(

@@ -85,19 +85,56 @@ class Formula:
         )
         return body + ("+" if self.charge_ignored else "")
 
+    # Per-formula values for MaterialSpec, computed on first use so that a
+    # hand-built Formula with an unknown symbol still constructs.  A
+    # raising call stores nothing.
+
+    _canonical = cached_property(canonical)
+
+    @cached_property
+    def _molar_mass(self) -> float:
+        return molar_mass(self)
+
+    @cached_property
+    def _nuclei(self) -> int:
+        return nuclei_per_formula(self)
+
 
 _TERM_RE = re.compile(r"([A-Z][a-z]?)([0-9]*)")
 _CHARGE_RE = re.compile(r"([0-9]*)([+-])$")
+
+# Equal texts share one Formula and one MaterialSpec, so each formula's and
+# each material's derived values are computed once per process.  A call that
+# raises stores nothing, and a full cache is emptied rather than grown, which
+# bounds the memory of distinct inputs.
+_CACHE_LIMIT = 4096
+_FORMULAS: dict[str, Formula] = {}
+_MATERIALS: dict[str, MaterialSpec] = {}
+
+
+def _remember(cache: dict, text: str, value):
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    cache[text] = value
+    return value
 
 
 def parse_formula(text: str) -> Formula:
     """Parse formula text, validating every symbol against the standard
     atomic weights.
 
-    Raises ParseError with the offending character position for grammar
-    violations and UnknownElementError for syntactically valid symbols
-    missing from STANDARD_ATOMIC_WEIGHTS.
+    Equal texts return the same Formula.  Raises ParseError with the
+    offending character position for grammar violations and
+    UnknownElementError for syntactically valid symbols missing from
+    STANDARD_ATOMIC_WEIGHTS.
     """
+    formula = _FORMULAS.get(text)
+    if formula is None:
+        formula = _remember(_FORMULAS, text, _parse_formula(text))
+    return formula
+
+
+def _parse_formula(text: str) -> Formula:
     if not text:
         raise ParseError(0, "empty formula")
 
@@ -160,16 +197,16 @@ class MaterialSpec:
     def _nuclei_terms(self) -> tuple[tuple[float, float, int], ...]:
         """(mass fraction, molar mass, nuclei per formula unit) per component."""
         return tuple(
-            (fraction, molar_mass(formula), nuclei_per_formula(formula))
+            (fraction, formula._molar_mass, formula._nuclei)
             for formula, fraction in self.components
         )
 
     @cached_property
     def _canonical(self) -> str:
         if len(self.components) == 1 and self.components[0][1] == 1.0:
-            return self.components[0][0].canonical()
+            return self.components[0][0]._canonical
         return "+".join(
-            f"{fraction!r}*{formula.canonical()}"
+            f"{fraction!r}*{formula._canonical}"
             for formula, fraction in self.components
         )
 
@@ -180,13 +217,6 @@ _COMPONENT_SPLIT_RE = re.compile(r"\+(?=[0-9.])")
 # Unicode \s matches exactly the code points for which str.isspace() is true.
 _WHITESPACE_RE = re.compile(r"\s")
 
-# Equal texts share one MaterialSpec, so each material's derived values are
-# computed once per process.  A call that raises stores nothing, and a full
-# cache is emptied rather than grown, which bounds the memory of distinct
-# inputs.
-_CACHE_LIMIT = 4096
-_MATERIALS: dict[str, MaterialSpec] = {}
-
 
 def parse_material(text: str) -> MaterialSpec:
     """Parse a bare formula or a 'frac*Formula+frac*Formula' mixture.
@@ -195,10 +225,7 @@ def parse_material(text: str) -> MaterialSpec:
     """
     mat = _MATERIALS.get(text)
     if mat is None:
-        mat = _parse_material(text)
-        if len(_MATERIALS) >= _CACHE_LIMIT:
-            _MATERIALS.clear()
-        _MATERIALS[text] = mat
+        mat = _remember(_MATERIALS, text, _parse_material(text))
     return mat
 
 

@@ -42,10 +42,13 @@ def format_sig(x: float, sig: int = 3) -> str:
     """Scientific notation with sig significant figures.
 
     The mantissa rounds half to even; the exponent is written as a bare
-    integer ('2.79e11', '2.98e-1').
+    integer ('2.79e11', '2.98e-1').  A non-finite x raises ValueError.
     """
-    mantissa, exponent = f"{x:.{sig - 1}e}".split("e")
-    return f"{mantissa}e{int(exponent)}"
+    text = f"{x:.{sig - 1}e}"
+    if "e" not in text:  # 'inf', '-inf' or 'nan'
+        raise ValueError(f"cannot format {x!r} in scientific notation")
+    # The exponent always has a sign and at least two digits.
+    return text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
 
 
 TABLE_HEADER = ("reference", "type", "element", "m", "N", "f0",

@@ -166,9 +166,9 @@ def test_zero_noise_density_is_rejected_by_every_record_command(
 
 
 # Every number is finite, but a derived one is not: the squared acceleration
-# density underflows, a subnormal mass overflows it, and the nucleus count of
-# 1e300 kg of lead overflows.  Only the last depends on the material, so only
-# the record commands can see it.
+# density underflows, a subnormal mass overflows it, a 0 K thermal row has a
+# zero floor, and the nucleus count of 1e300 kg of lead overflows.  Only the
+# last depends on the material, so only the record commands can see it.
 _OUT_OF_RANGE_ROWS = {
     "underflow": ("Tiny,2021,synthetic,membrane,Si3N4,1e-11,,,,1e-170,,,"
                   "absolute,earth,false,",
@@ -176,6 +176,9 @@ _OUT_OF_RANGE_ROWS = {
     "subnormal-mass": ("Tiny,2021,synthetic,membrane,Si3N4,1e-320,,,1e-18,,,,"
                        "absolute,earth,false,",
                        "row 1, column mass_kg: BadNumber: "),
+    "zero-temperature": ("Cold,2021,synthetic,membrane,Si3N4,1e-9,,1e3,1e-15,,0,"
+                         "1e4,absolute,earth,false,",
+                         "row 1, column temp_k: BadNumber: "),
     "overflow": ("Huge,2021,synthetic,massive,Pb,1e300,,,,1e-9,,,"
                  "absolute,earth,false,",
                  "error: Huge: n_nuclei is inf, "),

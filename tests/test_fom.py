@@ -204,6 +204,18 @@ def test_evaluate_record_refuses_values_outside_float_range(name, fields):
         evaluate_record(_record(**fields))
 
 
+# Validation refuses temp_k <= 0, but a tiny positive temperature can still
+# underflow the thermal floor (first case) or only the thermal FOM (second).
+@pytest.mark.parametrize("name, fields", [
+    ("thermal_sqrt_sf", dict(temp_k=1e-320, f0_hz=1e3, quality=1e4)),
+    ("thermal_fom", dict(n_override=1.0, mass_kg=1e10, sqrt_sf=None,
+                         sqrt_sa=1e-9, temp_k=1e-300, f0_hz=1e3, quality=1e4)),
+])
+def test_evaluate_record_refuses_a_thermal_floor_that_underflows(name, fields):
+    with pytest.raises(OutOfRangeError, match=f"^probe: {name} is 0.0,"):
+        evaluate_record(_record(**fields))
+
+
 def test_evaluate_record_override_takes_precedence():
     rec = _record(n_override=42.0)
     assert evaluate_record(rec).n_nuclei == 42.0

@@ -335,6 +335,62 @@ def test_whitespace_check_rejects_every_space_code_point():
     assert matched == spaces
 
 
+# ------------------------------------------------------------- formula cache
+
+def test_equal_formula_texts_share_one_formula():
+    assert parse_formula("SiO2") is parse_formula("SiO2")
+    first = parse_material("0.25*SiO2+0.75*B2O3").components
+    second = parse_material("0.5*B2O3+0.5*SiO2").components
+    assert first[0][0] is second[1][0] and first[1][0] is second[0][0]
+
+
+@pytest.mark.parametrize("text", ["Xq2", "Si0", "", "si"])
+def test_bad_formula_text_raises_on_every_call(text):
+    from stfom.formula import _FORMULAS
+
+    for _ in range(3):
+        with pytest.raises((ParseError, UnknownElementError)):
+            parse_formula(text)
+    assert text not in _FORMULAS
+
+
+def test_formula_cache_stays_bounded_and_correct():
+    from stfom.formula import _CACHE_LIMIT, _FORMULAS
+
+    for count in range(2, _CACHE_LIMIT + 100):
+        formula = parse_formula(f"C{count}")
+        assert len(_FORMULAS) <= _CACHE_LIMIT
+    assert formula.terms == (("C", _CACHE_LIMIT + 99),)
+    for count in (2, 3, _CACHE_LIMIT + 99):
+        formula = parse_formula(f"C{count}")
+        assert formula.terms == (("C", count),)
+        assert molar_mass(formula) == count * STANDARD_ATOMIC_WEIGHTS["C"]
+        assert nuclei_per_formula(formula) == count
+
+
+@pytest.mark.parametrize("text", ["C", "Si3N4", "Nd2Fe14B", "Yb+", "CHOCH2OH"])
+def test_parsed_and_hand_built_formulas_agree(text):
+    parsed = parse_formula(text)
+    built = Formula(parsed.terms, charge_ignored=parsed.charge_ignored)
+    assert built is not parsed
+    assert molar_mass(built) == molar_mass(parsed)
+    assert nuclei_per_formula(built) == nuclei_per_formula(parsed)
+    assert built.canonical() == parsed.canonical()
+    for mat in (MaterialSpec.pure(built), MaterialSpec.pure(parsed)):
+        assert nuclei_count(1e-9, mat) == _reference_nuclei(1e-9, mat)
+        assert format_material(mat) == parsed.canonical()
+
+
+def test_unknown_symbol_in_a_hand_built_spec_poisons_nothing():
+    mat = MaterialSpec.pure(Formula((("Zz", 1),)))
+    for _ in range(2):
+        with pytest.raises(UnknownElementError):
+            nuclei_count(1e-9, mat)
+    carbon = parse_material("C")
+    assert nuclei_count(1e-9, carbon) == _reference_nuclei(1e-9, carbon)
+    assert format_material(carbon) == "C"
+
+
 _formula_texts = st.sampled_from(
     ["C", "Au", "SiO2", "B2O3", "Si3N4", "Nd2Fe14B", "GaAs", "Be+", "H2O"])
 

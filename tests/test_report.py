@@ -4,7 +4,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stfom import (
     Catalog,
@@ -49,6 +49,30 @@ def test_format_sig_other_precisions():
 def test_format_sig_idempotent(magnitude, sign):
     once = format_sig(sign * magnitude)
     assert format_sig(float(once)) == once
+
+
+def _reference_format_sig(x, sig):
+    mantissa, exponent = f"{x:.{sig - 1}e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(min_value=1, max_value=6))
+@example(0.0, 3)
+@example(-0.0, 1)
+@example(5e-324, 6)
+@example(-2.2250738585072014e-308, 3)
+@example(1.7976931348623157e308, 2)
+@example(9.995e-100, 3)
+@example(9.9949e99, 4)
+def test_format_sig_matches_the_split_and_int_spelling(x, sig):
+    assert format_sig(x, sig) == _reference_format_sig(x, sig)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_format_sig_refuses_non_finite_values(x):
+    with pytest.raises(ValueError):
+        format_sig(x)
 
 
 # ---------------------------------------------------------------- emit_table
