@@ -40,8 +40,6 @@ from .errors import (
     FilterError,
     FormulaError,
     MaterialError,
-    MissingNoiseError,
-    ModelMismatchError,
     NegativeInputError,
     NonPositiveError,
     OutOfRangeError,
@@ -57,7 +55,6 @@ from .fom import (
     evaluate_catalog,
     evaluate_record,
     fom_from_psd,
-    fom_from_variance,
     force_asd_from_accel,
     thermal_fom,
     thermal_force_psd,
@@ -99,8 +96,8 @@ __all__ = [
     "Constants", "ConstantsError", "DEFAULT_ANCHORS",
     "DEFAULT_CONSTANTS_TEXT", "Diagnostic", "EmptyInputError",
     "ExperimentRecord", "FigurePoint", "FilterError", "FomResult", "Formula",
-    "FormulaError", "MaterialError", "MaterialSpec", "MissingNoiseError",
-    "ModelId", "ModelMismatchError", "NegativeInputError",
+    "FormulaError", "MaterialError", "MaterialSpec",
+    "ModelId", "NegativeInputError",
     "NonPositiveError", "OutOfRangeError", "ParseError",
     "QuotedValues", "STANDARD_ATOMIC_WEIGHTS", "StfomError",
     "UnknownConstantError",
@@ -109,7 +106,7 @@ __all__ = [
     "build_figure_points", "classify_thermal", "embedded_catalog",
     "embedded_reference_values", "emit_bounds_summary", "emit_figure",
     "emit_table", "evaluate_catalog", "evaluate_record", "fom_from_psd",
-    "fom_from_variance", "fom_threshold", "force_asd_from_accel",
+    "fom_threshold", "force_asd_from_accel",
     "format_material", "format_sig", "load_constants", "molar_mass",
     "nuclei_count", "nuclei_per_formula", "orders_of_improvement",
     "parse_formula", "parse_material", "parse_records", "psd_to_asd",

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import ModelMismatchError, NegativeInputError, NonPositiveError
+from .errors import NegativeInputError, NonPositiveError
 from .quantities import Constants
 
 # Figure of merit of the classic Cavendish torsion balance, the baseline
@@ -72,13 +72,6 @@ DEFAULT_ANCHORS: MappingProxyType[ModelId, BoundAnchor] = MappingProxyType({
 })
 
 
-def _check_anchor(model: ModelId, anchor: BoundAnchor) -> None:
-    if anchor.model is not model:
-        raise ModelMismatchError(
-            f"anchor belongs to {anchor.model.value}, not {model.value}"
-        )
-
-
 def si_bound(model: ModelId, fom: float, constants: Constants | None = None) -> float:
     """Dimensionless bound from the raw SI constant combination."""
     if fom < 0.0:
@@ -91,19 +84,18 @@ def si_bound(model: ModelId, fom: float, constants: Constants | None = None) -> 
     return fom * constants.r_N**3 / g_squared
 
 
-def anchored_bound(model: ModelId, fom: float, anchor: BoundAnchor) -> float:
-    """Bound scaled off the anchor; exact at the anchor's own FOM."""
+def anchored_bound(fom: float, anchor: BoundAnchor) -> float:
+    """Bound in anchor.model scaled off the anchor; exact at its own FOM."""
     if fom < 0.0:
         raise NegativeInputError("fom", fom)
-    _check_anchor(model, anchor)
     return anchor.bound_ref * (fom / anchor.fom_ref)
 
 
-def fom_threshold(model: ModelId, bound: float, anchor: BoundAnchor) -> float:
-    """Figure of merit needed to reach a given bound; inverse of anchored_bound."""
+def fom_threshold(bound: float, anchor: BoundAnchor) -> float:
+    """Figure of merit needed to reach a given bound in anchor.model;
+    inverse of anchored_bound."""
     if bound < 0.0:
         raise NegativeInputError("bound", bound)
-    _check_anchor(model, anchor)
     return anchor.fom_ref * (bound / anchor.bound_ref)
 
 

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping
 
 from .errors import (
     CatalogError,
@@ -366,25 +366,24 @@ def best_record(
 
 
 def select_for_figure(
-    catalog: Catalog,
-    results: Mapping[str, FomResult],
+    ranked: Iterable[ExperimentRecord],
     k: int = 3,
 ) -> list[ExperimentRecord]:
-    """The k best records of every category, merged and ranked.
+    """The first k records of every category, in the order given.
 
-    Categories with fewer than k records contribute all of them.
+    Given rank()'s list, these are the k best of each category, already
+    ranked.  Categories with fewer than k records contribute all of them.
     """
     if k < 1:
         raise FilterError(f"k must be >= 1, got {k!r}")
-    order = _fom_order(results)
-    by_category: dict[str, list[ExperimentRecord]] = {}
-    for record in catalog:
-        by_category.setdefault(record.category, []).append(record)
+    taken: dict[str, int] = {}
     chosen: list[ExperimentRecord] = []
-    for category_records in by_category.values():
-        category_records.sort(key=order)
-        chosen.extend(category_records[:k])
-    return sorted(chosen, key=order)
+    for record in ranked:
+        count = taken.get(record.category, 0)
+        if count < k:
+            taken[record.category] = count + 1
+            chosen.append(record)
+    return chosen
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .catalog import Catalog, embedded_catalog, parse_records, rank
+from .catalog import embedded_catalog, parse_records, rank
 from .errors import CatalogError, Diagnostic, StfomError
 from .fom import evaluate_catalog
 from .formula import (
@@ -76,23 +76,21 @@ def _write_outputs(out: Path, files: dict[str, str]) -> None:
 
 
 def cmd_compute(args, catalog, constants, results) -> int:
-    filtered = Catalog(tuple(rank(catalog, results, args.filter)))
+    ranked = rank(catalog, results, args.filter)
     _write_outputs(args.out, {
-        "table.csv": emit_table(filtered, results),
+        "table.csv": emit_table(ranked, results),
         "bounds.txt": emit_bounds_summary(catalog, results, constants=constants,
                                           which=args.filter),
     })
-    print(f"wrote table.csv ({len(filtered)} rows) and bounds.txt to {args.out}")
+    print(f"wrote table.csv ({len(ranked)} rows) and bounds.txt to {args.out}")
     return 0
 
 
 def cmd_figure(args, catalog, constants, results) -> int:
-    filtered = Catalog(tuple(rank(catalog, results, args.filter)))
-    points = build_figure_points(filtered, results, args.k)
+    points = build_figure_points(rank(catalog, results, args.filter), results, args.k)
     svg_text, data_text = emit_figure(points)
     _write_outputs(args.out, {"figure.svg": svg_text, "figure.dat": data_text})
-    shown = sum(1 for p in points if p.in_figure)
-    print(f"wrote figure.svg and figure.dat ({shown} points) to {args.out}")
+    print(f"wrote figure.svg and figure.dat ({len(points)} points) to {args.out}")
     return 0
 
 

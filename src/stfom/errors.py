@@ -80,14 +80,6 @@ class OutOfRangeError(StfomError):
         self.value = value
 
 
-class ModelMismatchError(StfomError):
-    """A bound anchor was used with a different model than it belongs to."""
-
-
-class MissingNoiseError(StfomError):
-    """A record carries neither a force nor an acceleration noise density."""
-
-
 class EmptyInputError(StfomError):
     """An operation that needs at least one data point received none."""
 

@@ -24,12 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import (
-    MissingNoiseError,
-    NegativeInputError,
-    NonPositiveError,
-    OutOfRangeError,
-)
+from .errors import NegativeInputError, NonPositiveError, OutOfRangeError
 from .formula import nuclei_count
 from .quantities import BOLTZMANN, Constants, angular_frequency
 
@@ -70,18 +65,6 @@ def fom_from_psd(s_a: float, n_nuclei: float) -> float:
     if n_nuclei < 0.0:
         raise NegativeInputError("n_nuclei", n_nuclei)
     return s_a * n_nuclei
-
-def fom_from_variance(sigma_a: float, n_nuclei: float, delta_t: float) -> float:
-    """Figure of merit from an acceleration deviation averaged over delta_t.
-
-    sigma_a^2 * delta_t is the white-noise PSD that produces the observed
-    variance, so this is fom_from_psd on that PSD by construction.
-    """
-    if sigma_a < 0.0:
-        raise NegativeInputError("sigma_a", sigma_a)
-    if delta_t <= 0.0:
-        raise NonPositiveError("delta_t", delta_t)
-    return fom_from_psd(sigma_a * sigma_a * delta_t, n_nuclei)
 
 def _check_thermal_inputs(
     temp_k: float, mass_kg: float, omega0: float, quality: float
@@ -210,11 +193,10 @@ def evaluate_record(
                     f"{record.name}: quoted acceleration density disagrees with "
                     f"the force density by {drift:.1%}"
                 )
-    elif record.sqrt_sa is not None:
+    else:
+        # A record always carries at least one density.
         sqrt_sa = record.sqrt_sa
         sqrt_sf = force_asd_from_accel(sqrt_sa, record.mass_kg)
-    else:
-        raise MissingNoiseError(f"{record.name}: no noise density to evaluate")
 
     fom = fom_from_psd(sqrt_sa * sqrt_sa, n_nuclei)
     # Valid inputs can still overflow, for example the nucleus count of a

@@ -20,14 +20,12 @@ from .errors import (
     UnknownConstantError,
 )
 
-# Default constant values, SI.  CODATA 2018 for N_A, k_B, l_P, m_P; the
+# Default constant values, SI.  CODATA 2018 for N_A and k_B; the
 # gravitational constant and the nuclear scales are kept at the precision
 # the downstream formulas actually resolve.
 GRAVITATIONAL_CONSTANT = 6.674e-11
 AVOGADRO = 6.02214076e23
 BOLTZMANN = 1.380649e-23
-PLANCK_LENGTH = 1.616255e-35
-PLANCK_MASS = 2.176434e-8
 NUCLEUS_RADIUS = 1.0e-15
 NUCLEON_MASS = 1.6726e-27
 
@@ -37,8 +35,6 @@ DEFAULT_CONSTANTS_TEXT = """\
 G 6.674e-11
 N_A 6.02214076e23
 k_B 1.380649e-23
-l_P 1.616255e-35
-m_P 2.176434e-8
 r_N 1.0e-15
 m_N 1.6726e-27
 """
@@ -51,8 +47,6 @@ class Constants:
     G       gravitational constant, m^3 kg^-1 s^-2
     N_A     Avogadro constant, mol^-1
     k_B     Boltzmann constant, J/K
-    l_P     Planck length, m
-    m_P     Planck mass, kg
     r_N     typical nucleus radius, m
     m_N     nucleon mass, kg
     """
@@ -60,8 +54,6 @@ class Constants:
     G: float = GRAVITATIONAL_CONSTANT
     N_A: float = AVOGADRO
     k_B: float = BOLTZMANN
-    l_P: float = PLANCK_LENGTH
-    m_P: float = PLANCK_MASS
     r_N: float = NUCLEUS_RADIUS
     m_N: float = NUCLEON_MASS
 
@@ -80,7 +72,7 @@ def load_constants(text: str) -> Constants:
 
     The format is line oriented UTF-8: blank lines and '#' comments are
     ignored, every other line is 'name value' separated by whitespace.
-    Only the seven known constant names are accepted; values must be
+    Only the five known constant names are accepted; values must be
     strictly positive.  A later line for the same name overrides an
     earlier one.
     """

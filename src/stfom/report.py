@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .bounds import (
     CAVENDISH_FOM,
@@ -27,9 +27,9 @@ from .bounds import (
 from .catalog import (
     CATEGORIES,
     Catalog,
+    ExperimentRecord,
     RecordFilter,
     best_record,
-    rank,
     select_for_figure,
 )
 from .errors import EmptyInputError
@@ -55,12 +55,16 @@ TABLE_HEADER = ("reference", "type", "element", "m", "N", "f0",
                 "sqrt_sf", "sqrt_sa", "fom")
 
 
-def emit_table(catalog: Catalog, results: Mapping[str, FomResult]) -> str:
-    """CSV of every record's inputs and derived values, best FOM first."""
+def emit_table(
+    ranked: Iterable[ExperimentRecord],
+    results: Mapping[str, FomResult],
+) -> str:
+    """CSV of every record's inputs and derived values, one row per record
+    in the order given; pass rank()'s list for best FOM first."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(TABLE_HEADER)
-    for record in rank(catalog, results, "all"):
+    for record in ranked:
         result = results[record.name]
         writer.writerow([
             record.name,
@@ -86,23 +90,22 @@ class FigurePoint:
     fom: float
     marker: str  # "circle" or "circle-open"
     thermal_fom: float | None = None
-    in_figure: bool = True
 
 
 def build_figure_points(
-    catalog: Catalog,
+    ranked: Iterable[ExperimentRecord],
     results: Mapping[str, FomResult],
     k: int = 3,
 ) -> tuple[FigurePoint, ...]:
-    """Figure points for every record; in_figure marks the k best per category.
+    """Points for the first k records of each category, in the order given.
 
+    Given rank()'s list, these are the k best of each category, ranked.
     Differential measurements get open markers.  A thermal diamond
     accompanies a point only when the measured noise sits well above the
     thermal floor, so the floor is genuinely a separate feature.
     """
-    selected = {record.name for record in select_for_figure(catalog, results, k)}
     points = []
-    for record in rank(catalog, results, "all"):
+    for record in select_for_figure(ranked, k):
         result = results[record.name]
         points.append(FigurePoint(
             name=record.name,
@@ -111,12 +114,12 @@ def build_figure_points(
             fom=result.fom,
             marker="circle-open" if record.mode == "differential" else "circle",
             thermal_fom=result.thermal_fom if result.show_thermal_marker else None,
-            in_figure=record.name in selected,
         ))
     return tuple(points)
 
 
-# Fixed log-log frame: mass from 1e-27 to 1e3 kg, FOM from 1e-12 to 1e15.
+# Log-log frame: mass from 1e-27 to 1e3 kg, FOM from 1e-12 to 1e15, widened
+# by whole decades when a marker falls outside.
 _X_LOG_MIN, _X_LOG_MAX = -27, 3
 _Y_LOG_MIN, _Y_LOG_MAX = -12, 15
 _VIEW_W, _VIEW_H = 1080, 620
@@ -137,14 +140,16 @@ CATEGORY_COLORS: Mapping[str, str] = {
 }
 
 
-def _px(mass_kg: float) -> float:
-    frac = (math.log10(mass_kg) - _X_LOG_MIN) / (_X_LOG_MAX - _X_LOG_MIN)
-    return _PLOT_LEFT + frac * (_PLOT_RIGHT - _PLOT_LEFT)
+def _decades(values: list[float], lo: int, hi: int) -> tuple[int, int]:
+    """The whole decades lo..hi, widened until they hold every value."""
+    logs = [math.log10(v) for v in values]
+    return min(lo, math.floor(min(logs))), max(hi, math.ceil(max(logs)))
 
 
-def _py(fom: float) -> float:
-    frac = (math.log10(fom) - _Y_LOG_MIN) / (_Y_LOG_MAX - _Y_LOG_MIN)
-    return _PLOT_BOTTOM - frac * (_PLOT_BOTTOM - _PLOT_TOP)
+def _axis(value: float, lo: int, hi: int, start: float, end: float) -> float:
+    """Position of value on a log axis whose decades lo..hi run start..end."""
+    frac = (math.log10(value) - lo) / (hi - lo)
+    return start + frac * (end - start)
 
 
 def _escape(text: str) -> str:
@@ -158,7 +163,7 @@ def _attr(text: str) -> str:
 
 
 def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
-    """Render the figure; returns (svg_text, data_text).
+    """Render the points in the order given; returns (svg_text, data_text).
 
     The data text lists one 'name category mass fom marker' line per
     rendered marker, spaces in names replaced by underscores so the
@@ -166,11 +171,20 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
     that would probe each model below its current lower bound; each band
     rect carries its threshold in a data attribute.
     """
-    plotted = sorted(
-        (p for p in points if p.in_figure), key=lambda p: (p.fom, p.name)
-    )
-    if not plotted:
+    if not points:
         raise EmptyInputError("no points selected for the figure")
+    x_lo, x_hi = _decades([p.mass_kg for p in points], _X_LOG_MIN, _X_LOG_MAX)
+    y_lo, y_hi = _decades(
+        [p.fom for p in points]
+        + [p.thermal_fom for p in points if p.thermal_fom is not None],
+        _Y_LOG_MIN, _Y_LOG_MAX,
+    )
+
+    def px(mass_kg: float) -> float:
+        return _axis(mass_kg, x_lo, x_hi, _PLOT_LEFT, _PLOT_RIGHT)
+
+    def py(fom: float) -> float:
+        return _axis(fom, y_lo, y_hi, _PLOT_BOTTOM, _PLOT_TOP)
 
     svg: list[str] = []
     svg.append(
@@ -188,8 +202,8 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
     }
     for model in ModelId:
         anchor = DEFAULT_ANCHORS[model]
-        threshold = fom_threshold(model, anchor.lower_bound, anchor)
-        top = min(max(_py(threshold), _PLOT_TOP), _PLOT_BOTTOM)
+        threshold = fom_threshold(anchor.lower_bound, anchor)
+        top = min(max(py(threshold), _PLOT_TOP), _PLOT_BOTTOM)
         color, opacity = band_styles[model]
         svg.append(
             f'<rect class="band" data-model="{model.value}" '
@@ -200,8 +214,8 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
             f'fill="{color}" fill-opacity="{opacity}"/>'
         )
 
-    for decade in range(_X_LOG_MIN, _X_LOG_MAX + 1):
-        x = _px(10.0 ** decade)
+    for decade in range(x_lo, x_hi + 1):
+        x = px(10.0 ** decade)
         svg.append(
             f'<line x1="{x:.2f}" y1="{_PLOT_TOP:.2f}" '
             f'x2="{x:.2f}" y2="{_PLOT_BOTTOM:.2f}" '
@@ -212,8 +226,8 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
                 f'<text x="{x:.2f}" y="{_PLOT_BOTTOM + 16:.2f}" '
                 f'text-anchor="middle">1e{decade}</text>'
             )
-    for decade in range(_Y_LOG_MIN, _Y_LOG_MAX + 1):
-        y = _py(10.0 ** decade)
+    for decade in range(y_lo, y_hi + 1):
+        y = py(10.0 ** decade)
         svg.append(
             f'<line x1="{_PLOT_LEFT:.2f}" y1="{y:.2f}" '
             f'x2="{_PLOT_RIGHT:.2f}" y2="{y:.2f}" '
@@ -241,9 +255,9 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
     )
 
     data_lines = ["# name category mass fom marker"]
-    for p in plotted:
+    for p in points:
         color = CATEGORY_COLORS[p.category]
-        x, y = _px(p.mass_kg), _py(p.fom)
+        x, y = px(p.mass_kg), py(p.fom)
         if p.marker == "circle-open":
             paint = f'fill="none" stroke="{color}" stroke-width="2"'
         else:
@@ -259,7 +273,7 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
             f"{format_sig(p.mass_kg)} {format_sig(p.fom)} {p.marker}"
         )
         if p.thermal_fom is not None:
-            ty = _py(p.thermal_fom)
+            ty = py(p.thermal_fom)
             svg.append(
                 f'<path class="thermal-point" data-name="{_attr(p.name)}" '
                 f'data-category="{p.category}" data-marker="diamond" '
@@ -276,7 +290,7 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
 
     legend_y = _PLOT_TOP + 10
     for category in CATEGORIES:
-        if not any(p.category == category for p in plotted):
+        if not any(p.category == category for p in points):
             continue
         color = CATEGORY_COLORS[category]
         svg.append(
@@ -359,11 +373,11 @@ def emit_bounds_summary(
         if conservative is not None:
             lines += [
                 f"{key}.conservative_bound: "
-                f"{format_sig(anchored_bound(model, conservative_fom, anchor))}",
+                f"{format_sig(anchored_bound(conservative_fom, anchor))}",
                 f"{key}.conservative_si_bound: "
                 f"{format_sig(si_bound(model, conservative_fom, constants))}",
             ]
-        best_bound = anchored_bound(model, best_fom, anchor)
+        best_bound = anchored_bound(best_fom, anchor)
         lines += [
             f"{key}.best_bound: {format_sig(best_bound)}",
             f"{key}.best_si_bound: {format_sig(si_bound(model, best_fom, constants))}",

@@ -1,6 +1,6 @@
 import pytest
 
-from stfom import embedded_catalog, evaluate_catalog
+from stfom import embedded_catalog, evaluate_catalog, rank
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +11,8 @@ def catalog():
 @pytest.fixture(scope="session")
 def results(catalog):
     return evaluate_catalog(catalog)
+
+
+@pytest.fixture(scope="session")
+def ranked(catalog, results):
+    return rank(catalog, results)

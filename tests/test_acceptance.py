@@ -93,8 +93,8 @@ def test_c2_orders_of_improvement_windows(results):
 
 
 def test_c3_bound_mapping_and_summary_lines(catalog, results):
-    for model, anchor in DEFAULT_ANCHORS.items():
-        assert anchored_bound(model, anchor.fom_ref, anchor) == anchor.bound_ref
+    for anchor in DEFAULT_ANCHORS.values():
+        assert anchored_bound(anchor.fom_ref, anchor) == anchor.bound_ref
 
     entries = dict(
         line.split(": ", 1)
@@ -106,11 +106,9 @@ def test_c3_bound_mapping_and_summary_lines(catalog, results):
 
     best_fom = results["Asenbaum '17"].fom
     discrete = anchored_bound(
-        ModelId.ULTRA_LOCAL_DISCRETE, best_fom,
-        DEFAULT_ANCHORS[ModelId.ULTRA_LOCAL_DISCRETE])
+        best_fom, DEFAULT_ANCHORS[ModelId.ULTRA_LOCAL_DISCRETE])
     continuous = anchored_bound(
-        ModelId.NON_LOCAL_CONTINUOUS, best_fom,
-        DEFAULT_ANCHORS[ModelId.NON_LOCAL_CONTINUOUS])
+        best_fom, DEFAULT_ANCHORS[ModelId.NON_LOCAL_CONTINUOUS])
     assert discrete < 1e-25
     assert 1e-35 < continuous < 1e-34
     print(f"\nPASS C3: anchors exact, summary lines 1.00e-16/1.00e-24, "
@@ -126,8 +124,8 @@ def test_c4_numerical_properties(catalog):
         for _ in range(2000):
             fom_a = 10.0 ** rng.uniform(-12, 14)
             fom_b = 10.0 ** rng.uniform(-12, 14)
-            anchored_ratio = (anchored_bound(model, fom_a, anchor)
-                              / anchored_bound(model, fom_b, anchor))
+            anchored_ratio = (anchored_bound(fom_a, anchor)
+                              / anchored_bound(fom_b, anchor))
             si_ratio = si_bound(model, fom_a) / si_bound(model, fom_b)
             assert math.isclose(anchored_ratio, si_ratio, rel_tol=1e-12)
             assert math.isclose(anchored_ratio, fom_a / fom_b, rel_tol=1e-12)

@@ -9,7 +9,6 @@ from stfom import (
     DEFAULT_ANCHORS,
     BoundAnchor,
     ModelId,
-    ModelMismatchError,
     NegativeInputError,
     NonPositiveError,
     anchored_bound,
@@ -36,23 +35,23 @@ def test_default_anchor_values():
 def test_anchored_bound_is_exact_at_the_anchor():
     for model in ModelId:
         anchor = DEFAULT_ANCHORS[model]
-        assert anchored_bound(model, anchor.fom_ref, anchor) == anchor.bound_ref
+        assert anchored_bound(anchor.fom_ref, anchor) == anchor.bound_ref
 
 
 def test_anchored_bound_scales_proportionally():
     anchor = DEFAULT_ANCHORS[DISCRETE]
-    got = anchored_bound(DISCRETE, 2.41e-11, anchor)
+    got = anchored_bound(2.41e-11, anchor)
     assert got == pytest.approx(1.0e-16 * (2.41e-11 / 2.98e-1), rel=1e-12)
     assert got == pytest.approx(8.09e-27, rel=1e-2)
 
 
 def test_fom_threshold_inverts_anchored_bound():
     anchor = DEFAULT_ANCHORS[DISCRETE]
-    assert fom_threshold(DISCRETE, anchor.bound_ref, anchor) == anchor.fom_ref
-    got = fom_threshold(DISCRETE, 1.0e-25, anchor)
+    assert fom_threshold(anchor.bound_ref, anchor) == anchor.fom_ref
+    got = fom_threshold(1.0e-25, anchor)
     assert got == pytest.approx(2.98e-1 * (1.0e-25 / 1.0e-16), rel=1e-12)
     assert got == pytest.approx(2.98e-10, rel=1e-12)
-    continuous = fom_threshold(CONTINUOUS, 1.0e-35, DEFAULT_ANCHORS[CONTINUOUS])
+    continuous = fom_threshold(1.0e-35, DEFAULT_ANCHORS[CONTINUOUS])
     assert continuous == pytest.approx(2.98e-12, rel=1e-12)
 
 
@@ -62,7 +61,7 @@ def test_threshold_bound_roundtrip():
         anchor = DEFAULT_ANCHORS[model]
         for _ in range(2000):
             bound = 10.0 ** rng.uniform(-40, 0)
-            back = anchored_bound(model, fom_threshold(model, bound, anchor), anchor)
+            back = anchored_bound(fom_threshold(bound, anchor), anchor)
             assert back == pytest.approx(bound, rel=1e-12)
 
 
@@ -100,8 +99,8 @@ def test_si_and_anchored_bounds_scale_identically():
             fom_b = 10.0 ** rng.uniform(-12, 15)
             si_ratio = si_bound(model, fom_a) / si_bound(model, fom_b)
             anchored_ratio = (
-                anchored_bound(model, fom_a, anchor)
-                / anchored_bound(model, fom_b, anchor)
+                anchored_bound(fom_a, anchor)
+                / anchored_bound(fom_b, anchor)
             )
             assert si_ratio == pytest.approx(anchored_ratio, rel=1e-12)
             assert si_ratio == pytest.approx(fom_a / fom_b, rel=1e-12)
@@ -113,27 +112,17 @@ def test_bounds_are_monotonic_in_fom():
     for _ in range(1000):
         small = 10.0 ** rng.uniform(-12, 14)
         large = small * (1.0 + rng.uniform(0.01, 10.0))
-        assert anchored_bound(DISCRETE, small, anchor) < anchored_bound(
-            DISCRETE, large, anchor
-        )
-
-
-def test_anchor_model_mismatch_rejected():
-    wrong = DEFAULT_ANCHORS[CONTINUOUS]
-    with pytest.raises(ModelMismatchError):
-        anchored_bound(DISCRETE, 1.0, wrong)
-    with pytest.raises(ModelMismatchError):
-        fom_threshold(DISCRETE, 1.0, wrong)
+        assert anchored_bound(small, anchor) < anchored_bound(large, anchor)
 
 
 def test_negative_and_zero_inputs_rejected():
     anchor = DEFAULT_ANCHORS[DISCRETE]
     with pytest.raises(NegativeInputError):
-        anchored_bound(DISCRETE, -1.0, anchor)
+        anchored_bound(-1.0, anchor)
     with pytest.raises(NegativeInputError):
         si_bound(DISCRETE, -1.0)
     with pytest.raises(NegativeInputError):
-        fom_threshold(DISCRETE, -1.0, anchor)
+        fom_threshold(-1.0, anchor)
     with pytest.raises(NonPositiveError):
         orders_of_improvement(0.0)
     with pytest.raises(NonPositiveError):

@@ -236,29 +236,33 @@ def test_rank_rejects_unknown_filter(catalog, results):
         rank(catalog, results, "best-only")
 
 
-def test_select_for_figure_trapped_ions(catalog, results):
-    chosen = select_for_figure(catalog, results, k=3)
+def test_select_for_figure_trapped_ions(ranked):
+    chosen = select_for_figure(ranked, k=3)
     ions = {r.name for r in chosen if r.category == "trapped-ion"}
     assert ions == {"Maiwald '09", "Biercuk '10", "Affolter '20"}
 
 
-def test_select_for_figure_counts(catalog, results):
-    assert len(select_for_figure(catalog, results, k=3)) == 29
-    one_each = select_for_figure(catalog, results, k=1)
+def test_select_for_figure_counts(ranked):
+    assert len(select_for_figure(ranked, k=3)) == 29
+    one_each = select_for_figure(ranked, k=1)
     assert len(one_each) == 10
     assert len({r.category for r in one_each}) == 10
-    assert len(select_for_figure(catalog, results, k=100)) == 46
+    assert select_for_figure(ranked, k=100) == ranked
 
 
-def test_select_for_figure_output_is_ranked(catalog, results):
-    chosen = select_for_figure(catalog, results, k=3)
+def test_select_for_figure_output_is_ranked(ranked, results):
+    chosen = select_for_figure(ranked, k=3)
     foms = [results[r.name].fom for r in chosen]
     assert foms == sorted(foms)
+    # The order given is kept: reversed input selects each category's last k.
+    backwards = select_for_figure(ranked[::-1], k=3)
+    assert backwards == sorted(backwards, key=ranked.index, reverse=True)
+    assert set(backwards) != set(chosen)
 
 
-def test_select_for_figure_rejects_bad_k(catalog, results):
+def test_select_for_figure_rejects_bad_k(ranked):
     with pytest.raises(ValueError):
-        select_for_figure(catalog, results, k=0)
+        select_for_figure(ranked, k=0)
 
 
 def test_embedded_catalog_is_cached_and_immutable():
@@ -290,14 +294,14 @@ def test_row_with_parse_problems_also_reports_field_problems():
     ]
 
 
-def test_filter_and_selection_errors_are_stfom_errors(catalog, results):
+def test_filter_and_selection_errors_are_stfom_errors(catalog, results, ranked):
     with pytest.raises(FilterError) as err:
         rank(catalog, results, "best-only")
     assert isinstance(err.value, StfomError)
     with pytest.raises(StfomError):
         best_record(catalog, results, "best-only")
     with pytest.raises(FilterError) as err:
-        select_for_figure(catalog, results, k=0)
+        select_for_figure(ranked, k=0)
     assert isinstance(err.value, StfomError)
 
 

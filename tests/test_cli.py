@@ -256,6 +256,14 @@ def test_bad_constants_file_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("name", ["l_P", "m_P"])
+def test_planck_constants_are_unknown_names(tmp_path, capsys, name):
+    constants = tmp_path / "constants.txt"
+    constants.write_text(f"{name} 1.0\n", encoding="utf-8")
+    assert main(["validate", "--constants", str(constants)]) == 1
+    assert capsys.readouterr().err == f"error: unknown constant {name!r}\n"
+
+
 def test_formula_command_reports_composition(capsys):
     assert main(["formula", "Si3N4"]) == 0
     out = capsys.readouterr().out

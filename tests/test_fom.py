@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from stfom import (
     Constants,
     ExperimentRecord,
-    MissingNoiseError,
     NegativeInputError,
     NonPositiveError,
     OutOfRangeError,
@@ -15,7 +14,6 @@ from stfom import (
     classify_thermal,
     evaluate_record,
     fom_from_psd,
-    fom_from_variance,
     force_asd_from_accel,
     parse_material,
     thermal_fom,
@@ -77,17 +75,6 @@ def test_fom_from_psd():
         fom_from_psd(-1.0, 1.0)
     with pytest.raises(NegativeInputError):
         fom_from_psd(1.0, -1.0)
-
-
-def test_fom_from_variance_equals_psd_path_exactly():
-    rng = random.Random(20240817)
-    for _ in range(1000):
-        sigma = 10.0 ** rng.uniform(-15, 3)
-        n = 10.0 ** rng.uniform(0, 26)
-        dt = 10.0 ** rng.uniform(-3, 7)
-        assert fom_from_variance(sigma, n, dt) == fom_from_psd(sigma * sigma * dt, n)
-    with pytest.raises(NonPositiveError):
-        fom_from_variance(1.0, 1.0, 0.0)
 
 
 def test_thermal_force_psd_value():
@@ -184,13 +171,6 @@ def test_evaluate_record_acceleration_only():
     res = evaluate_record(rec)
     assert res.sqrt_sf == pytest.approx(3e-6 * 1e-9, rel=1e-12)
     assert res.sqrt_sa == 3e-6
-
-
-def test_evaluate_record_needs_some_noise():
-    rec = _record()
-    object.__setattr__(rec, "sqrt_sf", None)  # bypass constructor validation
-    with pytest.raises(MissingNoiseError):
-        evaluate_record(rec)
 
 
 @pytest.mark.parametrize("name, fields", [

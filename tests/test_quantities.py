@@ -22,8 +22,6 @@ def test_default_constants_values():
     assert c.G == 6.674e-11
     assert c.N_A == 6.02214076e23
     assert c.k_B == 1.380649e-23
-    assert c.l_P == 1.616255e-35
-    assert c.m_P == 2.176434e-8
     assert c.r_N == 1.0e-15
     assert c.m_N == 1.6726e-27
 
@@ -34,8 +32,7 @@ def test_defaults_text_parses_to_the_defaults():
 
 def test_defaults_text_digits_are_verbatim():
     for token in ("G 6.674e-11", "N_A 6.02214076e23", "k_B 1.380649e-23",
-                  "l_P 1.616255e-35", "m_P 2.176434e-8", "r_N 1.0e-15",
-                  "m_N 1.6726e-27"):
+                  "r_N 1.0e-15", "m_N 1.6726e-27"):
         assert token in DEFAULT_CONSTANTS_TEXT
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from stfom import (
+    CATEGORIES,
     Catalog,
     EmptyInputError,
     ExperimentRecord,
@@ -19,6 +20,8 @@ from stfom import (
     evaluate_catalog,
     format_sig,
     parse_material,
+    rank,
+    select_for_figure,
 )
 
 # ---------------------------------------------------------------- format_sig
@@ -91,15 +94,15 @@ def test_table_header_and_size(catalog, results):
     assert len(rows) == 47
 
 
-def test_table_first_row_is_best(catalog, results):
-    rows = _table_rows(catalog, results)
+def test_table_first_row_is_best(ranked, results):
+    rows = _table_rows(ranked, results)
     assert rows[1] == ["Asenbaum '17", "atom-interferometry", "Rb",
                        "1.44e-19", "1.01e6", "", "7.08e-28", "4.92e-9",
                        "2.45e-11"]
 
 
-def test_table_known_row_cells(catalog, results):
-    rows = _table_rows(catalog, results)
+def test_table_known_row_cells(ranked, results):
+    rows = _table_rows(ranked, results)
     gisler = next(r for r in rows if r[0] == "Gisler '22")
     assert gisler[3] == "9.30e-15"
     assert gisler[4] == "2.79e11"
@@ -113,8 +116,8 @@ def test_table_blank_resonance_cells(catalog, results):
     assert sum(1 for r in rows[1:] if r[5] == "") == 4
 
 
-def test_table_sorted_and_cells_idempotent(catalog, results):
-    rows = _table_rows(catalog, results)
+def test_table_sorted_and_cells_idempotent(ranked, results):
+    rows = _table_rows(ranked, results)
     foms = [float(r[8]) for r in rows[1:]]
     assert foms == sorted(foms)
     for row in rows[1:]:
@@ -123,22 +126,28 @@ def test_table_sorted_and_cells_idempotent(catalog, results):
                 assert format_sig(float(cell)) == cell
 
 
+def test_table_rows_follow_the_order_given(ranked, results):
+    rows = _table_rows(ranked[::-1], results)
+    assert [row[0] for row in rows[1:]] == [r.name for r in ranked[::-1]]
+
+
 # -------------------------------------------------------------- figure points
 
-def test_points_cover_catalog_and_selection(catalog, results):
-    points = build_figure_points(catalog, results, k=3)
-    assert len(points) == 46
-    assert sum(p.in_figure for p in points) == 29
+def test_points_cover_catalog_and_selection(ranked, results):
+    points = build_figure_points(ranked, results, k=3)
+    assert [p.name for p in points] == [
+        r.name for r in select_for_figure(ranked, k=3)]
+    assert len(points) == 29
     open_markers = {p.name for p in points if p.marker == "circle-open"}
     assert open_markers == {
         "Armano '18", "Asenbaum '17", "Biedermann '15", "Hamilton '15"
     }
 
 
-def test_points_have_no_thermal_floor_without_q_and_t(catalog, results):
+def test_points_have_no_thermal_floor_without_q_and_t(ranked, results):
     # the reference records quote no temperature or quality factor
     assert all(p.thermal_fom is None for p in
-               build_figure_points(catalog, results))
+               build_figure_points(ranked, results, k=100))
 
 
 def _thermal_catalog():
@@ -177,15 +186,15 @@ def _dat_marker_lines(dat_text):
             if line and not line.startswith("#")]
 
 
-def test_figure_svg_is_wellformed_xml(catalog, results):
-    svg, dat = emit_figure(build_figure_points(catalog, results, k=3))
+def test_figure_svg_is_wellformed_xml(ranked, results):
+    svg, dat = emit_figure(build_figure_points(ranked, results, k=3))
     root = ET.fromstring(svg)
     assert _local(root.tag) == "svg"
     assert root.get("viewBox") == "0 0 1080 620"
 
 
-def test_figure_markers_match_data_lines(catalog, results):
-    svg, dat = emit_figure(build_figure_points(catalog, results, k=3))
+def test_figure_markers_match_data_lines(ranked, results):
+    svg, dat = emit_figure(build_figure_points(ranked, results, k=3))
     circles = [c for c in _svg_elements(svg, "circle")
                if c.get("class") == "point"]
     lines = _dat_marker_lines(dat)
@@ -204,8 +213,8 @@ def test_figure_markers_match_data_lines(catalog, results):
                           "Biedermann_'15", "Hamilton_'15"}
 
 
-def test_figure_points_carry_metadata(catalog, results):
-    svg, _ = emit_figure(build_figure_points(catalog, results, k=3))
+def test_figure_points_carry_metadata(ranked, results):
+    svg, _ = emit_figure(build_figure_points(ranked, results, k=3))
     circles = [c for c in _svg_elements(svg, "circle")
                if c.get("class") == "point"]
     by_name = {c.get("data-name"): c for c in circles}
@@ -218,8 +227,8 @@ def test_figure_points_carry_metadata(catalog, results):
     assert filled.get("fill") not in (None, "none")
 
 
-def test_figure_bands_encode_reach_thresholds(catalog, results):
-    svg, _ = emit_figure(build_figure_points(catalog, results, k=3))
+def test_figure_bands_encode_reach_thresholds(ranked, results):
+    svg, _ = emit_figure(build_figure_points(ranked, results, k=3))
     bands = [r for r in _svg_elements(svg, "rect") if r.get("class") == "band"]
     assert {b.get("data-model") for b in bands} == {
         "ultra-local-discrete", "non-local-continuous"
@@ -258,11 +267,105 @@ def test_figure_single_point_is_valid():
 
 
 def test_figure_rejects_empty_selection():
-    point = FigurePoint(name="unused", category="membrane",
-                        mass_kg=1e-9, fom=1.0, marker="circle",
-                        in_figure=False)
     with pytest.raises(EmptyInputError):
-        emit_figure((point,))
+        emit_figure(())
+
+
+def _edge_record(**fields):
+    base = dict(name="Edge", year=2024, reference="synthetic", category="massive",
+                material=parse_material("Pb"), mass_kg=1.0, sqrt_sf=1e-9)
+    return ExperimentRecord(**{**base, **fields})
+
+
+# Records whose markers fall outside the default 1e-27..1e3 kg by
+# 1e-12..1e15 frame; the last one's thermal diamond sits near 1e-13.
+OFF_FRAME = {
+    "mass-1e5-kg": dict(mass_kg=1e5),
+    "mass-1e-30-kg": dict(mass_kg=1e-30, n_override=1.0, sqrt_sf=None, sqrt_sa=1.0),
+    "fom-1e20": dict(mass_kg=1e-9, n_override=1e20, sqrt_sf=None, sqrt_sa=1.0),
+    "thermal-below-1e-12": dict(category="membrane", material=parse_material("Si3N4"),
+                                mass_kg=1e-9, f0_hz=1.0, sqrt_sf=1e-18,
+                                temp_k=1e-3, quality=1e14),
+}
+
+
+@pytest.mark.parametrize("fields", OFF_FRAME.values(), ids=list(OFF_FRAME))
+def test_figure_frame_widens_to_hold_every_marker(fields):
+    catalog = Catalog((_edge_record(**fields),))
+    results = evaluate_catalog(catalog)
+    svg, _ = emit_figure(build_figure_points(catalog, results, k=1))
+    centres = [(float(c.get("cx")), float(c.get("cy")))
+               for c in _svg_elements(svg, "circle") if c.get("class") == "point"]
+    for path in _svg_elements(svg, "path"):
+        if path.get("class") == "thermal-point":
+            # d is 'M x y-6 L x+6 y L x y+6 L x-6 y Z'
+            vertices = [float(t) for t in path.get("d").split()
+                        if t not in ("M", "L", "Z")]
+            centres.append((sum(vertices[0::2]) / 4, sum(vertices[1::2]) / 4))
+    assert len(centres) == (2 if "temp_k" in fields else 1)
+    if "temp_k" in fields:
+        assert results["Edge"].thermal_fom < 1e-12
+    for x, y in centres:
+        assert 80.0 <= x <= 820.0 and 30.0 <= y <= 560.0
+
+
+def _reference_figure_points(catalog, results, k):
+    """The selection as it was before rank became the only sort: each
+    category sorted by (fom, name), its first k taken, then merged."""
+    def order(record):
+        return (results[record.name].fom, record.name)
+
+    by_category = {}
+    for record in catalog:
+        by_category.setdefault(record.category, []).append(record)
+    chosen = []
+    for records in by_category.values():
+        chosen.extend(sorted(records, key=order)[:k])
+    chosen.sort(key=order)
+    return tuple(
+        FigurePoint(
+            name=r.name, category=r.category, mass_kg=r.mass_kg,
+            fom=results[r.name].fom,
+            marker="circle-open" if r.mode == "differential" else "circle",
+            thermal_fom=(results[r.name].thermal_fom
+                         if results[r.name].show_thermal_marker else None),
+        )
+        for r in chosen
+    )
+
+
+@st.composite
+def _tied_catalogs(draw):
+    """Catalogs over 1-10 categories whose FOMs repeat, so ties fall to names."""
+    categories = draw(st.lists(st.sampled_from(CATEGORIES), min_size=1,
+                               max_size=10, unique=True))
+    names = draw(st.lists(st.text(alphabet="ab _", min_size=1, max_size=3),
+                          min_size=1, max_size=30, unique=True))
+    material = parse_material("Si3N4")
+    records, results = [], {}
+    for name in names:
+        records.append(ExperimentRecord(
+            name=name, year=2024, reference="synthetic",
+            category=draw(st.sampled_from(categories)), material=material,
+            mass_kg=draw(st.sampled_from((1e-20, 1e-9, 1.0))), sqrt_sf=1e-15,
+            mode=draw(st.sampled_from(("absolute", "differential"))),
+        ))
+        thermal = draw(st.sampled_from((None, 1e-6)))
+        results[name] = FomResult(
+            n_nuclei=1.0, sqrt_sf=1.0, sqrt_sa=1.0,
+            fom=draw(st.sampled_from((1e-3, 1.0, 1e3))),
+            thermal_fom=thermal, show_thermal_marker=thermal is not None,
+        )
+    return Catalog(tuple(records)), results
+
+
+@given(_tied_catalogs(), st.integers(min_value=1, max_value=5))
+def test_one_pass_selection_matches_sort_take_merge(generated, k):
+    catalog, results = generated
+    points = build_figure_points(rank(catalog, results), results, k)
+    expected = _reference_figure_points(catalog, results, k)
+    assert points == expected
+    assert emit_figure(points) == emit_figure(expected)
 
 
 # --------------------------------------------------------- emit_bounds_summary
