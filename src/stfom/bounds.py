@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .errors import NegativeInputError, NonPositiveError
+from .errors import NegativeInputError, NonPositiveError, _Checked
 from .quantities import Constants
 
 # Figure of merit of the classic Cavendish torsion balance, the baseline
@@ -35,8 +35,14 @@ class ModelId(enum.Enum):
     NON_LOCAL_CONTINUOUS = "non-local-continuous"
 
 
-@dataclass(frozen=True)
-class BoundAnchor:
+class _AnchorFields(NamedTuple):
+    model: ModelId
+    fom_ref: float
+    bound_ref: float
+    lower_bound: float
+
+
+class BoundAnchor(_Checked, _AnchorFields):
     """Reference point tying a model's bound scale to a known experiment.
 
     fom_ref is the figure of merit of the anchoring experiment, bound_ref
@@ -44,12 +50,9 @@ class BoundAnchor:
     below which the model is already excluded by decoherence arguments.
     """
 
-    model: ModelId
-    fom_ref: float
-    bound_ref: float
-    lower_bound: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("fom_ref", "bound_ref", "lower_bound"):
             value = getattr(self, name)
             if value <= 0.0:

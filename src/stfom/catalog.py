@@ -13,9 +13,8 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import (
     CatalogError,
@@ -23,6 +22,7 @@ from .errors import (
     FilterError,
     FormulaError,
     MaterialError,
+    _Checked,
 )
 from .fom import FomResult
 from .formula import MaterialSpec, format_material, parse_material
@@ -54,18 +54,7 @@ RecordFilter = Literal["all", "absolute-on-earth"]
 _SMALLEST_NORMAL = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One published experiment, as quoted by its source.
-
-    mass_kg is the test mass.  n_override, when set, is a nucleus count
-    quoted directly by the source (ion counts and similar) and takes
-    precedence over the mass-and-material derivation.  sqrt_sf (N/sqrt(Hz))
-    and sqrt_sa (m s^-2/sqrt(Hz)) are amplitude spectral densities; at
-    least one must be present.  temp_k, f0_hz, and quality enable the
-    thermal noise floor when all three are known.
-    """
-
+class _RecordFields(NamedTuple):
     name: str
     year: int
     reference: str
@@ -83,39 +72,31 @@ class ExperimentRecord:
     secondhand: bool = False
     notes: str = ""
 
-    def __post_init__(self) -> None:
-        problems = _validate_fields(
-            row=0,
-            name=self.name,
-            category=self.category,
-            mass_kg=self.mass_kg,
-            n_override=self.n_override,
-            f0_hz=self.f0_hz,
-            sqrt_sf=self.sqrt_sf,
-            sqrt_sa=self.sqrt_sa,
-            temp_k=self.temp_k,
-            quality=self.quality,
-            mode=self.mode,
-            location=self.location,
-        )
+
+class ExperimentRecord(_Checked, _RecordFields):
+    """One published experiment, as quoted by its source.
+
+    mass_kg is the test mass.  n_override, when set, is a nucleus count
+    quoted directly by the source (ion counts and similar) and takes
+    precedence over the mass-and-material derivation.  sqrt_sf (N/sqrt(Hz))
+    and sqrt_sa (m s^-2/sqrt(Hz)) are amplitude spectral densities; at
+    least one must be present.  temp_k, f0_hz, and quality enable the
+    thermal noise floor when all three are known.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        problems = _validate_fields(0, self)
         if problems:
             raise CatalogError(tuple(problems))
 
 
-def _validate_fields(
-    row: int,
-    name: str,
-    category: str,
-    mass_kg: float,
-    n_override: float | None,
-    f0_hz: float | None,
-    sqrt_sf: float | None,
-    sqrt_sa: float | None,
-    temp_k: float | None,
-    quality: float | None,
-    mode: str,
-    location: str,
-) -> list[Diagnostic]:
+def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
+    """Every problem of one record's fields, given in ExperimentRecord
+    order; the material is not read, so it may be None."""
+    (name, _, _, category, _, mass_kg, n_override, f0_hz, sqrt_sf, sqrt_sa,
+     temp_k, quality, mode, location, _, _) = fields
     problems: list[Diagnostic] = []
 
     def bad(column: str, code: str, message: str) -> None:
@@ -161,16 +142,17 @@ def _validate_fields(
     return problems
 
 
-@dataclass(frozen=True)
 class Catalog:
-    """An ordered, uniquely named collection of experiment records."""
+    """An ordered, uniquely named, immutable collection of experiment records;
+    catalogs with equal records are equal."""
 
-    records: tuple[ExperimentRecord, ...]
+    __slots__ = ("_records",)
+    records = property(lambda self: self._records)
 
-    def __post_init__(self) -> None:
+    def __init__(self, records: tuple[ExperimentRecord, ...]) -> None:
         seen: set[str] = set()
         problems: list[Diagnostic] = []
-        for index, record in enumerate(self.records, start=1):
+        for index, record in enumerate(records, start=1):
             if record.name in seen:
                 problems.append(
                     Diagnostic(index, "name", "DuplicateName",
@@ -179,15 +161,26 @@ class Catalog:
             seen.add(record.name)
         if problems:
             raise CatalogError(tuple(problems))
+        self._records = records
+
+    def __eq__(self, other):
+        return (self._records == other._records if isinstance(other, Catalog)
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._records)
+
+    def __repr__(self) -> str:
+        return f"Catalog(records={self._records!r})"
 
     def __iter__(self) -> Iterator[ExperimentRecord]:
-        return iter(self.records)
+        return iter(self._records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._records)
 
     def get(self, name: str) -> ExperimentRecord:
-        for record in self.records:
+        for record in self._records:
             if record.name == name:
                 return record
         raise KeyError(name)
@@ -274,35 +267,18 @@ def parse_records(text: str) -> Catalog:
                                            "secondhand must be true or false, "
                                            f"got {secondhand_text!r}"))
 
+        fields = (name, year, reference, category, material, mass_kg,
+                  n_override, f0_hz, sqrt_sf, sqrt_sa, temp_k, quality,
+                  mode, location, secondhand, notes)
+        # Every row's fields are checked once, here, so every problem shows
+        # at once; a clean row then skips the record's own check.
+        if mass_kg is not None:
+            row_problems += _validate_fields(row_number, fields)
         if row_problems:
-            # Report the field checks too, so every problem shows at once.
-            if mass_kg is not None and material is not None:
-                row_problems.extend(_validate_fields(
-                    row=row_number, name=name, category=category,
-                    mass_kg=mass_kg, n_override=n_override, f0_hz=f0_hz,
-                    sqrt_sf=sqrt_sf, sqrt_sa=sqrt_sa, temp_k=temp_k,
-                    quality=quality, mode=mode, location=location,
-                ))
             problems.extend(row_problems)
             continue
-        # A clean row is checked once, by the record's own constructor.
-        try:
-            record = ExperimentRecord(
-                name=name, year=year, reference=reference,
-                category=category, material=material, mass_kg=mass_kg,
-                n_override=n_override, f0_hz=f0_hz, sqrt_sf=sqrt_sf,
-                sqrt_sa=sqrt_sa, temp_k=temp_k, quality=quality,
-                mode=mode, location=location,
-                secondhand=secondhand, notes=notes,
-            )
-        except CatalogError as exc:
-            problems.extend(
-                Diagnostic(row_number, d.column, d.code, d.message)
-                for d in exc.diagnostics
-            )
-            continue
         seen.add(name)
-        records.append(record)
+        records.append(tuple.__new__(ExperimentRecord, fields))
 
     if problems:
         raise CatalogError(tuple(problems))
@@ -386,8 +362,7 @@ def select_for_figure(
     return chosen
 
 
-@dataclass(frozen=True)
-class QuotedValues:
+class QuotedValues(NamedTuple):
     """Derived values as quoted by the source, for regression checks."""
 
     n_nuclei: float

@@ -1,8 +1,8 @@
-"""Exception types and validation diagnostics shared across the package."""
+"""Exceptions, diagnostics and field checks shared across the package."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class StfomError(Exception):
@@ -84,8 +84,24 @@ class EmptyInputError(StfomError):
     """An operation that needs at least one data point received none."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class _Checked:
+    """Mixin, listed before its NamedTuple base, for a value class whose
+    fields are checked: every way of building one, _make and _replace
+    included, calls the class's _check(), which raises on a bad field."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Diagnostic(NamedTuple):
     """One validation problem found in a records file.
 
     row is 1-based and counts data rows, so row 1 is the first line after

@@ -21,8 +21,7 @@ and the corresponding thermal FOM is 4 N k_B T omega0 / (m Q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NegativeInputError, NonPositiveError, OutOfRangeError
 from .formula import nuclei_count
@@ -139,8 +138,7 @@ def classify_thermal(
     return limited, marker
 
 
-@dataclass(frozen=True)
-class FomResult:
+class FomResult(NamedTuple):
     """Derived quantities for one record.
 
     n_nuclei is the nucleus count actually used (override or material

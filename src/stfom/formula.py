@@ -22,16 +22,16 @@ with no whitespace and fractions that sum to one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     MaterialError,
     NegativeInputError,
     ParseError,
     UnknownElementError,
+    _Checked,
 )
 from .quantities import AVOGADRO
 
@@ -62,12 +62,13 @@ STANDARD_ATOMIC_WEIGHTS: Mapping[str, float] = MappingProxyType({
 })
 
 
-@dataclass(frozen=True)
-class Formula:
-    """Parsed formula: element terms in input order plus an ion flag."""
-
+class _FormulaFields(NamedTuple):
     terms: tuple[tuple[str, int], ...]
     charge_ignored: bool = False
+
+
+class Formula(_FormulaFields):
+    """Parsed formula: element terms in input order plus an ion flag."""
 
     def canonical(self) -> str:
         """Canonical text form; re-parsing yields an equal Formula for
@@ -86,8 +87,8 @@ class Formula:
         return body + ("+" if self.charge_ignored else "")
 
     # Per-formula values for MaterialSpec, computed on first use so that a
-    # hand-built Formula with an unknown symbol still constructs.  A
-    # raising call stores nothing.
+    # hand-built Formula with an unknown symbol still constructs.  They live
+    # in this subclass's __dict__; a raising call stores nothing.
 
     _canonical = cached_property(canonical)
 
@@ -165,13 +166,14 @@ def _parse_formula(text: str) -> Formula:
     return Formula(tuple(terms), charge_ignored=charge is not None)
 
 
-@dataclass(frozen=True)
-class MaterialSpec:
-    """A material as mass-fractioned formula components."""
-
+class _MaterialFields(NamedTuple):
     components: tuple[tuple[Formula, float], ...]
 
-    def __post_init__(self) -> None:
+
+class MaterialSpec(_Checked, _MaterialFields):
+    """A material as mass-fractioned formula components."""
+
+    def _check(self) -> None:
         if not self.components:
             raise MaterialError("material needs at least one component")
         total = 0.0
@@ -188,10 +190,9 @@ class MaterialSpec:
     def pure(cls, formula: Formula) -> MaterialSpec:
         return cls(((formula, 1.0),))
 
-    # Derived values are computed on first use, not in __post_init__:
-    # validation never needs them.  cached_property writes the instance
-    # __dict__, which a frozen dataclass allows, and a raising call stores
-    # nothing.
+    # Derived values are computed on first use, not in _check: validation
+    # never needs them.  cached_property writes the instance __dict__, and a
+    # raising call stores nothing.
 
     @cached_property
     def _nuclei_terms(self) -> tuple[tuple[float, float, int], ...]:

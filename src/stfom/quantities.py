@@ -11,13 +11,14 @@ psd_to_asd() move between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     ConstantsError,
     NegativeInputError,
     NonPositiveError,
     UnknownConstantError,
+    _Checked,
 )
 
 # Default constant values, SI.  CODATA 2018 for N_A and k_B; the
@@ -40,8 +41,15 @@ m_N 1.6726e-27
 """
 
 
-@dataclass(frozen=True)
-class Constants:
+class _ConstantsFields(NamedTuple):
+    G: float = GRAVITATIONAL_CONSTANT
+    N_A: float = AVOGADRO
+    k_B: float = BOLTZMANN
+    r_N: float = NUCLEUS_RADIUS
+    m_N: float = NUCLEON_MASS
+
+
+class Constants(_Checked, _ConstantsFields):
     """The physical constants every formula in the package draws from.
 
     G       gravitational constant, m^3 kg^-1 s^-2
@@ -51,20 +59,15 @@ class Constants:
     m_N     nucleon mass, kg
     """
 
-    G: float = GRAVITATIONAL_CONSTANT
-    N_A: float = AVOGADRO
-    k_B: float = BOLTZMANN
-    r_N: float = NUCLEUS_RADIUS
-    m_N: float = NUCLEON_MASS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
+    def _check(self) -> None:
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value) or value <= 0.0:
                 raise NonPositiveError(name, value)
 
 
-_CONSTANT_NAMES = frozenset(Constants.__dataclass_fields__)
+_CONSTANT_NAMES = frozenset(Constants._fields)
 
 
 def load_constants(text: str) -> Constants:
@@ -98,7 +101,7 @@ def load_constants(text: str) -> Constants:
         if not math.isfinite(value) or value <= 0.0:
             raise NonPositiveError(name, value)
         overrides[name] = value
-    return replace(Constants(), **overrides)
+    return Constants(**overrides)
 
 
 def angular_frequency(f0_hz: float) -> float:

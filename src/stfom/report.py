@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .bounds import (
     CAVENDISH_FOM,
@@ -80,8 +79,7 @@ def emit_table(
     return out.getvalue()
 
 
-@dataclass(frozen=True)
-class FigurePoint:
+class FigurePoint(NamedTuple):
     """One record prepared for plotting."""
 
     name: str
@@ -214,26 +212,30 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
             f'fill="{color}" fill-opacity="{opacity}"/>'
         )
 
-    for decade in range(x_lo, x_hi + 1):
+    # A grid line every g decades and a label on every 3rd line: g is 1 on
+    # the default frame and grows on a widened one, so labels stay <= 12.
+    x_grid = math.ceil((x_hi - x_lo) / 33)
+    y_grid = math.ceil((y_hi - y_lo) / 33)
+    for decade in range(x_lo + -x_lo % x_grid, x_hi + 1, x_grid):
         x = px(10.0 ** decade)
         svg.append(
             f'<line x1="{x:.2f}" y1="{_PLOT_TOP:.2f}" '
             f'x2="{x:.2f}" y2="{_PLOT_BOTTOM:.2f}" '
             f'stroke="#dddddd" stroke-width="0.5"/>'
         )
-        if decade % 3 == 0:
+        if decade % (3 * x_grid) == 0:
             svg.append(
                 f'<text x="{x:.2f}" y="{_PLOT_BOTTOM + 16:.2f}" '
                 f'text-anchor="middle">1e{decade}</text>'
             )
-    for decade in range(y_lo, y_hi + 1):
+    for decade in range(y_lo + -y_lo % y_grid, y_hi + 1, y_grid):
         y = py(10.0 ** decade)
         svg.append(
             f'<line x1="{_PLOT_LEFT:.2f}" y1="{y:.2f}" '
             f'x2="{_PLOT_RIGHT:.2f}" y2="{y:.2f}" '
             f'stroke="#dddddd" stroke-width="0.5"/>'
         )
-        if decade % 3 == 0:
+        if decade % (3 * y_grid) == 0:
             svg.append(
                 f'<text x="{_PLOT_LEFT - 8:.2f}" y="{y + 4:.2f}" '
                 f'text-anchor="end">1e{decade}</text>'

@@ -294,6 +294,19 @@ def test_row_with_parse_problems_also_reports_field_problems():
     ]
 
 
+def test_bad_material_still_reports_the_field_problems():
+    bad = _records_text(
+        "Bad,2021,x,squishy,Xq2,1e-9,,1e3,-1e-15,,,,sideways,earth,false,")
+    with pytest.raises(CatalogError) as err:
+        parse_records(bad)
+    assert [(d.row, d.column, d.code) for d in err.value.diagnostics] == [
+        (1, "material", "BadMaterial"),
+        (1, "category", "BadCategory"),
+        (1, "sqrt_sf", "BadNumber"),
+        (1, "mode", "BadMode"),
+    ]
+
+
 def test_filter_and_selection_errors_are_stfom_errors(catalog, results, ranked):
     with pytest.raises(FilterError) as err:
         rank(catalog, results, "best-only")

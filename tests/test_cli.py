@@ -324,6 +324,16 @@ def test_concurrent_writers_never_share_a_temporary_file(tmp_path):
     assert target.read_text(encoding="utf-8") in texts
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    src = str(Path(stfom.__file__).resolve().parents[1])
+    code = ("import sys, stfom.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == ""
+
+
 def test_import_leaves_network_and_mail_modules_unloaded():
     src = str(Path(stfom.__file__).resolve().parents[1])
     code = ("import sys, stfom, stfom.cli; "

@@ -309,6 +309,21 @@ def test_figure_frame_widens_to_hold_every_marker(fields):
         assert 80.0 <= x <= 820.0 and 30.0 <= y <= 560.0
 
 
+def test_widened_frame_keeps_its_axis_labels_apart():
+    catalog = Catalog((_edge_record(mass_kg=1e-300, n_override=1.0,
+                                    sqrt_sf=None, sqrt_sa=1.0),))
+    results = evaluate_catalog(catalog)
+    svg, _ = emit_figure(build_figure_points(catalog, results, k=1))
+    texts = [t for t in _svg_elements(svg, "text") if t.text.startswith("1e")]
+    x_labels = [t for t in texts if t.get("text-anchor") == "middle"]
+    y_labels = [t for t in texts if t.get("text-anchor") == "end"]
+    assert x_labels[0].text == "1e-300" and x_labels[-1].text == "1e0"
+    assert 2 <= len(x_labels) <= 12 and 2 <= len(y_labels) <= 12
+    xs = [float(t.get("x")) for t in x_labels]
+    assert min(b - a for a, b in zip(xs, xs[1:])) > 40.0
+    assert len(_svg_elements(svg, "line")) <= 2 * 34
+
+
 def _reference_figure_points(catalog, results, k):
     """The selection as it was before rank became the only sort: each
     category sorted by (fom, name), its first k taken, then merged."""
