@@ -147,7 +147,6 @@ class Catalog:
     catalogs with equal records are equal."""
 
     __slots__ = ("_records",)
-    records = property(lambda self: self._records)
 
     def __init__(self, records: tuple[ExperimentRecord, ...]) -> None:
         seen: set[str] = set()
@@ -179,12 +178,6 @@ class Catalog:
     def __len__(self) -> int:
         return len(self._records)
 
-    def get(self, name: str) -> ExperimentRecord:
-        for record in self._records:
-            if record.name == name:
-                return record
-        raise KeyError(name)
-
 
 def _parse_optional_float(text: str, column: str, row: int,
                           problems: list[Diagnostic]) -> float | None:
@@ -211,6 +204,10 @@ def parse_records(text: str) -> Catalog:
         raise CatalogError((
             Diagnostic(0, "header", "BadHeader",
                        f"header must be exactly {CSV_HEADER!r}"),
+        ))
+    if len(rows) == 1:
+        raise CatalogError((
+            Diagnostic(0, "file", "NoRecords", "records file holds no records"),
         ))
 
     problems: list[Diagnostic] = []
@@ -282,7 +279,10 @@ def parse_records(text: str) -> Catalog:
 
     if problems:
         raise CatalogError(tuple(problems))
-    return Catalog(tuple(records))
+    # Names were checked row by row above, so the catalog skips its own check.
+    catalog = object.__new__(Catalog)
+    catalog._records = tuple(records)
+    return catalog
 
 
 def _float_cell(value: float | None) -> str:

@@ -7,7 +7,8 @@ Commands:
   formula   parse one chemical formula and print its composition
   validate  check a records file (and optional constants file)
 
-Exit codes: 0 success, 1 validation problem, 2 I/O failure.  Output
+Exit codes: 0 success, 1 validation problem, 2 I/O failure or a usage
+error reported by argparse (unknown command or option, bad value).  Output
 files are written to a temporary name and renamed into place, so a
 failing run never leaves a partial file behind.
 """

@@ -22,7 +22,7 @@ with no whitespace and fractions that sum to one.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -104,22 +104,7 @@ class Formula(_FormulaFields):
 _TERM_RE = re.compile(r"([A-Z][a-z]?)([0-9]*)")
 _CHARGE_RE = re.compile(r"([0-9]*)([+-])$")
 
-# Equal texts share one Formula and one MaterialSpec, so each formula's and
-# each material's derived values are computed once per process.  A call that
-# raises stores nothing, and a full cache is emptied rather than grown, which
-# bounds the memory of distinct inputs.
-_CACHE_LIMIT = 4096
-_FORMULAS: dict[str, Formula] = {}
-_MATERIALS: dict[str, MaterialSpec] = {}
-
-
-def _remember(cache: dict, text: str, value):
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[text] = value
-    return value
-
-
+@lru_cache(maxsize=4096)
 def parse_formula(text: str) -> Formula:
     """Parse formula text, validating every symbol against the standard
     atomic weights.
@@ -129,13 +114,6 @@ def parse_formula(text: str) -> Formula:
     UnknownElementError for syntactically valid symbols missing from
     STANDARD_ATOMIC_WEIGHTS.
     """
-    formula = _FORMULAS.get(text)
-    if formula is None:
-        formula = _remember(_FORMULAS, text, _parse_formula(text))
-    return formula
-
-
-def _parse_formula(text: str) -> Formula:
     if not text:
         raise ParseError(0, "empty formula")
 
@@ -219,18 +197,12 @@ _COMPONENT_SPLIT_RE = re.compile(r"\+(?=[0-9.])")
 _WHITESPACE_RE = re.compile(r"\s")
 
 
+@lru_cache(maxsize=4096)
 def parse_material(text: str) -> MaterialSpec:
     """Parse a bare formula or a 'frac*Formula+frac*Formula' mixture.
 
     Equal texts return the same MaterialSpec.
     """
-    mat = _MATERIALS.get(text)
-    if mat is None:
-        mat = _remember(_MATERIALS, text, _parse_material(text))
-    return mat
-
-
-def _parse_material(text: str) -> MaterialSpec:
     if not text:
         raise MaterialError("empty material expression")
     if _WHITESPACE_RE.search(text):

@@ -33,7 +33,7 @@ from .catalog import (
 )
 from .errors import EmptyInputError
 from .fom import FomResult
-from .formula import format_material
+from .formula import _WHITESPACE_RE, format_material
 from .quantities import Constants
 
 
@@ -164,10 +164,11 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
     """Render the points in the order given; returns (svg_text, data_text).
 
     The data text lists one 'name category mass fom marker' line per
-    rendered marker, spaces in names replaced by underscores so the
-    fields stay whitespace-separated.  Shaded bands mark the FOM ranges
-    that would probe each model below its current lower bound; each band
-    rect carries its threshold in a data attribute.
+    rendered marker, every whitespace character in names replaced by an
+    underscore so each line has exactly five whitespace-separated fields.
+    Shaded bands mark the FOM ranges that would probe each model below its
+    current lower bound; each band rect carries its threshold in a data
+    attribute.
     """
     if not points:
         raise EmptyInputError("no points selected for the figure")
@@ -270,10 +271,9 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
             f'cx="{x:.2f}" cy="{y:.2f}" r="5" {paint}>'
             f'<title>{_escape(p.name)}: {format_sig(p.fom)}</title></circle>'
         )
-        data_lines.append(
-            f"{p.name.replace(' ', '_')} {p.category} "
-            f"{format_sig(p.mass_kg)} {format_sig(p.fom)} {p.marker}"
-        )
+        data_fields = (f"{_WHITESPACE_RE.sub('_', p.name)} {p.category} "
+                       f"{format_sig(p.mass_kg)}")
+        data_lines.append(f"{data_fields} {format_sig(p.fom)} {p.marker}")
         if p.thermal_fom is not None:
             ty = py(p.thermal_fom)
             svg.append(
@@ -286,9 +286,7 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
                 f'{format_sig(p.thermal_fom)}</title></path>'
             )
             data_lines.append(
-                f"{p.name.replace(' ', '_')} {p.category} "
-                f"{format_sig(p.mass_kg)} {format_sig(p.thermal_fom)} diamond"
-            )
+                f"{data_fields} {format_sig(p.thermal_fom)} diamond")
 
     legend_y = _PLOT_TOP + 10
     for category in CATEGORIES:
@@ -331,13 +329,9 @@ def emit_bounds_summary(
         raise EmptyInputError("no records pass the filter")
     conservative = best_record(catalog, results, "absolute-on-earth")
 
-    try:
-        baseline_record = catalog.get("Cavendish 1798")
-        baseline_fom = results[baseline_record.name].fom
-        baseline_name = baseline_record.name
-    except KeyError:
-        baseline_fom = CAVENDISH_FOM
-        baseline_name = "-"
+    baseline = results.get("Cavendish 1798")
+    baseline_name = "-" if baseline is None else "Cavendish 1798"
+    baseline_fom = CAVENDISH_FOM if baseline is None else baseline.fom
 
     lines = [
         f"records: {len(catalog)}",

@@ -110,7 +110,7 @@ def test_serialize_parse_byte_roundtrip(catalog):
 def test_parse_minimal_good_file():
     catalog = parse_records(_records_text(GOOD_ROW))
     assert len(catalog) == 1
-    record = catalog.get("Probe '21")
+    record = {r.name: r for r in catalog}["Probe '21"]
     assert record.temp_k == 300.0
     assert record.sqrt_sa is None
     assert record.notes == ""

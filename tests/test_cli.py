@@ -165,6 +165,18 @@ def test_zero_noise_density_is_rejected_by_every_record_command(
     assert list(tmp_path.iterdir()) == [records]
 
 
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+def test_header_only_records_file_is_refused_by_every_record_command(
+        tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    records = tmp_path / "records.csv"
+    records.write_text(CSV_HEADER + "\n", encoding="utf-8")
+    assert main([command, "--records", str(records)]) == 1
+    assert capsys.readouterr().err == (
+        "row 0, column file: NoRecords: records file holds no records\n")
+    assert list(tmp_path.iterdir()) == [records]
+
+
 # Every number is finite, but a derived one is not: the squared acceleration
 # density underflows, a subnormal mass overflows it, a 0 K thermal row has a
 # zero floor, and the nucleus count of 1e300 kg of lead overflows.  Only the

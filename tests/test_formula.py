@@ -339,6 +339,8 @@ def test_whitespace_check_rejects_every_space_code_point():
 
 def test_equal_formula_texts_share_one_formula():
     assert parse_formula("SiO2") is parse_formula("SiO2")
+    assert (parse_material("0.25*SiO2+0.75*B2O3")
+            is parse_material("0.25*SiO2+0.75*B2O3"))
     first = parse_material("0.25*SiO2+0.75*B2O3").components
     second = parse_material("0.5*B2O3+0.5*SiO2").components
     assert first[0][0] is second[1][0] and first[1][0] is second[0][0]
@@ -346,23 +348,23 @@ def test_equal_formula_texts_share_one_formula():
 
 @pytest.mark.parametrize("text", ["Xq2", "Si0", "", "si"])
 def test_bad_formula_text_raises_on_every_call(text):
-    from stfom.formula import _FORMULAS
-
-    for _ in range(3):
-        with pytest.raises((ParseError, UnknownElementError)):
-            parse_formula(text)
-    assert text not in _FORMULAS
+    for parse in (parse_formula, parse_material):
+        parse.cache_clear()  # a full cache would keep its size after a store
+        for _ in range(3):
+            with pytest.raises((ParseError, UnknownElementError, MaterialError)):
+                parse(text)
+        assert parse.cache_info().currsize == 0
 
 
 def test_formula_cache_stays_bounded_and_correct():
-    from stfom.formula import _CACHE_LIMIT, _FORMULAS
-
-    for count in range(2, _CACHE_LIMIT + 100):
-        formula = parse_formula(f"C{count}")
-        assert len(_FORMULAS) <= _CACHE_LIMIT
-    assert formula.terms == (("C", _CACHE_LIMIT + 99),)
-    for count in (2, 3, _CACHE_LIMIT + 99):
-        formula = parse_formula(f"C{count}")
+    limit = 4096
+    for parse in (parse_formula, parse_material):
+        assert parse.cache_info().maxsize == limit
+        for count in range(2, limit + 100):
+            parse(f"C{count}")
+            assert parse.cache_info().currsize <= limit
+    for count in (2, 3, limit + 99):
+        formula = parse_material(f"C{count}").components[0][0]
         assert formula.terms == (("C", count),)
         assert molar_mass(formula) == count * STANDARD_ATOMIC_WEIGHTS["C"]
         assert nuclei_per_formula(formula) == count

@@ -266,6 +266,21 @@ def test_figure_single_point_is_valid():
     assert len(_dat_marker_lines(dat)) == 1
 
 
+def test_figure_data_names_never_split_a_line():
+    names = ["tab\there", "line\nbreak", "crlf\r\nname", "wide\u3000space"]
+    points = tuple(
+        FigurePoint(name=name, category="membrane", mass_kg=1e-9, fom=1.0,
+                    marker="circle", thermal_fom=0.5)
+        for name in names
+    )
+    _, dat = emit_figure(points)
+    lines = dat.splitlines()[1:]
+    assert len(lines) == 2 * len(names)
+    assert all(len(line.split()) == 5 for line in lines)
+    assert [line.split()[0] for line in lines[::2]] == [
+        "tab_here", "line_break", "crlf__name", "wide_space"]
+
+
 def test_figure_rejects_empty_selection():
     with pytest.raises(EmptyInputError):
         emit_figure(())
@@ -440,7 +455,8 @@ def test_summary_honours_filter(catalog, results):
 
 
 def test_summary_baseline_only_catalog(catalog):
-    solo = Catalog((catalog.get("Cavendish 1798"),))
+    by_name = {r.name: r for r in catalog}
+    solo = Catalog((by_name["Cavendish 1798"],))
     solo_results = evaluate_catalog(solo)
     entries = _summary_map(emit_bounds_summary(solo, solo_results))
     assert entries["records"] == "1"

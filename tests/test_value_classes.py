@@ -57,10 +57,10 @@ FACTORIES = {
 def test_assigning_to_a_field_raises(make):
     value = make()
     field = "records" if isinstance(value, Catalog) else value._fields[0]
-    before = getattr(value, field)
+    before = tuple(value)
     with pytest.raises(AttributeError):
         setattr(value, field, None)
-    assert getattr(value, field) is before
+    assert tuple(value) == before
 
 
 @pytest.mark.parametrize("make", FACTORIES.values(), ids=list(FACTORIES))
@@ -88,7 +88,8 @@ def test_formula_values_cached_on_first_use_leave_equality_alone():
 
 
 def test_record_repr_is_pinned():
-    assert repr(embedded_catalog().get("Maiwald '09")) == (
+    by_name = {r.name: r for r in embedded_catalog()}
+    assert repr(by_name["Maiwald '09"]) == (
         "ExperimentRecord(name=\"Maiwald '09\", year=2009, "
         "reference='Maiwald et al. (2009)', category='trapped-ion', "
         "material=MaterialSpec(components=((Formula(terms=(('Mg', 1),), "
