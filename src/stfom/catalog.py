@@ -196,93 +196,123 @@ def _parse_optional_float(text: str, column: str, row: int,
     return value
 
 
-def parse_records(text: str) -> Catalog:
-    """Parse CSV text into a Catalog, reporting every problem at once."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != list(_CSV_COLUMNS):
-        raise CatalogError((
-            Diagnostic(0, "header", "BadHeader",
-                       f"header must be exactly {CSV_HEADER!r}"),
-        ))
-    if len(rows) == 1:
-        raise CatalogError((
-            Diagnostic(0, "file", "NoRecords", "records file holds no records"),
-        ))
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text, each with its "\\n", split only at "\\n" as
+    iterating io.StringIO(text) splits them, but without copying the text."""
+    start = 0
+    while end := text.find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
 
+
+def parse_records(text: str) -> Catalog:
+    """Parse CSV text into a Catalog, reporting every problem at once.
+
+    Rows are parsed as the reader yields them, so no copy of the text and
+    no list of rows is held.
+    """
+    reader = csv.reader(_lines(text))
     problems: list[Diagnostic] = []
     records: list[ExperimentRecord] = []
     seen: set[str] = set()
-    for row_number, cells in enumerate(rows[1:], start=1):
-        if len(cells) != len(_CSV_COLUMNS):
-            problems.append(Diagnostic(row_number, "row", "BadHeader",
-                                       f"expected {len(_CSV_COLUMNS)} cells, "
-                                       f"got {len(cells)}"))
-            continue
-        (name, year_text, reference, category, material_text, mass_text,
-         n_override_text, f0_text, sqrt_sf_text, sqrt_sa_text, temp_text,
-         quality_text, mode, location, secondhand_text, notes) = cells
-        row_problems: list[Diagnostic] = []
-
-        if name in seen:
-            row_problems.append(Diagnostic(row_number, "name", "DuplicateName",
-                                           f"duplicate record name {name!r}"))
-        try:
-            year = int(year_text)
-        except ValueError:
-            row_problems.append(Diagnostic(row_number, "year", "BadNumber",
-                                           f"not a year: {year_text!r}"))
-            year = 0
-        material = None
-        try:
-            material = parse_material(material_text)
-        except (MaterialError, FormulaError) as exc:
-            row_problems.append(Diagnostic(row_number, "material", "BadMaterial",
-                                           str(exc)))
-        mass_kg = _parse_optional_float(mass_text, "mass_kg",
-                                        row_number, row_problems)
-        if mass_kg is None and not any(p.column == "mass_kg" for p in row_problems):
-            row_problems.append(Diagnostic(row_number, "mass_kg", "MissingRequired",
-                                           "mass_kg must not be empty"))
-        n_override = _parse_optional_float(n_override_text, "n_override",
-                                           row_number, row_problems)
-        f0_hz = _parse_optional_float(f0_text, "f0_hz",
-                                      row_number, row_problems)
-        sqrt_sf = _parse_optional_float(sqrt_sf_text, "sqrt_sf",
-                                        row_number, row_problems)
-        sqrt_sa = _parse_optional_float(sqrt_sa_text, "sqrt_sa",
-                                        row_number, row_problems)
-        temp_k = _parse_optional_float(temp_text, "temp_k",
-                                       row_number, row_problems)
-        quality = _parse_optional_float(quality_text, "quality",
-                                        row_number, row_problems)
-        secondhand = False
-        if secondhand_text in ("true", "false"):
-            secondhand = secondhand_text == "true"
-        else:
-            row_problems.append(Diagnostic(row_number, "secondhand", "BadFlag",
-                                           "secondhand must be true or false, "
-                                           f"got {secondhand_text!r}"))
-
-        fields = (name, year, reference, category, material, mass_kg,
-                  n_override, f0_hz, sqrt_sf, sqrt_sa, temp_k, quality,
-                  mode, location, secondhand, notes)
-        # Every row's fields are checked once, here, so every problem shows
-        # at once; a clean row then skips the record's own check.
-        if mass_kg is not None:
-            row_problems += _validate_fields(row_number, fields)
-        if row_problems:
-            problems.extend(row_problems)
-            continue
-        seen.add(name)
-        records.append(tuple.__new__(ExperimentRecord, fields))
-
+    row_number = -1  # the last row read; the header is row 0
+    try:
+        header = next(reader, None)
+        row_number = 0
+        if header != list(_CSV_COLUMNS):
+            raise CatalogError((
+                Diagnostic(0, "header", "BadHeader",
+                           f"header must be exactly {CSV_HEADER!r}"),
+            ))
+        for row_number, cells in enumerate(reader, start=1):
+            record = _parse_row(row_number, cells, seen, problems)
+            if record is not None:
+                seen.add(record.name)
+                records.append(record)
+    except csv.Error as exc:
+        problems.append(Diagnostic(row_number + 1, "row", "BadCsv", str(exc)))
+        raise CatalogError(tuple(problems)) from None
+    if row_number == 0:
+        raise CatalogError((
+            Diagnostic(0, "file", "NoRecords", "records file holds no records"),
+        ))
     if problems:
         raise CatalogError(tuple(problems))
     # Names were checked row by row above, so the catalog skips its own check.
     catalog = object.__new__(Catalog)
     catalog._records = tuple(records)
     return catalog
+
+
+def _parse_row(row_number: int, cells: list[str], seen: set[str],
+               problems: list[Diagnostic]) -> ExperimentRecord | None:
+    """One data row's record, or None after adding its problems."""
+    if len(cells) != len(_CSV_COLUMNS):
+        problems.append(Diagnostic(row_number, "row", "BadHeader",
+                                   f"expected {len(_CSV_COLUMNS)} cells, "
+                                   f"got {len(cells)}"))
+        return None
+    (name, year_text, reference, category, material_text, mass_text,
+     n_override_text, f0_text, sqrt_sf_text, sqrt_sa_text, temp_text,
+     quality_text, mode, location, secondhand_text, notes) = cells
+    row_problems: list[Diagnostic] = []
+
+    if name in seen:
+        row_problems.append(Diagnostic(row_number, "name", "DuplicateName",
+                                       f"duplicate record name {name!r}"))
+    try:
+        year = int(year_text)
+    except ValueError:
+        row_problems.append(Diagnostic(row_number, "year", "BadNumber",
+                                       f"not a year: {year_text!r}"))
+        year = 0
+    material = None
+    try:
+        material = parse_material(material_text)
+    except (MaterialError, FormulaError) as exc:
+        row_problems.append(Diagnostic(row_number, "material", "BadMaterial",
+                                       str(exc)))
+    mass_kg = _parse_optional_float(mass_text, "mass_kg",
+                                    row_number, row_problems)
+    if mass_kg is None and not any(p.column == "mass_kg" for p in row_problems):
+        row_problems.append(Diagnostic(row_number, "mass_kg", "MissingRequired",
+                                       "mass_kg must not be empty"))
+    n_override = _parse_optional_float(n_override_text, "n_override",
+                                       row_number, row_problems)
+    f0_hz = _parse_optional_float(f0_text, "f0_hz",
+                                  row_number, row_problems)
+    sqrt_sf = _parse_optional_float(sqrt_sf_text, "sqrt_sf",
+                                    row_number, row_problems)
+    sqrt_sa = _parse_optional_float(sqrt_sa_text, "sqrt_sa",
+                                    row_number, row_problems)
+    temp_k = _parse_optional_float(temp_text, "temp_k",
+                                   row_number, row_problems)
+    quality = _parse_optional_float(quality_text, "quality",
+                                    row_number, row_problems)
+    secondhand = False
+    if secondhand_text in ("true", "false"):
+        secondhand = secondhand_text == "true"
+    else:
+        row_problems.append(Diagnostic(row_number, "secondhand", "BadFlag",
+                                       "secondhand must be true or false, "
+                                       f"got {secondhand_text!r}"))
+
+    # The vocabulary cells and the per-source reference repeat across rows,
+    # so equal cells share one string.
+    intern = sys.intern
+    fields = (name, year, intern(reference), intern(category), material,
+              mass_kg, n_override, f0_hz, sqrt_sf, sqrt_sa, temp_k, quality,
+              intern(mode), intern(location), secondhand, notes)
+    # Every row's fields are checked once, here, so every problem shows
+    # at once; a clean row then skips the record's own check.
+    if mass_kg is not None:
+        row_problems += _validate_fields(row_number, fields)
+    if row_problems:
+        problems.extend(row_problems)
+        return None
+    return tuple.__new__(ExperimentRecord, fields)
 
 
 def _float_cell(value: float | None) -> str:

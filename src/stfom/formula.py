@@ -105,7 +105,7 @@ _TERM_RE = re.compile(r"([A-Z][a-z]?)([0-9]*)")
 _CHARGE_RE = re.compile(r"([0-9]*)([+-])$")
 
 @lru_cache(maxsize=4096)
-def parse_formula(text: str) -> Formula:
+def parse_formula(text: str, /) -> Formula:
     """Parse formula text, validating every symbol against the standard
     atomic weights.
 
@@ -198,7 +198,7 @@ _WHITESPACE_RE = re.compile(r"\s")
 
 
 @lru_cache(maxsize=4096)
-def parse_material(text: str) -> MaterialSpec:
+def parse_material(text: str, /) -> MaterialSpec:
     """Parse a bare formula or a 'frac*Formula+frac*Formula' mixture.
 
     Equal texts return the same MaterialSpec.

@@ -1,6 +1,9 @@
+import io
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from stfom import (
     CATEGORIES,
@@ -19,7 +22,7 @@ from stfom import (
     select_for_figure,
     serialize_records,
 )
-from stfom.catalog import best_record
+from stfom.catalog import _lines, best_record
 
 GOOD_ROW = (
     "Probe '21,2021,synthetic,membrane,Si3N4,1e-9,,1e3,1e-15,,300,1e4,"
@@ -326,3 +329,68 @@ def test_best_record_is_the_first_ranked(catalog, results, which):
 def test_best_record_of_an_empty_selection_is_none(catalog, results):
     differential = Catalog(tuple(r for r in catalog if r.mode == "differential"))
     assert best_record(differential, results, "absolute-on-earth") is None
+
+
+# ------------------------------------------------------------ streaming parse
+
+@given(st.text(alphabet="a,\"\n\r\x0b\u2028é"))
+@example("")
+@example("a\nb")
+@example("a\r\nb\u2028c\n")
+def test_lines_split_as_a_string_buffer_does(text):
+    # Only "\n" ends a line; a bare "\r", "\x0b" or "\u2028" does not.
+    assert list(_lines(text)) == list(io.StringIO(text))
+
+
+def test_parse_holds_no_copy_of_the_text(catalog):
+    survey = Catalog(tuple(
+        record._replace(name=f"{record.name} #{copy}")
+        for copy in range(44) for record in catalog
+    )[:2000])
+    text = serialize_records(survey)
+    parse_records(text)  # fill the material cache first
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        parsed = parse_records(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert parsed == survey
+    assert peak - retained < len(text)
+
+
+def test_equal_repeated_cells_share_one_string():
+    first, second = parse_records(_records_text(
+        GOOD_ROW.replace("synthetic", "Probe et al. (2021)"),
+        GOOD_ROW.replace("Probe '21", "Probe 2").replace("synthetic",
+                                                          "Probe et al. (2021)"),
+    ))
+    for column in ("reference", "category", "mode", "location"):
+        assert getattr(first, column) == getattr(second, column)
+        assert getattr(first, column) is getattr(second, column)
+
+
+_OVERLONG = "x" * 200_000  # longer than the csv module's field limit
+
+
+@pytest.mark.parametrize("text, expected", [
+    (_records_text(GOOD_ROW.replace("synthetic", _OVERLONG)),
+     [(1, "row", "BadCsv")]),
+    (_OVERLONG + "\n" + GOOD_ROW + "\n", [(0, "row", "BadCsv")]),
+    (_records_text(GOOD_ROW.replace("2021", "20x1"),
+                   GOOD_ROW.replace("Probe '21", "Probe 2").replace("synthetic",
+                                                                    _OVERLONG),
+                   GOOD_ROW.replace("2021", "20y1")),
+     [(1, "year", "BadNumber"), (2, "row", "BadCsv")]),
+    (_records_text(GOOD_ROW.replace("membrane", "mem\rbrane")),
+     [(1, "row", "BadCsv")]),
+])
+def test_unreadable_csv_is_a_diagnostic(text, expected):
+    # Reading stops at the bad row; the problems found before it are kept.
+    with pytest.raises(CatalogError) as err:
+        parse_records(text)
+    assert [(d.row, d.column, d.code) for d in err.value.diagnostics] == expected

@@ -177,6 +177,21 @@ def test_header_only_records_file_is_refused_by_every_record_command(
     assert list(tmp_path.iterdir()) == [records]
 
 
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+def test_overlong_cell_is_a_diagnostic(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    records = tmp_path / "records.csv"
+    records.write_text(CSV_HEADER + "\nBig,2021," + "x" * 200_000
+                       + ",membrane,Si3N4,1e-9,,1e3,1e-15,,,,absolute,earth,false,\n",
+                       encoding="utf-8")
+    assert main([command, "--records", str(records)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("row 1, column row: BadCsv: "
+                   "field larger than field limit (131072)\n")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [records]
+
+
 # Every number is finite, but a derived one is not: the squared acceleration
 # density underflows, a subnormal mass overflows it, a 0 K thermal row has a
 # zero floor, and the nucleus count of 1e300 kg of lead overflows.  Only the

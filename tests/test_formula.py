@@ -346,6 +346,16 @@ def test_equal_formula_texts_share_one_formula():
     assert first[0][0] is second[1][0] and first[1][0] is second[0][0]
 
 
+def test_formula_text_is_positional_only():
+    # The cache keys a keyword call apart from a positional one, so a
+    # keyword would fill a second slot for the same text.
+    for parse in (parse_formula, parse_material):
+        before = parse.cache_info().currsize
+        with pytest.raises(TypeError):
+            parse(text="SiO2")
+        assert parse.cache_info().currsize == before
+
+
 @pytest.mark.parametrize("text", ["Xq2", "Si0", "", "si"])
 def test_bad_formula_text_raises_on_every_call(text):
     for parse in (parse_formula, parse_material):
