@@ -20,7 +20,7 @@ import math
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import NegativeInputError, NonPositiveError, _Checked
+from .errors import NegativeInputError, NonPositiveError, OutOfRangeError, _Checked
 from .quantities import Constants
 
 # Figure of merit of the classic Cavendish torsion balance, the baseline
@@ -55,7 +55,7 @@ class BoundAnchor(_Checked, _AnchorFields):
     def _check(self) -> None:
         for name in ("fom_ref", "bound_ref", "lower_bound"):
             value = getattr(self, name)
-            if value <= 0.0:
+            if not 0.0 < value < math.inf:
                 raise NonPositiveError(name, value)
 
 
@@ -76,15 +76,23 @@ DEFAULT_ANCHORS: MappingProxyType[ModelId, BoundAnchor] = MappingProxyType({
 
 
 def si_bound(model: ModelId, fom: float, constants: Constants | None = None) -> float:
-    """Dimensionless bound from the raw SI constant combination."""
+    """Dimensionless bound from the raw SI constant combination; a bound
+    that is not a finite float > 0 raises OutOfRangeError."""
     if fom < 0.0:
         raise NegativeInputError("fom", fom)
     if constants is None:
         constants = Constants()
+    # Products overflow to inf and underflow to 0 where ** and / raise.
+    r_squared = constants.r_N * constants.r_N
     g_squared = constants.G * constants.G
     if model is ModelId.ULTRA_LOCAL_DISCRETE:
-        return fom * constants.r_N**4 / (constants.m_N * g_squared)
-    return fom * constants.r_N**3 / g_squared
+        numerator, denominator = fom * r_squared * r_squared, constants.m_N * g_squared
+    else:
+        numerator, denominator = fom * r_squared * constants.r_N, g_squared
+    bound = numerator / denominator if denominator else math.inf
+    if not 0.0 < bound < math.inf:
+        raise OutOfRangeError(model.value, "si_bound", bound)
+    return bound
 
 
 def anchored_bound(fom: float, anchor: BoundAnchor) -> float:

@@ -10,10 +10,10 @@ problem yields no catalog.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import (
@@ -52,6 +52,15 @@ RecordFilter = Literal["all", "absolute-on-earth"]
 
 # A subnormal mass loses precision and overflows the densities divided by it.
 _SMALLEST_NORMAL = sys.float_info.min
+
+
+def _is_xml_text(text: str) -> bool:
+    """Whether XML 1.0 can hold text, as figure.svg must hold each name: no
+    escape represents a C0 control other than tab, LF and CR, a surrogate,
+    U+FFFE or U+FFFF.  Printable text always can."""
+    return text.isprintable() or all(
+        c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
+        or c >= "\U00010000" for c in text)
 
 
 class _RecordFields(NamedTuple):
@@ -94,7 +103,8 @@ class ExperimentRecord(_Checked, _RecordFields):
 
 def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
     """Every problem of one record's fields, given in ExperimentRecord
-    order; the material is not read, so it may be None."""
+    order; the material is not read, so it may be None.  Each chained
+    comparison also refuses NaN and the infinities."""
     (name, _, _, category, _, mass_kg, n_override, f0_hz, sqrt_sf, sqrt_sa,
      temp_k, quality, mode, location, _, _) = fields
     problems: list[Diagnostic] = []
@@ -104,37 +114,43 @@ def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
 
     if not name:
         bad("name", "MissingRequired", "record name must not be empty")
+    elif not _is_xml_text(name):
+        bad("name", "BadName",
+            f"record name {name!r} holds a character XML 1.0 cannot represent")
     if category not in _CATEGORY_SET:
         bad("category", "BadCategory", f"unknown category {category!r}")
-    mass_ok = math.isfinite(mass_kg) and mass_kg >= _SMALLEST_NORMAL
-    if not (math.isfinite(mass_kg) and mass_kg > 0.0):
-        bad("mass_kg", "BadNumber", f"mass must be > 0, got {mass_kg!r}")
+    mass_ok = _SMALLEST_NORMAL <= mass_kg < math.inf
+    if not 0.0 < mass_kg < math.inf:
+        bad("mass_kg", "BadNumber", f"mass must be finite and > 0, got {mass_kg!r}")
     elif not mass_ok:
         bad("mass_kg", "BadNumber",
             f"mass must be at least {_SMALLEST_NORMAL!r}, got {mass_kg!r}")
-    if n_override is not None and n_override < 1.0:
-        bad("n_override", "BadNumber", f"nucleus count must be >= 1, got {n_override!r}")
-    if f0_hz is not None and f0_hz <= 0.0:
-        bad("f0_hz", "BadNumber", f"resonance frequency must be > 0, got {f0_hz!r}")
+    if n_override is not None and not 1.0 <= n_override < math.inf:
+        bad("n_override", "BadNumber",
+            f"nucleus count must be finite and >= 1, got {n_override!r}")
+    if f0_hz is not None and not 0.0 < f0_hz < math.inf:
+        bad("f0_hz", "BadNumber", f"resonance frequency must be finite and > 0, got {f0_hz!r}")
+    sf_ok = sqrt_sf is not None and 0.0 < sqrt_sf < math.inf
+    sa_ok = sqrt_sa is not None and 0.0 < sqrt_sa < math.inf
     if sqrt_sf is None and sqrt_sa is None:
         bad("sqrt_sf", "MissingRequired", "need sqrt_sf or sqrt_sa")
-    if sqrt_sf is not None and sqrt_sf <= 0.0:
-        bad("sqrt_sf", "BadNumber", f"noise density must be > 0, got {sqrt_sf!r}")
-    if sqrt_sa is not None and sqrt_sa <= 0.0:
-        bad("sqrt_sa", "BadNumber", f"noise density must be > 0, got {sqrt_sa!r}")
+    if sqrt_sf is not None and not sf_ok:
+        bad("sqrt_sf", "BadNumber", f"noise density must be finite and > 0, got {sqrt_sf!r}")
+    if sqrt_sa is not None and not sa_ok:
+        bad("sqrt_sa", "BadNumber", f"noise density must be finite and > 0, got {sqrt_sa!r}")
     # The FOM squares the authoritative acceleration density.
     accel = None
-    if sqrt_sf is not None and sqrt_sf > 0.0 and mass_ok:
+    if sf_ok and mass_ok:
         column, accel = "sqrt_sf", sqrt_sf / mass_kg
-    elif sqrt_sf is None and sqrt_sa is not None and sqrt_sa > 0.0:
+    elif sqrt_sf is None and sa_ok:
         column, accel = "sqrt_sa", sqrt_sa
     if accel is not None and not 0.0 < accel * accel < math.inf:
         bad(column, "BadNumber",
             f"acceleration density {accel!r} squared is not a finite float > 0")
-    if temp_k is not None and temp_k <= 0.0:
-        bad("temp_k", "BadNumber", f"temperature must be > 0, got {temp_k!r}")
-    if quality is not None and quality <= 0.0:
-        bad("quality", "BadNumber", f"quality factor must be > 0, got {quality!r}")
+    if temp_k is not None and not 0.0 < temp_k < math.inf:
+        bad("temp_k", "BadNumber", f"temperature must be finite and > 0, got {temp_k!r}")
+    if quality is not None and not 0.0 < quality < math.inf:
+        bad("quality", "BadNumber", f"quality factor must be finite and > 0, got {quality!r}")
     if mode not in ("absolute", "differential"):
         bad("mode", "BadMode", f"mode must be absolute or differential, got {mode!r}")
     if location not in ("earth", "space"):
@@ -142,41 +158,27 @@ def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
     return problems
 
 
-class Catalog:
-    """An ordered, uniquely named, immutable collection of experiment records;
-    catalogs with equal records are equal."""
+class Catalog(tuple):
+    """An ordered, uniquely named tuple of experiment records; it equals a
+    plain tuple of the same records."""
 
-    __slots__ = ("_records",)
+    __slots__ = ()
 
-    def __init__(self, records: tuple[ExperimentRecord, ...]) -> None:
+    def __new__(cls, records: Iterable[ExperimentRecord]) -> Catalog:
+        self = super().__new__(cls, records)
         seen: set[str] = set()
         problems: list[Diagnostic] = []
-        for index, record in enumerate(records, start=1):
+        for index, record in enumerate(self, start=1):
             if record.name in seen:
-                problems.append(
-                    Diagnostic(index, "name", "DuplicateName",
-                               f"duplicate record name {record.name!r}")
-                )
+                problems.append(Diagnostic(index, "name", "DuplicateName",
+                                           f"duplicate record name {record.name!r}"))
             seen.add(record.name)
         if problems:
             raise CatalogError(tuple(problems))
-        self._records = records
-
-    def __eq__(self, other):
-        return (self._records == other._records if isinstance(other, Catalog)
-                else NotImplemented)
-
-    def __hash__(self) -> int:
-        return hash(self._records)
+        return self
 
     def __repr__(self) -> str:
-        return f"Catalog(records={self._records!r})"
-
-    def __iter__(self) -> Iterator[ExperimentRecord]:
-        return iter(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
+        return f"Catalog(records={tuple.__repr__(self)})"
 
 
 def _parse_optional_float(text: str, column: str, row: int,
@@ -184,16 +186,11 @@ def _parse_optional_float(text: str, column: str, row: int,
     if not text:
         return None
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         problems.append(Diagnostic(row, column, "BadNumber",
                                    f"not a number: {text!r}"))
         return None
-    if not math.isfinite(value):
-        problems.append(Diagnostic(row, column, "BadNumber",
-                                   f"value must be finite, got {text!r}"))
-        return None
-    return value
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -229,7 +226,6 @@ def parse_records(text: str) -> Catalog:
         for row_number, cells in enumerate(reader, start=1):
             record = _parse_row(row_number, cells, seen, problems)
             if record is not None:
-                seen.add(record.name)
                 records.append(record)
     except csv.Error as exc:
         problems.append(Diagnostic(row_number + 1, "row", "BadCsv", str(exc)))
@@ -241,16 +237,14 @@ def parse_records(text: str) -> Catalog:
     if problems:
         raise CatalogError(tuple(problems))
     # Names were checked row by row above, so the catalog skips its own check.
-    catalog = object.__new__(Catalog)
-    catalog._records = tuple(records)
-    return catalog
+    return tuple.__new__(Catalog, records)
 
 
-def _parse_row(row_number: int, cells: list[str], seen: set[str],
+def _parse_row(row: int, cells: list[str], seen: set[str],
                problems: list[Diagnostic]) -> ExperimentRecord | None:
     """One data row's record, or None after adding its problems."""
     if len(cells) != len(_CSV_COLUMNS):
-        problems.append(Diagnostic(row_number, "row", "BadHeader",
+        problems.append(Diagnostic(row, "row", "BadHeader",
                                    f"expected {len(_CSV_COLUMNS)} cells, "
                                    f"got {len(cells)}"))
         return None
@@ -260,42 +254,36 @@ def _parse_row(row_number: int, cells: list[str], seen: set[str],
     row_problems: list[Diagnostic] = []
 
     if name in seen:
-        row_problems.append(Diagnostic(row_number, "name", "DuplicateName",
+        row_problems.append(Diagnostic(row, "name", "DuplicateName",
                                        f"duplicate record name {name!r}"))
+    elif name:  # claimed even if the row has other problems
+        seen.add(name)
     try:
         year = int(year_text)
     except ValueError:
-        row_problems.append(Diagnostic(row_number, "year", "BadNumber",
+        row_problems.append(Diagnostic(row, "year", "BadNumber",
                                        f"not a year: {year_text!r}"))
         year = 0
     material = None
     try:
         material = parse_material(material_text)
     except (MaterialError, FormulaError) as exc:
-        row_problems.append(Diagnostic(row_number, "material", "BadMaterial",
-                                       str(exc)))
-    mass_kg = _parse_optional_float(mass_text, "mass_kg",
-                                    row_number, row_problems)
-    if mass_kg is None and not any(p.column == "mass_kg" for p in row_problems):
-        row_problems.append(Diagnostic(row_number, "mass_kg", "MissingRequired",
+        row_problems.append(Diagnostic(row, "material", "BadMaterial", str(exc)))
+    mass_kg = _parse_optional_float(mass_text, "mass_kg", row, row_problems)
+    if not mass_text:
+        row_problems.append(Diagnostic(row, "mass_kg", "MissingRequired",
                                        "mass_kg must not be empty"))
-    n_override = _parse_optional_float(n_override_text, "n_override",
-                                       row_number, row_problems)
-    f0_hz = _parse_optional_float(f0_text, "f0_hz",
-                                  row_number, row_problems)
-    sqrt_sf = _parse_optional_float(sqrt_sf_text, "sqrt_sf",
-                                    row_number, row_problems)
-    sqrt_sa = _parse_optional_float(sqrt_sa_text, "sqrt_sa",
-                                    row_number, row_problems)
-    temp_k = _parse_optional_float(temp_text, "temp_k",
-                                   row_number, row_problems)
-    quality = _parse_optional_float(quality_text, "quality",
-                                    row_number, row_problems)
+    n_override = _parse_optional_float(n_override_text, "n_override", row, row_problems)
+    f0_hz = _parse_optional_float(f0_text, "f0_hz", row, row_problems)
+    sqrt_sf = _parse_optional_float(sqrt_sf_text, "sqrt_sf", row, row_problems)
+    sqrt_sa = _parse_optional_float(sqrt_sa_text, "sqrt_sa", row, row_problems)
+    temp_k = _parse_optional_float(temp_text, "temp_k", row, row_problems)
+    quality = _parse_optional_float(quality_text, "quality", row, row_problems)
     secondhand = False
     if secondhand_text in ("true", "false"):
         secondhand = secondhand_text == "true"
     else:
-        row_problems.append(Diagnostic(row_number, "secondhand", "BadFlag",
+        row_problems.append(Diagnostic(row, "secondhand", "BadFlag",
                                        "secondhand must be true or false, "
                                        f"got {secondhand_text!r}"))
 
@@ -308,7 +296,7 @@ def _parse_row(row_number: int, cells: list[str], seen: set[str],
     # Every row's fields are checked once, here, so every problem shows
     # at once; a clean row then skips the record's own check.
     if mass_kg is not None:
-        row_problems += _validate_fields(row_number, fields)
+        row_problems += _validate_fields(row, fields)
     if row_problems:
         problems.extend(row_problems)
         return None
@@ -321,8 +309,10 @@ def _float_cell(value: float | None) -> str:
 
 def serialize_records(catalog: Catalog) -> str:
     """Render a Catalog as CSV text; inverse of parse_records."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    rows: list[str] = []
+    # A "\r\n" terminator makes the writer quote a cell holding a bare
+    # "\r", which the reader refuses unquoted; each row then ends in "\n".
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
     writer.writerow(_CSV_COLUMNS)
     for r in catalog:
         writer.writerow([
@@ -333,7 +323,7 @@ def serialize_records(catalog: Catalog) -> str:
             _float_cell(r.temp_k), _float_cell(r.quality),
             r.mode, r.location, "true" if r.secondhand else "false", r.notes,
         ])
-    return out.getvalue()
+    return "".join(row[:-2] + "\n" for row in rows)
 
 
 def _filtered(catalog: Catalog, which: RecordFilter) -> list[ExperimentRecord]:

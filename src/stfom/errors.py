@@ -68,12 +68,12 @@ class NegativeInputError(StfomError):
 
 
 class OutOfRangeError(StfomError):
-    """A record's derived value is zero, infinite or NaN as a float."""
+    """A record's derived value, or a model's bound, is 0, inf or NaN."""
 
     def __init__(self, record: str, name: str, value: float):
         super().__init__(
             f"{record}: {name} is {value!r}, outside the range of a float; "
-            "the record's inputs are too large or too small"
+            "the values it is computed from are too large or too small"
         )
         self.record = record
         self.name = name

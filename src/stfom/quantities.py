@@ -63,7 +63,7 @@ class Constants(_Checked, _ConstantsFields):
 
     def _check(self) -> None:
         for name, value in zip(self._fields, self):
-            if not math.isfinite(value) or value <= 0.0:
+            if not 0.0 < value < math.inf:
                 raise NonPositiveError(name, value)
 
 
@@ -75,9 +75,9 @@ def load_constants(text: str) -> Constants:
 
     The format is line oriented UTF-8: blank lines and '#' comments are
     ignored, every other line is 'name value' separated by whitespace.
-    Only the five known constant names are accepted; values must be
-    strictly positive.  A later line for the same name overrides an
-    earlier one.
+    Only the five known constant names are accepted.  A later line for
+    the same name overrides an earlier one; Constants then refuses a
+    value that is not a finite float > 0, in field order.
     """
     overrides: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,8 +98,6 @@ def load_constants(text: str) -> Constants:
             raise ConstantsError(
                 f"line {lineno}: bad numeric value {value_text!r} for {name}"
             ) from None
-        if not math.isfinite(value) or value <= 0.0:
-            raise NonPositiveError(name, value)
         overrides[name] = value
     return Constants(**overrides)
 

@@ -11,6 +11,7 @@ from stfom import (
     ModelId,
     NegativeInputError,
     NonPositiveError,
+    OutOfRangeError,
     anchored_bound,
     fom_threshold,
     orders_of_improvement,
@@ -127,6 +128,19 @@ def test_negative_and_zero_inputs_rejected():
         orders_of_improvement(0.0)
     with pytest.raises(NonPositiveError):
         orders_of_improvement(1.0, 0.0)
+
+
+@pytest.mark.parametrize("fom, constants", [
+    (0.0, Constants()),
+    (1.0, Constants(G=1e-200)),
+    (1.0, Constants(m_N=1e-320)),
+    (1.0, Constants(r_N=1e100)),
+    (1.0, Constants(G=1e200)),
+])
+def test_si_bound_outside_the_range_of_a_float_raises(fom, constants):
+    with pytest.raises(OutOfRangeError) as err:
+        si_bound(DISCRETE, fom, constants)
+    assert (err.value.record, err.value.name) == ("ultra-local-discrete", "si_bound")
 
 
 def test_anchor_validation():

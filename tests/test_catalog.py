@@ -1,9 +1,10 @@
 import io
+import math
 import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stfom import (
     CATEGORIES,
@@ -201,6 +202,121 @@ def test_catalog_rejects_duplicate_names():
     with pytest.raises(CatalogError) as err:
         Catalog((record, record))
     assert err.value.diagnostics[0].code == "DuplicateName"
+
+
+def test_catalog_is_a_tuple_of_its_records(catalog):
+    records = tuple(catalog)
+    assert isinstance(catalog, tuple)
+    assert catalog == records and hash(catalog) == hash(records)
+    assert Catalog(iter(records)) == catalog
+    assert type(Catalog(iter(records))) is Catalog
+    assert repr(Catalog(())) == "Catalog(records=())"
+
+
+def _probe(**fields):
+    base = dict(name="Probe", year=2021, reference="", category="membrane",
+                material=parse_material("Si3N4"), mass_kg=1e-9, sqrt_sf=1e-15)
+    return ExperimentRecord(**{**base, **fields})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [
+    "n_override", "f0_hz", "sqrt_sf", "sqrt_sa", "temp_k", "quality"])
+def test_hand_built_record_refuses_non_finite_numbers(column, value):
+    # A parsed row gets the same check, so nothing serialize_records
+    # writes is refused on the way back.
+    with pytest.raises(CatalogError) as err:
+        _probe(**{column: value})
+    assert [(d.row, d.column, d.code) for d in err.value.diagnostics] == [
+        (0, column, "BadNumber")]
+
+
+@pytest.mark.parametrize("name", ["X\x01Y", "nul\x00", "esc\x1b", "bad\ufffe",
+                                  "bad\uffff", "lone\ud800surrogate"])
+def test_name_that_xml_cannot_hold_is_refused(name):
+    with pytest.raises(CatalogError) as err:
+        parse_records(_records_text(GOOD_ROW.replace("Probe '21", name)))
+    assert [(d.row, d.column, d.code) for d in err.value.diagnostics] == [
+        (1, "name", "BadName")]
+    with pytest.raises(CatalogError):
+        _probe(name=name)
+
+
+def test_name_may_hold_tab_newline_and_astral_characters():
+    for name in ("tab\there", "line\nbreak", "cr\rname", "\U0001f52d scope",
+                 "\ufffd"):
+        assert _probe(name=name).name == name
+
+
+def test_duplicate_name_is_reported_beside_the_first_rows_problems():
+    bad = _records_text(GOOD_ROW.replace("absolute", "sideways"), GOOD_ROW)
+    with pytest.raises(CatalogError) as err:
+        parse_records(bad)
+    assert [(d.row, d.column, d.code) for d in err.value.diagnostics] == [
+        (1, "mode", "BadMode"), (2, "name", "DuplicateName")]
+
+
+def test_missing_names_are_not_duplicates():
+    blank = GOOD_ROW.replace("Probe '21", "")
+    with pytest.raises(CatalogError) as err:
+        parse_records(_records_text(blank, blank))
+    assert [(d.row, d.column, d.code) for d in err.value.diagnostics] == [
+        (1, "name", "MissingRequired"), (2, "name", "MissingRequired")]
+
+
+def test_bare_carriage_return_survives_the_round_trip():
+    record = _probe(name="a\rb", reference="\r", notes="c\r")
+    text = serialize_records(Catalog((record,)))
+    row = text.split("\n")[1]
+    assert row.startswith('"a\rb",2021,"\r",') and row.endswith(',"c\r"')
+    assert tuple(parse_records(text)) == (record,)
+
+
+_MATERIALS = ("Si3N4", "SiO2", "Au", "Mg+", "Nd2Fe14B", "0.8*SiO2+0.2*B2O3",
+              "0.25*C+0.75*Si")
+# Any float, NaN and infinities included, though mostly a plain one.
+_FLOAT = st.floats(1e-30, 1e30) | st.floats(1e-300, 1e300) | st.floats()
+_OPTIONAL_FLOAT = st.none() | _FLOAT
+
+
+@st.composite
+def _records(draw):
+    """Fields of the annotated types, any text and any float; about one
+    draw in six constructs."""
+    return dict(
+        name=draw(st.text(min_size=1)
+                  | st.text(st.characters(exclude_categories=()), min_size=1)),
+        year=draw(st.integers(-9999, 9999)),
+        reference=draw(st.text()),
+        category=draw(st.sampled_from(CATEGORIES)),
+        material=parse_material(draw(st.sampled_from(_MATERIALS))),
+        mass_kg=draw(_FLOAT),
+        n_override=draw(_OPTIONAL_FLOAT),
+        f0_hz=draw(_OPTIONAL_FLOAT),
+        sqrt_sf=draw(_OPTIONAL_FLOAT),
+        sqrt_sa=draw(_OPTIONAL_FLOAT),
+        temp_k=draw(_OPTIONAL_FLOAT),
+        quality=draw(_OPTIONAL_FLOAT),
+        mode=draw(st.sampled_from(("absolute", "differential"))),
+        location=draw(st.sampled_from(("earth", "space"))),
+        secondhand=draw(st.booleans()),
+        notes=draw(st.text()),
+    )
+
+
+@settings(max_examples=300)
+@given(_records())
+@example(dict(name="Probe", year=2021, reference="", category="membrane",
+              material=parse_material("Si3N4"), mass_kg=1e-9, n_override=None,
+              f0_hz=None, sqrt_sf=1e-15, sqrt_sa=math.nan, temp_k=None,
+              quality=None, mode="absolute", location="earth",
+              secondhand=False, notes=""))
+def test_every_record_that_constructs_round_trips(fields):
+    try:
+        record = ExperimentRecord(**fields)
+    except CatalogError:
+        return
+    assert tuple(parse_records(serialize_records(Catalog((record,))))) == (record,)
 
 
 def test_rank_is_ascending_and_total(catalog, results):

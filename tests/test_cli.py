@@ -161,7 +161,8 @@ def test_zero_noise_density_is_rejected_by_every_record_command(
     records.write_text(CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
     assert main([command, "--records", str(records)]) == 1
     assert capsys.readouterr().err == (
-        f"row 1, column {column}: BadNumber: noise density must be > 0, got 0.0\n")
+        f"row 1, column {column}: BadNumber: "
+        "noise density must be finite and > 0, got 0.0\n")
     assert list(tmp_path.iterdir()) == [records]
 
 
@@ -274,6 +275,26 @@ def test_constants_override_moves_si_bounds_only(tmp_path, capsys):
                  "non-local-continuous.conservative_bound",
                  "conservative_fom"):
         assert scaled[same] == plain[same]
+
+
+# Each constant is a finite float > 0, so validate accepts it, but an SI
+# bound leaves the range of a float: G**2 or m_N * G**2 underflows to 0,
+# r_N**4 overflows, or the bound itself underflows to 0.
+@pytest.mark.parametrize("line", ["G 1e-200", "m_N 1e-320", "r_N 1e100", "G 1e200"])
+@pytest.mark.parametrize("command", ["compute", "bounds"])
+def test_si_bound_out_of_range_is_a_diagnostic(tmp_path, capsys, monkeypatch,
+                                               command, line):
+    monkeypatch.chdir(tmp_path)
+    constants = tmp_path / "constants.txt"
+    constants.write_text(line + "\n", encoding="utf-8")
+    assert main(["validate", "--constants", str(constants)]) == 0
+    capsys.readouterr()
+    assert main([command, "--constants", str(constants)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ultra-local-discrete: si_bound is ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in out + err and "0.00e0" not in out + err
+    assert list(tmp_path.iterdir()) == [constants]
 
 
 def test_bad_constants_file_is_validation_error(tmp_path, capsys):

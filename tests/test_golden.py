@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,11 @@ def test_outputs_match_golden_files(case, tmp_path):
     for name in FILES:
         expected = (GOLDEN / case / name).read_bytes()
         assert outputs[name] == expected, f"{case}/{name} differs from the golden file"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_figure_is_wellformed_xml(case):
+    ET.parse(GOLDEN / case / "figure.svg")
 
 
 def test_thermal_fixture_exercises_diamonds_and_warnings(tmp_path, capsys):

@@ -67,6 +67,13 @@ def test_load_constants_non_positive(line):
         load_constants(line)
 
 
+def test_load_constants_reports_the_first_bad_field_in_field_order():
+    with pytest.raises(NonPositiveError) as err:
+        load_constants("m_N -1\nk_B 0\n")
+    assert (err.value.name, err.value.value) == ("k_B", 0.0)
+    assert load_constants("G -1\nG 1e-10\n").G == 1e-10
+
+
 @pytest.mark.parametrize("line", ["G", "G 1 2", "G abc"])
 def test_load_constants_malformed(line):
     with pytest.raises(ConstantsError):

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from stfom import (
     CATEGORIES,
     Catalog,
+    CatalogError,
     EmptyInputError,
     ExperimentRecord,
     FigurePoint,
@@ -279,6 +280,21 @@ def test_figure_data_names_never_split_a_line():
     assert all(len(line.split()) == 5 for line in lines)
     assert [line.split()[0] for line in lines[::2]] == [
         "tab_here", "line_break", "crlf__name", "wide_space"]
+
+
+@given(st.text(st.characters(exclude_categories=()), min_size=1))
+@example("X\x01Y")
+@example("&<>\"'\t\r\n\U0001f52d")
+def test_figure_svg_parses_for_every_name_a_record_accepts(name):
+    try:
+        record = _edge_record(name=name)
+    except CatalogError:
+        return
+    point = FigurePoint(name=record.name, category=record.category,
+                        mass_kg=record.mass_kg, fom=1.0, marker="circle",
+                        thermal_fom=0.5)
+    svg, _ = emit_figure((point,))
+    ET.fromstring(svg)
 
 
 def test_figure_rejects_empty_selection():

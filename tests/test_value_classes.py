@@ -1,6 +1,7 @@
 """The contract every value class keeps: immutable fields, equality and
 hashing by value, a stable repr, and checks that no constructor skips."""
 
+import math
 import pickle
 
 import pytest
@@ -114,14 +115,20 @@ def test_catalog_repr_starts_with_its_records():
     )
 
 
-# The four classes that check their fields, each with one bad replacement
-# and the error its constructor raises for it.
+def _anchor():
+    return BoundAnchor(ModelId.NON_LOCAL_CONTINUOUS, 1.0, 1.0, 1.0)
+
+
+# The four classes that check their fields, each with bad replacements
+# and the error its constructor raises for them.
 CHECKED = {
     "Constants": (lambda: Constants(), {"G": 0.0}, NonPositiveError),
-    "BoundAnchor": (lambda: BoundAnchor(ModelId.NON_LOCAL_CONTINUOUS, 1.0, 1.0, 1.0),
-                    {"lower_bound": -1.0}, NonPositiveError),
+    "BoundAnchor": (_anchor, {"lower_bound": -1.0}, NonPositiveError),
+    "BoundAnchor-nan": (_anchor, {"fom_ref": math.nan}, NonPositiveError),
+    "BoundAnchor-inf": (_anchor, {"bound_ref": math.inf}, NonPositiveError),
     "MaterialSpec": (_mixture, {"components": ()}, MaterialError),
     "ExperimentRecord": (_record, {"mass_kg": -1.0}, CatalogError),
+    "ExperimentRecord-nan": (_record, {"sqrt_sa": math.nan}, CatalogError),
 }
 
 
