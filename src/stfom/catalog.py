@@ -10,6 +10,7 @@ problem yields no catalog.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from functools import lru_cache
@@ -309,21 +310,31 @@ def _float_cell(value: float | None) -> str:
 
 def serialize_records(catalog: Catalog) -> str:
     """Render a Catalog as CSV text; inverse of parse_records."""
-    rows: list[str] = []
-    # A "\r\n" terminator makes the writer quote a cell holding a bare
-    # "\r", which the reader refuses unquoted; each row then ends in "\n".
-    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
-    writer.writerow(_CSV_COLUMNS)
-    for r in catalog:
-        writer.writerow([
-            r.name, str(r.year), r.reference, r.category,
-            format_material(r.material), repr(r.mass_kg),
-            _float_cell(r.n_override), _float_cell(r.f0_hz),
-            _float_cell(r.sqrt_sf), _float_cell(r.sqrt_sa),
-            _float_cell(r.temp_k), _float_cell(r.quality),
-            r.mode, r.location, "true" if r.secondhand else "false", r.notes,
-        ])
-    return "".join(row[:-2] + "\n" for row in rows)
+    return _csv_text(_CSV_COLUMNS, ([
+        r.name, str(r.year), r.reference, r.category,
+        format_material(r.material), repr(r.mass_kg),
+        _float_cell(r.n_override), _float_cell(r.f0_hz),
+        _float_cell(r.sqrt_sf), _float_cell(r.sqrt_sa),
+        _float_cell(r.temp_k), _float_cell(r.quality),
+        r.mode, r.location, "true" if r.secondhand else "false", r.notes,
+    ] for r in catalog))
+
+
+def _csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
+    """CSV text of the header and the rows, each line ending in "\\n".
+
+    Each row is written as soon as rows yields it, so no list of lines is
+    held.  A "\\r\\n" terminator makes the writer quote a cell holding a
+    bare "\\r", which the reader refuses unquoted; each line's "\\r" is
+    then dropped before the line is stored.
+    """
+    out = io.StringIO()
+    write = out.write
+    writer = csv.writer(SimpleNamespace(write=lambda line: write(line[:-2] + "\n")),
+                        lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _filtered(catalog: Catalog, which: RecordFilter) -> list[ExperimentRecord]:

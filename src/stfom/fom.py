@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NegativeInputError, NonPositiveError, OutOfRangeError
 from .formula import nuclei_count
-from .quantities import BOLTZMANN, Constants, angular_frequency
+from .quantities import BOLTZMANN, Constants
 
 if TYPE_CHECKING:
     from .catalog import ExperimentRecord
@@ -171,82 +171,91 @@ def evaluate_record(
     noise below the thermal floor is physically suspect, so it is flagged
     with a warning rather than rejected.  A nucleus count, density, FOM or
     thermal floor that is not a finite float > 0 raises OutOfRangeError.
+
+    The arithmetic is that of accel_asd_from_force, force_asd_from_accel,
+    fom_from_psd, angular_frequency, thermal_force_psd, thermal_fom and
+    classify_thermal, in the same operation order, so every float is the
+    same; their sign checks are left out because a record's own check
+    already refuses what they would.
     """
     if constants is None:
         constants = Constants()
-    warnings: list[str] = []
+    name = record.name
+    mass_kg = record.mass_kg
+    warnings: tuple[str, ...] = ()
 
-    if record.n_override is not None:
-        n_nuclei = record.n_override
-    else:
-        n_nuclei = nuclei_count(record.mass_kg, record.material, constants.N_A)
+    n_nuclei = record.n_override
+    if n_nuclei is None:
+        n_nuclei = nuclei_count(mass_kg, record.material, constants.N_A)
 
-    if record.sqrt_sf is not None:
-        sqrt_sf = record.sqrt_sf
-        sqrt_sa = accel_asd_from_force(sqrt_sf, record.mass_kg)
-        if record.sqrt_sa is not None and record.sqrt_sa > 0.0:
-            drift = abs(sqrt_sa - record.sqrt_sa) / record.sqrt_sa
+    sqrt_sf = record.sqrt_sf
+    quoted_sa = record.sqrt_sa
+    if sqrt_sf is not None:
+        sqrt_sa = sqrt_sf / mass_kg
+        if quoted_sa is not None:
+            drift = abs(sqrt_sa - quoted_sa) / quoted_sa
             if drift > _ASD_CONSISTENCY_TOL:
-                warnings.append(
-                    f"{record.name}: quoted acceleration density disagrees with "
-                    f"the force density by {drift:.1%}"
+                warnings = (
+                    f"{name}: quoted acceleration density disagrees with "
+                    f"the force density by {drift:.1%}",
                 )
     else:
         # A record always carries at least one density.
-        sqrt_sa = record.sqrt_sa
-        sqrt_sf = force_asd_from_accel(sqrt_sa, record.mass_kg)
+        sqrt_sa = quoted_sa
+        sqrt_sf = sqrt_sa * mass_kg
 
-    fom = fom_from_psd(sqrt_sa * sqrt_sa, n_nuclei)
+    fom = sqrt_sa * sqrt_sa * n_nuclei
     # Valid inputs can still overflow, for example the nucleus count of a
-    # 1e300 kg mass; validation cannot see it without the material.
-    for name, value in (("n_nuclei", n_nuclei), ("sqrt_sf", sqrt_sf),
-                        ("sqrt_sa", sqrt_sa), ("fom", fom)):
-        if not 0.0 < value < math.inf:
-            raise OutOfRangeError(record.name, name, value)
+    # 1e300 kg mass; validation cannot see it without the material.  A fom
+    # in range needs a nucleus count and an acceleration density in range,
+    # so two comparisons cover all four values.
+    if not (0.0 < fom < math.inf and 0.0 < sqrt_sf < math.inf):
+        _raise_first_out_of_range(name, (
+            ("n_nuclei", n_nuclei), ("sqrt_sf", sqrt_sf),
+            ("sqrt_sa", sqrt_sa), ("fom", fom)))
 
     thermal_sqrt_sf = None
     thermal_fom_value = None
     limited = False
     marker = False
-    if (
-        record.temp_k is not None
-        and record.f0_hz is not None
-        and record.quality is not None
-    ):
-        omega0 = angular_frequency(record.f0_hz)
-        thermal_sqrt_sf = math.sqrt(
-            thermal_force_psd(
-                record.temp_k, record.mass_kg, omega0, record.quality, constants.k_B
-            )
-        )
-        thermal_fom_value = thermal_fom(
-            n_nuclei, record.temp_k, omega0, record.mass_kg,
-            record.quality, constants.k_B,
-        )
+    temp_k = record.temp_k
+    f0_hz = record.f0_hz
+    quality = record.quality
+    if temp_k is not None and f0_hz is not None and quality is not None:
+        k_b = constants.k_B
+        omega0 = 2.0 * math.pi * f0_hz
+        thermal_sqrt_sf = math.sqrt(4.0 * k_b * temp_k * mass_kg * omega0 / quality)
+        thermal_fom_value = (4.0 * n_nuclei * k_b * temp_k * omega0
+                             / (mass_kg * quality))
         # A tiny positive temperature can still underflow the floor to 0.
-        for name, value in (("thermal_sqrt_sf", thermal_sqrt_sf),
-                            ("thermal_fom", thermal_fom_value)):
-            if not 0.0 < value < math.inf:
-                raise OutOfRangeError(record.name, name, value)
-        limited, marker = classify_thermal(sqrt_sf, thermal_sqrt_sf)
+        if not (0.0 < thermal_sqrt_sf < math.inf
+                and 0.0 < thermal_fom_value < math.inf):
+            _raise_first_out_of_range(name, (
+                ("thermal_sqrt_sf", thermal_sqrt_sf),
+                ("thermal_fom", thermal_fom_value)))
+        limited = thermal_sqrt_sf > sqrt_sf / _THERMAL_AMPLITUDE_FACTOR
+        marker = sqrt_sf >= _THERMAL_AMPLITUDE_FACTOR * thermal_sqrt_sf
         if sqrt_sf < thermal_sqrt_sf:
-            warnings.append(
-                f"{record.name}: measured force noise is below the thermal floor"
+            warnings += (
+                f"{name}: measured force noise is below the thermal floor",
             )
 
-    return FomResult(
-        n_nuclei=n_nuclei,
-        sqrt_sf=sqrt_sf,
-        sqrt_sa=sqrt_sa,
-        fom=fom,
-        thermal_sqrt_sf=thermal_sqrt_sf,
-        thermal_fom=thermal_fom_value,
-        thermally_limited=limited,
-        show_thermal_marker=marker,
-        warnings=tuple(warnings),
-    )
+    return tuple.__new__(FomResult, (
+        n_nuclei, sqrt_sf, sqrt_sa, fom, thermal_sqrt_sf, thermal_fom_value,
+        limited, marker, warnings,
+    ))
+
+
+def _raise_first_out_of_range(record: str, values) -> None:
+    """Raise OutOfRangeError for the first (name, value) that is not a
+    finite float > 0."""
+    for name, value in values:
+        if not 0.0 < value < math.inf:
+            raise OutOfRangeError(record, name, value)
 
 
 def evaluate_catalog(catalog, constants=None) -> dict[str, FomResult]:
     """Evaluate every record; returns a name -> FomResult mapping."""
+    if constants is None:
+        constants = Constants()
     return {record.name: evaluate_record(record, constants) for record in catalog}

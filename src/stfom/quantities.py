@@ -1,7 +1,8 @@
 """Physical constants and spectral density conversions.
 
 The package works in SI throughout.  Frequencies are stored in Hz and
-converted to angular frequency in exactly one place, angular_frequency().
+converted to angular frequency by angular_frequency(), whose product
+fom.evaluate_record repeats inline.
 Noise levels appear in two interchangeable forms: amplitude spectral
 densities (what experiments quote, e.g. N/sqrt(Hz)) and power spectral
 densities (what the formulas consume, e.g. N^2/Hz).  asd_to_psd() and

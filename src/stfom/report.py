@@ -1,18 +1,18 @@
 """Rendering: ranked CSV table, log-log SVG figure, bounds summary text.
 
-All numeric cells go through format_sig(), which renders a fixed number
-of significant figures in plain scientific notation ('2.98e-1', no
-exponent padding).  The formatter is idempotent: parsing an emitted cell
-and reformatting it reproduces the identical string.  Everything here is
-deterministic, so identical inputs yield byte-identical outputs.
+Every number is written in plain scientific notation with 3 significant
+figures ('2.98e-1', no exponent padding): format_sig() formats one value,
+and emit_table formats a row's six numbers in one pass with the same
+result.  Both spell exponents through one helper.  The formatter is
+idempotent: parsing an emitted cell and reformatting it reproduces the
+identical string.  Everything here is deterministic, so identical inputs
+yield byte-identical outputs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .bounds import (
     CAVENDISH_FOM,
@@ -28,6 +28,7 @@ from .catalog import (
     Catalog,
     ExperimentRecord,
     RecordFilter,
+    _csv_text,
     best_record,
     select_for_figure,
 )
@@ -46,6 +47,12 @@ def format_sig(x: float, sig: int = 3) -> str:
     text = f"{x:.{sig - 1}e}"
     if "e" not in text:  # 'inf', '-inf' or 'nan'
         raise ValueError(f"cannot format {x!r} in scientific notation")
+    return _bare_exponents(text)
+
+
+def _bare_exponents(text: str) -> str:
+    """text with every exponent Python's 'e' format writes ('e+05',
+    'e-05', 'e+100') spelt as a bare integer ('e5', 'e-5', 'e100')."""
     # The exponent always has a sign and at least two digits.
     return text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
 
@@ -59,24 +66,30 @@ def emit_table(
     results: Mapping[str, FomResult],
 ) -> str:
     """CSV of every record's inputs and derived values, one row per record
-    in the order given; pass rank()'s list for best FOM first."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TABLE_HEADER)
+    in the order given; pass rank()'s list for best FOM first.  A number
+    that is not finite raises ValueError, as format_sig() does."""
+    return _csv_text(TABLE_HEADER, _table_rows(ranked, results))
+
+
+def _table_rows(
+    ranked: Iterable[ExperimentRecord],
+    results: Mapping[str, FomResult],
+) -> Iterator[list[str]]:
+    """Each record's table row.  Its six numbers are formatted in one
+    f-string, each with format_sig()'s default 3 figures ('.2e')."""
     for record in ranked:
         result = results[record.name]
-        writer.writerow([
-            record.name,
-            record.category,
-            format_material(record.material),
-            format_sig(record.mass_kg),
-            format_sig(result.n_nuclei),
-            format_sig(record.f0_hz) if record.f0_hz is not None else "",
-            format_sig(result.sqrt_sf),
-            format_sig(result.sqrt_sa),
-            format_sig(result.fom),
-        ])
-    return out.getvalue()
+        f0_hz = record.f0_hz
+        numbers = (
+            f"{record.mass_kg:.2e},{result.n_nuclei:.2e},"
+            f"{'' if f0_hz is None else f'{f0_hz:.2e}'},"
+            f"{result.sqrt_sf:.2e},{result.sqrt_sa:.2e},{result.fom:.2e}"
+        )
+        if "n" in numbers:  # only 'inf', '-inf' and 'nan' hold an 'n'
+            raise ValueError(
+                f"{record.name}: cannot format {numbers!r} in scientific notation")
+        yield [record.name, record.category, format_material(record.material),
+               *_bare_exponents(numbers).split(",")]
 
 
 class FigurePoint(NamedTuple):

@@ -2,19 +2,23 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from stfom import (
+    CatalogError,
     Constants,
     ExperimentRecord,
     NegativeInputError,
     NonPositiveError,
     OutOfRangeError,
     accel_asd_from_force,
+    angular_frequency,
     classify_thermal,
+    evaluate_catalog,
     evaluate_record,
     fom_from_psd,
     force_asd_from_accel,
+    nuclei_count,
     parse_material,
     thermal_fom,
     thermal_force_psd,
@@ -262,3 +266,146 @@ def test_custom_constants_flow_through():
     base = evaluate_record(rec)
     scaled = evaluate_record(rec, constants=doubled)
     assert scaled.thermal_fom == pytest.approx(2.0 * base.thermal_fom, rel=1e-12)
+
+
+# ------------------------------------------- evaluate_record against helpers
+
+def _reference_evaluate_record(record, constants=None):
+    """evaluate_record as it was written with the public helpers."""
+    if constants is None:
+        constants = Constants()
+    warnings = []
+
+    if record.n_override is not None:
+        n_nuclei = record.n_override
+    else:
+        n_nuclei = nuclei_count(record.mass_kg, record.material, constants.N_A)
+
+    if record.sqrt_sf is not None:
+        sqrt_sf = record.sqrt_sf
+        sqrt_sa = accel_asd_from_force(sqrt_sf, record.mass_kg)
+        if record.sqrt_sa is not None and record.sqrt_sa > 0.0:
+            drift = abs(sqrt_sa - record.sqrt_sa) / record.sqrt_sa
+            if drift > 0.02:
+                warnings.append(
+                    f"{record.name}: quoted acceleration density disagrees with "
+                    f"the force density by {drift:.1%}"
+                )
+    else:
+        sqrt_sa = record.sqrt_sa
+        sqrt_sf = force_asd_from_accel(sqrt_sa, record.mass_kg)
+
+    fom = fom_from_psd(sqrt_sa * sqrt_sa, n_nuclei)
+    for name, value in (("n_nuclei", n_nuclei), ("sqrt_sf", sqrt_sf),
+                        ("sqrt_sa", sqrt_sa), ("fom", fom)):
+        if not 0.0 < value < math.inf:
+            raise OutOfRangeError(record.name, name, value)
+
+    thermal_sqrt_sf = None
+    thermal_fom_value = None
+    limited = False
+    marker = False
+    if (
+        record.temp_k is not None
+        and record.f0_hz is not None
+        and record.quality is not None
+    ):
+        omega0 = angular_frequency(record.f0_hz)
+        thermal_sqrt_sf = math.sqrt(
+            thermal_force_psd(
+                record.temp_k, record.mass_kg, omega0, record.quality, constants.k_B
+            )
+        )
+        thermal_fom_value = thermal_fom(
+            n_nuclei, record.temp_k, omega0, record.mass_kg,
+            record.quality, constants.k_B,
+        )
+        for name, value in (("thermal_sqrt_sf", thermal_sqrt_sf),
+                            ("thermal_fom", thermal_fom_value)):
+            if not 0.0 < value < math.inf:
+                raise OutOfRangeError(record.name, name, value)
+        limited, marker = classify_thermal(sqrt_sf, thermal_sqrt_sf)
+        if sqrt_sf < thermal_sqrt_sf:
+            warnings.append(
+                f"{record.name}: measured force noise is below the thermal floor"
+            )
+
+    return (n_nuclei, sqrt_sf, sqrt_sa, fom, thermal_sqrt_sf, thermal_fom_value,
+            limited, marker, tuple(warnings))
+
+
+def _outcome(evaluate, record, constants):
+    """The result, or the field and value an OutOfRangeError names."""
+    try:
+        return tuple(evaluate(record, constants))
+    except OutOfRangeError as exc:
+        return ("OutOfRangeError", exc.name, repr(exc.value))
+
+
+def _magnitude(lo, hi):
+    """Floats spread evenly over the decades 1e{lo} .. 1e{hi + 1}."""
+    return st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                     st.floats(1.0, 10.0, exclude_max=True),
+                     st.integers(lo, hi))
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def _evaluation_fields(draw):
+    mass_kg = draw(_magnitude(-30, 300))
+    fields = dict(
+        material=parse_material(draw(st.sampled_from(
+            ["Si3N4", "Pb", "Rb", "0.25*SiO2+0.75*B2O3", "C60"]))),
+        mass_kg=mass_kg,
+        n_override=draw(_optional(_magnitude(0, 300))),
+        sqrt_sf=None,
+        sqrt_sa=None,
+    )
+    densities = draw(st.sampled_from(["sqrt_sf", "sqrt_sa", "both"]))
+    if densities != "sqrt_sa":
+        fields["sqrt_sf"] = draw(_magnitude(-40, 20))
+    if densities == "sqrt_sa":
+        fields["sqrt_sa"] = draw(_magnitude(-40, 40))
+    elif densities == "both":
+        # Near the derived density, so both sides of the 2% rule show.
+        fields["sqrt_sa"] = (fields["sqrt_sf"] / mass_kg
+                             * draw(st.floats(0.9, 1.1)))
+    if draw(st.booleans()):
+        fields.update(temp_k=draw(_magnitude(-320, 5)),
+                      f0_hz=draw(_magnitude(-5, 10)),
+                      quality=draw(_magnitude(-3, 15)))
+    else:
+        for name, strategy in (("temp_k", _magnitude(-3, 3)),
+                               ("f0_hz", _magnitude(0, 6)),
+                               ("quality", _magnitude(0, 9))):
+            fields[name] = draw(_optional(strategy))
+    return fields
+
+
+_CONSTANTS = _optional(st.builds(lambda n_a, k_b: Constants(N_A=n_a, k_B=k_b),
+                                 _magnitude(20, 26), _magnitude(-26, -20)))
+
+
+@given(_evaluation_fields(), _CONSTANTS)
+@example(dict(material=parse_material("Pb"), mass_kg=1e300, sqrt_sf=None,
+              sqrt_sa=1e-9), None)
+@example(dict(n_override=1.0, mass_kg=1e300, sqrt_sf=None, sqrt_sa=1e10), None)
+@example(dict(n_override=1e10, sqrt_sf=None, sqrt_sa=1e150), None)
+@example(dict(temp_k=1e-320, f0_hz=1e3, quality=1e4), None)
+@example(dict(n_override=1.0, mass_kg=1e10, sqrt_sf=None, sqrt_sa=1e-9,
+              temp_k=1e-300, f0_hz=1e3, quality=1e4), None)
+def test_evaluate_record_matches_the_helper_route(fields, constants):
+    try:
+        record = _record(**fields)
+    except CatalogError:
+        assume(False)
+    expected = _outcome(_reference_evaluate_record, record, constants)
+    got = _outcome(evaluate_record, record, constants)
+    # repr tells -0.0 from 0.0, so every float is the same bit for bit.
+    assert got == expected and repr(got) == repr(expected)
+    if expected[0] != "OutOfRangeError":
+        catalog_results = evaluate_catalog([record], constants)
+        assert tuple(catalog_results[record.name]) == got

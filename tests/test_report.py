@@ -132,6 +132,51 @@ def test_table_rows_follow_the_order_given(ranked, results):
     assert [row[0] for row in rows[1:]] == [r.name for r in ranked[::-1]]
 
 
+def _table_record(name="probe", **fields):
+    base = dict(name=name, year=2024, reference="synthetic", category="membrane",
+                material=parse_material("Si3N4"), mass_kg=1e-9, sqrt_sf=1e-15)
+    base.update(fields)
+    return ExperimentRecord(**base)
+
+
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.floats(min_value=2.2250738585072014e-308, allow_infinity=False),
+       st.none() | st.floats(min_value=5e-324, allow_infinity=False),
+       _ANY_FINITE, _ANY_FINITE, _ANY_FINITE, _ANY_FINITE)
+@example(1e-300, 5e-324, 0.0, -0.0, 1e-310, -2.5e-320)
+@example(1.7976931348623157e308, 1e100, -1e-100, 9.995e-100, 9.9949e99, -1e300)
+@example(2.2250738585072014e-308, None, -0.0, 0.0, -5e-324, 1e-101)
+def test_table_cells_are_format_sig_of_each_value(mass_kg, f0_hz, n_nuclei,
+                                                   sqrt_sf, sqrt_sa, fom):
+    # sqrt_sf = mass_kg keeps the record's acceleration density at 1.
+    record = _table_record(mass_kg=mass_kg, f0_hz=f0_hz, sqrt_sf=mass_kg)
+    result = FomResult(n_nuclei=n_nuclei, sqrt_sf=sqrt_sf, sqrt_sa=sqrt_sa, fom=fom)
+    (row,) = _table_rows([record], {"probe": result})[1:]
+    assert row == ["probe", "membrane", "Si3N4", format_sig(mass_kg),
+                   format_sig(n_nuclei), "" if f0_hz is None else format_sig(f0_hz),
+                   format_sig(sqrt_sf), format_sig(sqrt_sa), format_sig(fom)]
+
+
+@pytest.mark.parametrize("field", ["n_nuclei", "sqrt_sf", "sqrt_sa", "fom"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_table_refuses_a_non_finite_number(field, value):
+    values = dict(n_nuclei=1e10, sqrt_sf=1e-15, sqrt_sa=1e-6, fom=1e-2)
+    values[field] = value
+    with pytest.raises(ValueError):
+        emit_table([_table_record()], {"probe": FomResult(**values)})
+
+
+def test_table_name_with_a_bare_carriage_return_reads_back():
+    record = _table_record(name="a\rb")
+    result = FomResult(n_nuclei=1e10, sqrt_sf=1e-15, sqrt_sa=1e-6, fom=1e-2)
+    text = emit_table([record], {record.name: result})
+    assert text.count("\r") == 1 and text.endswith("\n")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len(rows) == 2 and rows[1][0] == "a\rb"
+
+
 # -------------------------------------------------------------- figure points
 
 def test_points_cover_catalog_and_selection(ranked, results):
