@@ -22,7 +22,6 @@ from .errors import (
     Diagnostic,
     FilterError,
     FormulaError,
-    MaterialError,
     _Checked,
 )
 from .fom import FomResult
@@ -48,6 +47,9 @@ CATEGORIES: tuple[str, ...] = (
     "massive",
 )
 _CATEGORY_SET = frozenset(CATEGORIES)
+_MODES = frozenset(("absolute", "differential"))
+_LOCATIONS = frozenset(("earth", "space"))
+_FLAGS = {"true": True, "false": False}
 
 RecordFilter = Literal["all", "absolute-on-earth"]
 
@@ -108,6 +110,23 @@ def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
     comparison also refuses NaN and the infinities."""
     (name, _, _, category, _, mass_kg, n_override, f0_hz, sqrt_sf, sqrt_sa,
      temp_k, quality, mode, location, _, _) = fields
+    # A clean record passes this one test; the checks below run only to
+    # name the problems of one that does not.  mass_kg is checked before
+    # sqrt_sf is divided by it, and the square is a product, because
+    # float ** raises OverflowError where * gives inf.
+    if (_SMALLEST_NORMAL <= mass_kg < math.inf
+            and (n_override is None or 1.0 <= n_override < math.inf)
+            and (f0_hz is None or 0.0 < f0_hz < math.inf)
+            and (sqrt_sa is None or 0.0 < sqrt_sa < math.inf)
+            and (temp_k is None or 0.0 < temp_k < math.inf)
+            and (quality is None or 0.0 < quality < math.inf)
+            and (0.0 < sqrt_sf < math.inf if sqrt_sf is not None
+                 else sqrt_sa is not None)
+            and 0.0 < (accel := sqrt_sa if sqrt_sf is None
+                       else sqrt_sf / mass_kg) * accel < math.inf
+            and category in _CATEGORY_SET and mode in _MODES
+            and location in _LOCATIONS and name and _is_xml_text(name)):
+        return []
     problems: list[Diagnostic] = []
 
     def bad(column: str, code: str, message: str) -> None:
@@ -152,9 +171,9 @@ def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
         bad("temp_k", "BadNumber", f"temperature must be finite and > 0, got {temp_k!r}")
     if quality is not None and not 0.0 < quality < math.inf:
         bad("quality", "BadNumber", f"quality factor must be finite and > 0, got {quality!r}")
-    if mode not in ("absolute", "differential"):
+    if mode not in _MODES:
         bad("mode", "BadMode", f"mode must be absolute or differential, got {mode!r}")
-    if location not in ("earth", "space"):
+    if location not in _LOCATIONS:
         bad("location", "BadLocation", f"location must be earth or space, got {location!r}")
     return problems
 
@@ -180,18 +199,6 @@ class Catalog(tuple):
 
     def __repr__(self) -> str:
         return f"Catalog(records={tuple.__repr__(self)})"
-
-
-def _parse_optional_float(text: str, column: str, row: int,
-                          problems: list[Diagnostic]) -> float | None:
-    if not text:
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        problems.append(Diagnostic(row, column, "BadNumber",
-                                   f"not a number: {text!r}"))
-        return None
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -229,7 +236,14 @@ def parse_records(text: str) -> Catalog:
             if record is not None:
                 records.append(record)
     except csv.Error as exc:
-        problems.append(Diagnostic(row_number + 1, "row", "BadCsv", str(exc)))
+        message = str(exc)
+        # Lines are split only at "\n", so this is a bare "\r"; the csv
+        # module's advice names a file mode, which a caller of
+        # parse_records(text) does not control.
+        if message.startswith("new-line character seen in unquoted field"):
+            message = ("carriage return inside an unquoted cell; quote the "
+                       "cell or end lines with \\n or \\r\\n")
+        problems.append(Diagnostic(row_number + 1, "row", "BadCsv", message))
         raise CatalogError(tuple(problems)) from None
     if row_number == 0:
         raise CatalogError((
@@ -252,56 +266,77 @@ def _parse_row(row: int, cells: list[str], seen: set[str],
     (name, year_text, reference, category, material_text, mass_text,
      n_override_text, f0_text, sqrt_sf_text, sqrt_sa_text, temp_text,
      quality_text, mode, location, secondhand_text, notes) = cells
-    row_problems: list[Diagnostic] = []
+    # Every cell is converted once; the vocabulary cells and the
+    # per-source reference repeat across rows, so equal cells share one
+    # string.  A row whose cells do not all convert, whose name is taken
+    # or whose fields fail their check is walked again, cell by cell, to
+    # name every problem.
+    intern = sys.intern
+    try:
+        fields = (
+            name, int(year_text), intern(reference), intern(category),
+            parse_material(material_text), float(mass_text),
+            float(n_override_text) if n_override_text else None,
+            float(f0_text) if f0_text else None,
+            float(sqrt_sf_text) if sqrt_sf_text else None,
+            float(sqrt_sa_text) if sqrt_sa_text else None,
+            float(temp_text) if temp_text else None,
+            float(quality_text) if quality_text else None,
+            intern(mode), intern(location), _FLAGS[secondhand_text], notes,
+        )
+    except (ValueError, KeyError, FormulaError):
+        pass
+    else:
+        if name not in seen and not _validate_fields(row, fields):
+            seen.add(name)
+            # The fields were checked above, so the record skips its own check.
+            return tuple.__new__(ExperimentRecord, fields)
+    problems += _row_problems(row, cells, seen)
+    return None
+
+
+def _row_problems(row: int, cells: list[str],
+                  seen: set[str]) -> list[Diagnostic]:
+    """Every problem of one row of len(_CSV_COLUMNS) cells, cell by cell
+    in column order, then its field problems; a name not yet in seen is
+    claimed even if the row has other problems."""
+    name, year_text, material_text = cells[0], cells[1], cells[4]
+    problems: list[Diagnostic] = []
+
+    def bad(column: str, code: str, message: str) -> None:
+        problems.append(Diagnostic(row, column, code, message))
 
     if name in seen:
-        row_problems.append(Diagnostic(row, "name", "DuplicateName",
-                                       f"duplicate record name {name!r}"))
-    elif name:  # claimed even if the row has other problems
+        bad("name", "DuplicateName", f"duplicate record name {name!r}")
+    elif name:
         seen.add(name)
     try:
-        year = int(year_text)
+        int(year_text)
     except ValueError:
-        row_problems.append(Diagnostic(row, "year", "BadNumber",
-                                       f"not a year: {year_text!r}"))
-        year = 0
-    material = None
+        bad("year", "BadNumber", f"not a year: {year_text!r}")
     try:
-        material = parse_material(material_text)
-    except (MaterialError, FormulaError) as exc:
-        row_problems.append(Diagnostic(row, "material", "BadMaterial", str(exc)))
-    mass_kg = _parse_optional_float(mass_text, "mass_kg", row, row_problems)
-    if not mass_text:
-        row_problems.append(Diagnostic(row, "mass_kg", "MissingRequired",
-                                       "mass_kg must not be empty"))
-    n_override = _parse_optional_float(n_override_text, "n_override", row, row_problems)
-    f0_hz = _parse_optional_float(f0_text, "f0_hz", row, row_problems)
-    sqrt_sf = _parse_optional_float(sqrt_sf_text, "sqrt_sf", row, row_problems)
-    sqrt_sa = _parse_optional_float(sqrt_sa_text, "sqrt_sa", row, row_problems)
-    temp_k = _parse_optional_float(temp_text, "temp_k", row, row_problems)
-    quality = _parse_optional_float(quality_text, "quality", row, row_problems)
-    secondhand = False
-    if secondhand_text in ("true", "false"):
-        secondhand = secondhand_text == "true"
-    else:
-        row_problems.append(Diagnostic(row, "secondhand", "BadFlag",
-                                       "secondhand must be true or false, "
-                                       f"got {secondhand_text!r}"))
-
-    # The vocabulary cells and the per-source reference repeat across rows,
-    # so equal cells share one string.
-    intern = sys.intern
-    fields = (name, year, intern(reference), intern(category), material,
-              mass_kg, n_override, f0_hz, sqrt_sf, sqrt_sa, temp_k, quality,
-              intern(mode), intern(location), secondhand, notes)
-    # Every row's fields are checked once, here, so every problem shows
-    # at once; a clean row then skips the record's own check.
-    if mass_kg is not None:
-        row_problems += _validate_fields(row, fields)
-    if row_problems:
-        problems.extend(row_problems)
-        return None
-    return tuple.__new__(ExperimentRecord, fields)
+        parse_material(material_text)
+    except FormulaError as exc:
+        bad("material", "BadMaterial", str(exc))
+    numbers: list[float | None] = []  # mass_kg through quality
+    for column, text in zip(_CSV_COLUMNS[5:12], cells[5:12]):
+        number = None
+        if text:
+            try:
+                number = float(text)
+            except ValueError:
+                bad(column, "BadNumber", f"not a number: {text!r}")
+        elif column == "mass_kg":
+            bad(column, "MissingRequired", "mass_kg must not be empty")
+        numbers.append(number)
+    if cells[14] not in _FLAGS:
+        bad("secondhand", "BadFlag",
+            f"secondhand must be true or false, got {cells[14]!r}")
+    if numbers[0] is not None:
+        problems += _validate_fields(row, (
+            name, None, None, cells[3], None, *numbers, cells[12], cells[13],
+            None, None))
+    return problems
 
 
 def _float_cell(value: float | None) -> str:

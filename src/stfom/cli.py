@@ -39,9 +39,14 @@ from .report import (
 
 
 def _read_text(path: Path) -> str:
-    """Read an input file as UTF-8; a leading byte order mark is dropped."""
+    """Read an input file as UTF-8; a leading byte order mark is dropped.
+
+    Line endings are left as they are, so a "\\r" inside a quoted cell
+    reaches parse_records unchanged.
+    """
     try:
-        return path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise CatalogError((
             Diagnostic(0, "file", "BadEncoding",

@@ -86,9 +86,12 @@ class Formula(_FormulaFields):
         )
         return body + ("+" if self.charge_ignored else "")
 
-    # Per-formula values for MaterialSpec, computed on first use so that a
-    # hand-built Formula with an unknown symbol still constructs.  They live
-    # in this subclass's __dict__; a raising call stores nothing.
+    # Per-formula values that nuclei_count and format_material read,
+    # computed on first use so that a hand-built Formula with an unknown
+    # symbol still constructs.  parse_formula shares one Formula per text,
+    # so every spec naming it, such as each row of a mixture sweep, reuses
+    # them.  They live in this subclass's __dict__; a raising call stores
+    # nothing.
 
     _canonical = cached_property(canonical)
 
@@ -149,7 +152,16 @@ class _MaterialFields(NamedTuple):
 
 
 class MaterialSpec(_Checked, _MaterialFields):
-    """A material as mass-fractioned formula components."""
+    """A material as mass-fractioned formula components.
+
+    A spec keeps no values of its own and has no __dict__: nuclei_count
+    and format_material read the values each component Formula keeps, and
+    a mixture is spelled on each call.  Where every mixture differs, as in
+    a sweep, each spec is read about once, so filling a per-spec cache
+    cost more than it saved.
+    """
+
+    __slots__ = ()
 
     def _check(self) -> None:
         if not self.components:
@@ -167,27 +179,6 @@ class MaterialSpec(_Checked, _MaterialFields):
     @classmethod
     def pure(cls, formula: Formula) -> MaterialSpec:
         return cls(((formula, 1.0),))
-
-    # Derived values are computed on first use, not in _check: validation
-    # never needs them.  cached_property writes the instance __dict__, and a
-    # raising call stores nothing.
-
-    @cached_property
-    def _nuclei_terms(self) -> tuple[tuple[float, float, int], ...]:
-        """(mass fraction, molar mass, nuclei per formula unit) per component."""
-        return tuple(
-            (fraction, formula._molar_mass, formula._nuclei)
-            for formula, fraction in self.components
-        )
-
-    @cached_property
-    def _canonical(self) -> str:
-        if len(self.components) == 1 and self.components[0][1] == 1.0:
-            return self.components[0][0]._canonical
-        return "+".join(
-            f"{fraction!r}*{formula._canonical}"
-            for formula, fraction in self.components
-        )
 
 
 # A '+' starts a new mixture component only when a fraction follows;
@@ -225,7 +216,12 @@ def parse_material(text: str, /) -> MaterialSpec:
 
 def format_material(mat: MaterialSpec) -> str:
     """Canonical text for a material; inverse of parse_material."""
-    return mat._canonical
+    components = mat.components
+    if len(components) == 1 and components[0][1] == 1.0:
+        return components[0][0]._canonical
+    return "+".join([
+        f"{fraction!r}*{formula._canonical}" for formula, fraction in components
+    ])
 
 
 def nuclei_per_formula(formula: Formula) -> int:
@@ -254,7 +250,7 @@ def nuclei_count(
     if mass_kg < 0.0:
         raise NegativeInputError("mass_kg", mass_kg)
     total = 0.0
-    for fraction, formula_mass, nuclei in mat._nuclei_terms:
-        moles = mass_kg * fraction / formula_mass
-        total += moles * n_avogadro * nuclei
+    for formula, fraction in mat.components:
+        moles = mass_kg * fraction / formula._molar_mass
+        total += moles * n_avogadro * formula._nuclei
     return total

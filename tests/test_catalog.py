@@ -1,5 +1,7 @@
+import csv
 import io
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -11,8 +13,11 @@ from stfom import (
     CSV_HEADER,
     Catalog,
     CatalogError,
+    Diagnostic,
     ExperimentRecord,
     FilterError,
+    FormulaError,
+    MaterialError,
     StfomError,
     embedded_catalog,
     embedded_reference_values,
@@ -23,7 +28,7 @@ from stfom import (
     select_for_figure,
     serialize_records,
 )
-from stfom.catalog import _lines, best_record
+from stfom.catalog import _is_xml_text, _lines, best_record
 
 GOOD_ROW = (
     "Probe '21,2021,synthetic,membrane,Si3N4,1e-9,,1e3,1e-15,,300,1e4,"
@@ -510,3 +515,304 @@ def test_unreadable_csv_is_a_diagnostic(text, expected):
     with pytest.raises(CatalogError) as err:
         parse_records(text)
     assert [(d.row, d.column, d.code) for d in err.value.diagnostics] == expected
+
+
+def test_bare_carriage_return_in_an_unquoted_cell_has_stfoms_wording():
+    with pytest.raises(CatalogError) as err:
+        parse_records(_records_text(GOOD_ROW.replace("membrane", "mem\rbrane")))
+    assert err.value.diagnostics == ((1, "row", "BadCsv",
+        "carriage return inside an unquoted cell; "
+        "quote the cell or end lines with \\n or \\r\\n"),)
+
+
+# ------------------------------------------------------- lean row conversion
+
+def _reference_parse_records(text):
+    """parse_records as it was before each row was converted in one pass:
+    every cell is converted and checked on its own, in column order."""
+    reader = csv.reader(_lines(text))
+    problems = []
+    records = []
+    seen = set()
+    row_number = -1
+    try:
+        header = next(reader, None)
+        row_number = 0
+        if header != CSV_HEADER.split(","):
+            raise CatalogError((Diagnostic(0, "header", "BadHeader",
+                                           f"header must be exactly {CSV_HEADER!r}"),))
+        for row_number, cells in enumerate(reader, start=1):
+            record = _reference_parse_row(row_number, cells, seen, problems)
+            if record is not None:
+                records.append(record)
+    except csv.Error as exc:
+        problems.append(Diagnostic(row_number + 1, "row", "BadCsv", str(exc)))
+        raise CatalogError(tuple(problems)) from None
+    if row_number == 0:
+        raise CatalogError((Diagnostic(0, "file", "NoRecords",
+                                       "records file holds no records"),))
+    if problems:
+        raise CatalogError(tuple(problems))
+    return Catalog(records)
+
+
+def _reference_optional_float(text, column, row, problems):
+    if not text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        problems.append(Diagnostic(row, column, "BadNumber",
+                                   f"not a number: {text!r}"))
+        return None
+
+
+def _reference_parse_row(row, cells, seen, problems):
+    if len(cells) != 16:
+        problems.append(Diagnostic(row, "row", "BadHeader",
+                                   f"expected 16 cells, got {len(cells)}"))
+        return None
+    (name, year_text, reference, category, material_text, mass_text,
+     n_override_text, f0_text, sqrt_sf_text, sqrt_sa_text, temp_text,
+     quality_text, mode, location, secondhand_text, notes) = cells
+    row_problems = []
+
+    if name in seen:
+        row_problems.append(Diagnostic(row, "name", "DuplicateName",
+                                       f"duplicate record name {name!r}"))
+    elif name:
+        seen.add(name)
+    try:
+        year = int(year_text)
+    except ValueError:
+        row_problems.append(Diagnostic(row, "year", "BadNumber",
+                                       f"not a year: {year_text!r}"))
+        year = 0
+    material = None
+    try:
+        material = parse_material(material_text)
+    except (MaterialError, FormulaError) as exc:
+        row_problems.append(Diagnostic(row, "material", "BadMaterial", str(exc)))
+    mass_kg = _reference_optional_float(mass_text, "mass_kg", row, row_problems)
+    if not mass_text:
+        row_problems.append(Diagnostic(row, "mass_kg", "MissingRequired",
+                                       "mass_kg must not be empty"))
+    n_override = _reference_optional_float(n_override_text, "n_override", row,
+                                           row_problems)
+    f0_hz = _reference_optional_float(f0_text, "f0_hz", row, row_problems)
+    sqrt_sf = _reference_optional_float(sqrt_sf_text, "sqrt_sf", row, row_problems)
+    sqrt_sa = _reference_optional_float(sqrt_sa_text, "sqrt_sa", row, row_problems)
+    temp_k = _reference_optional_float(temp_text, "temp_k", row, row_problems)
+    quality = _reference_optional_float(quality_text, "quality", row, row_problems)
+    secondhand = False
+    if secondhand_text in ("true", "false"):
+        secondhand = secondhand_text == "true"
+    else:
+        row_problems.append(Diagnostic(row, "secondhand", "BadFlag",
+                                       "secondhand must be true or false, "
+                                       f"got {secondhand_text!r}"))
+    fields = (name, year, reference, category, material, mass_kg, n_override,
+              f0_hz, sqrt_sf, sqrt_sa, temp_k, quality, mode, location,
+              secondhand, notes)
+    if mass_kg is not None:
+        row_problems += _reference_validate_fields(row, fields)
+    if row_problems:
+        problems.extend(row_problems)
+        return None
+    return ExperimentRecord(*fields)
+
+
+def _reference_validate_fields(row, fields):
+    (name, _, _, category, _, mass_kg, n_override, f0_hz, sqrt_sf, sqrt_sa,
+     temp_k, quality, mode, location, _, _) = fields
+    problems = []
+
+    def bad(column, code, message):
+        problems.append(Diagnostic(row, column, code, message))
+
+    if not name:
+        bad("name", "MissingRequired", "record name must not be empty")
+    elif not _is_xml_text(name):
+        bad("name", "BadName",
+            f"record name {name!r} holds a character XML 1.0 cannot represent")
+    if category not in CATEGORIES:
+        bad("category", "BadCategory", f"unknown category {category!r}")
+    smallest_normal = sys.float_info.min
+    mass_ok = smallest_normal <= mass_kg < math.inf
+    if not 0.0 < mass_kg < math.inf:
+        bad("mass_kg", "BadNumber", f"mass must be finite and > 0, got {mass_kg!r}")
+    elif not mass_ok:
+        bad("mass_kg", "BadNumber",
+            f"mass must be at least {smallest_normal!r}, got {mass_kg!r}")
+    if n_override is not None and not 1.0 <= n_override < math.inf:
+        bad("n_override", "BadNumber",
+            f"nucleus count must be finite and >= 1, got {n_override!r}")
+    if f0_hz is not None and not 0.0 < f0_hz < math.inf:
+        bad("f0_hz", "BadNumber",
+            f"resonance frequency must be finite and > 0, got {f0_hz!r}")
+    sf_ok = sqrt_sf is not None and 0.0 < sqrt_sf < math.inf
+    sa_ok = sqrt_sa is not None and 0.0 < sqrt_sa < math.inf
+    if sqrt_sf is None and sqrt_sa is None:
+        bad("sqrt_sf", "MissingRequired", "need sqrt_sf or sqrt_sa")
+    if sqrt_sf is not None and not sf_ok:
+        bad("sqrt_sf", "BadNumber",
+            f"noise density must be finite and > 0, got {sqrt_sf!r}")
+    if sqrt_sa is not None and not sa_ok:
+        bad("sqrt_sa", "BadNumber",
+            f"noise density must be finite and > 0, got {sqrt_sa!r}")
+    accel = None
+    if sf_ok and mass_ok:
+        column, accel = "sqrt_sf", sqrt_sf / mass_kg
+    elif sqrt_sf is None and sa_ok:
+        column, accel = "sqrt_sa", sqrt_sa
+    if accel is not None and not 0.0 < accel * accel < math.inf:
+        bad(column, "BadNumber",
+            f"acceleration density {accel!r} squared is not a finite float > 0")
+    if temp_k is not None and not 0.0 < temp_k < math.inf:
+        bad("temp_k", "BadNumber",
+            f"temperature must be finite and > 0, got {temp_k!r}")
+    if quality is not None and not 0.0 < quality < math.inf:
+        bad("quality", "BadNumber",
+            f"quality factor must be finite and > 0, got {quality!r}")
+    if mode not in ("absolute", "differential"):
+        bad("mode", "BadMode", f"mode must be absolute or differential, got {mode!r}")
+    if location not in ("earth", "space"):
+        bad("location", "BadLocation",
+            f"location must be earth or space, got {location!r}")
+    return problems
+
+
+def _cells_or_none(positive):
+    return st.just("") | positive.map(repr)
+
+
+# Each column's cell as a clean row might hold it ...
+_GOOD_CELLS = (
+    st.sampled_from(("Probe", "Probe 2", "Probe 3", "tab\tname", "cr\rname")),
+    st.integers(1700, 2100).map(str),
+    st.text(max_size=6),
+    st.sampled_from(CATEGORIES),
+    st.sampled_from(_MATERIALS),
+    st.floats(1e-30, 1e3).map(repr),
+    _cells_or_none(st.floats(1.0, 1e30)),
+    _cells_or_none(st.floats(1e-3, 1e9)),
+    _cells_or_none(st.floats(1e-30, 1e-5)),
+    _cells_or_none(st.floats(1e-12, 1e3)),
+    _cells_or_none(st.floats(1e-3, 1e4)),
+    _cells_or_none(st.floats(1.0, 1e9)),
+    st.sampled_from(("absolute", "differential")),
+    st.sampled_from(("earth", "space")),
+    st.sampled_from(("true", "false")),
+    st.text(max_size=6),
+)
+# ... and anything it might hold instead.
+_NUMBER_TEXT = (st.sampled_from(("", "0", "-0.0", "1e-310", "1e-170", "1e200",
+                                 "0.5", "nan", "inf", "-inf", "x", "1e400"))
+                | st.floats().map(repr) | st.text(max_size=4))
+_ANY_CELLS = (
+    st.sampled_from(("", "nul\x00", "Probe")) | st.text(max_size=4),
+    st.sampled_from(("", "20x1", " 7 ", "-3")) | st.text(max_size=4),
+    st.text(max_size=4),
+    st.sampled_from(("squishy", "", "Membrane")),
+    st.sampled_from(("", "Xq2", "si", "0.5*SiO2", "Si O2", "0.8*SiO2+0.3*B2O3")),
+    *[_NUMBER_TEXT] * 7,
+    st.sampled_from(("sideways", "", "Absolute")),
+    st.sampled_from(("moon", "", "Earth")),
+    st.sampled_from(("True", "", "1", "no")),
+    st.text(max_size=4),
+)
+_GOOD_CELL_ROW = ["Probe", "2021", "synthetic", "membrane", "Si3N4", "1e-9", "",
+                  "1e3", "1e-15", "", "300", "1e4", "absolute", "earth", "false",
+                  ""]
+
+
+def _row(**changes):
+    columns = CSV_HEADER.split(",")
+    return [changes.get(column, cell)
+            for column, cell in zip(columns, _GOOD_CELL_ROW)]
+
+
+@st.composite
+def _cell_rows(draw):
+    """One to four rows of 16 cells, each clean but for up to three cells."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells = [draw(cell) for cell in _GOOD_CELLS]
+        for column in draw(st.lists(st.integers(0, 15), max_size=3)):
+            cells[column] = draw(_ANY_CELLS[column])
+        rows.append(cells)
+    return rows
+
+
+def _quoted_text(rows):
+    """Records text with every cell quoted, so any cell text reads back."""
+    return CSV_HEADER + "\n" + "".join(
+        ",".join('"' + cell.replace('"', '""') + '"' for cell in cells) + "\n"
+        for cells in rows)
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except CatalogError as exc:
+        return exc.diagnostics
+
+
+def _hand_built_fields(cells):
+    """The fields a row's cells convert to, or None if one does not."""
+    (name, year, reference, category, material, mass_kg, n_override, f0_hz,
+     sqrt_sf, sqrt_sa, temp_k, quality, mode, location, secondhand,
+     notes) = cells
+    try:
+        return dict(
+            name=name, year=int(year), reference=reference, category=category,
+            material=parse_material(material), mass_kg=float(mass_kg),
+            n_override=float(n_override) if n_override else None,
+            f0_hz=float(f0_hz) if f0_hz else None,
+            sqrt_sf=float(sqrt_sf) if sqrt_sf else None,
+            sqrt_sa=float(sqrt_sa) if sqrt_sa else None,
+            temp_k=float(temp_k) if temp_k else None,
+            quality=float(quality) if quality else None,
+            mode=mode, location=location,
+            secondhand={"true": True, "false": False}[secondhand], notes=notes)
+    except (ValueError, KeyError, StfomError):
+        return None
+
+
+@settings(max_examples=300)
+@given(_cell_rows())
+@example([_row(mass_kg="1e-200", sqrt_sf="1e200")])
+@example([_row(mass_kg="0")])
+@example([_row(mass_kg="")])
+@example([_row(mass_kg="1e-310")])
+@example([_row(mass_kg="nan")])
+@example([_row(mass_kg="inf")])
+@example([_row(n_override="0.5")])
+@example([_row(sqrt_sf="", sqrt_sa="-inf")])
+@example([_row(sqrt_sf="", sqrt_sa="")])
+@example([_row(sqrt_sf="", sqrt_sa="1e-170")])
+@example([_row(year="20x1")])
+@example([_row(), _row(category="squishy"), _row()])
+@example([_row(secondhand="True")])
+@example([_row(name="nul\x00")])
+@example([_row(name="")])
+@example([_row(temp_k="0")])
+def test_rows_convert_as_the_cell_by_cell_reference_does(rows):
+    text = _quoted_text(rows)
+    expected = _outcome(_reference_parse_records, text)
+    assert _outcome(parse_records, text) == expected
+    if isinstance(expected, str) or any(d.code == "BadCsv" for d in expected):
+        return
+    # A hand-built record of each converting row gets its field problems.
+    for row, cells in enumerate(rows, start=1):
+        fields = _hand_built_fields(cells)
+        if fields is None:
+            continue
+        problems = tuple(d._replace(row=0) for d in expected
+                         if d.row == row and d.code != "DuplicateName")
+        if problems:
+            with pytest.raises(CatalogError) as err:
+                ExperimentRecord(**fields)
+            assert err.value.diagnostics == problems
+        else:
+            ExperimentRecord(**fields)

@@ -10,7 +10,7 @@ import pytest
 
 import stfom
 
-from stfom import CSV_HEADER, embedded_catalog, serialize_records
+from stfom import CSV_HEADER, Catalog, embedded_catalog, serialize_records
 from stfom.cli import _write_atomic, main
 
 
@@ -189,6 +189,40 @@ def test_overlong_cell_is_a_diagnostic(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err == ("row 1, column row: BadCsv: "
                    "field larger than field limit (131072)\n")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [records]
+
+
+def test_carriage_return_in_a_quoted_name_survives_the_cli(tmp_path, capsys):
+    record = embedded_catalog()[0]._replace(name="a\rb")
+    records = tmp_path / "records.csv"
+    records.write_bytes(serialize_records(Catalog((record,))).encode())
+    assert main(["compute", "--records", str(records),
+                 "--out", str(tmp_path)]) == 0
+    table = (tmp_path / "table.csv").read_bytes().decode()
+    assert table.split("\n")[1].startswith('"a\rb",')
+    assert list(csv.reader(io.StringIO(table)))[1][0] == "a\rb"
+
+
+_BARE_CR = ("BadCsv: carriage return inside an unquoted cell; "
+            "quote the cell or end lines with \\n or \\r\\n\n")
+
+
+@pytest.mark.parametrize("text, expected", [
+    (CSV_HEADER + "\nProbe,2021,synthetic,mem\rbrane,Si3N4,1e-9,,,1e-15,,,,"
+     "absolute,earth,false,\n", "row 1, column row: " + _BARE_CR),
+    (serialize_records(embedded_catalog()).replace("\n", "\r"),
+     "row 0, column row: " + _BARE_CR),
+], ids=["unquoted-cell", "carriage-return-line-ends"])
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+def test_bare_carriage_return_is_a_diagnostic(tmp_path, capsys, monkeypatch,
+                                              command, text, expected):
+    monkeypatch.chdir(tmp_path)
+    records = tmp_path / "records.csv"
+    records.write_bytes(text.encode())
+    assert main([command, "--records", str(records)]) == 1
+    err = capsys.readouterr().err
+    assert err == expected
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == [records]
 

@@ -313,6 +313,18 @@ def test_hand_built_specs_keep_their_own_values_when_ids_are_reused():
     assert len(seen_ids) < 400
 
 
+@pytest.mark.parametrize("text", ["Si3N4", "0.8*SiO2+0.2*B2O3"])
+def test_parsed_specs_keep_no_per_instance_values(text):
+    # nuclei_count and format_material read each Formula's values, so a
+    # spec has no __dict__ to fill.
+    mat = parse_material(text)
+    assert not hasattr(mat, "__dict__")
+    assert format_material(mat) == text
+    assert nuclei_count(1e-9, mat) == _reference_nuclei(1e-9, mat)
+    with pytest.raises(AttributeError):
+        mat.extra = 1
+
+
 @pytest.mark.parametrize("text", ["", "Xx2", "si", "0.5*SiO2", "Si O2"])
 def test_bad_material_text_raises_on_every_call(text):
     for _ in range(3):
