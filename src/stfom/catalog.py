@@ -14,7 +14,6 @@ import io
 import math
 import sys
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import (
@@ -343,32 +342,30 @@ def _float_cell(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
+def _csv_cell(text: str) -> str:
+    """Free text as one CSV cell: quoted, with each '"' doubled, when it
+    holds ',', '"', "\\r" or "\\n", as the csv module's writer quotes it
+    with its default dialect."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def serialize_records(catalog: Catalog) -> str:
-    """Render a Catalog as CSV text; inverse of parse_records."""
-    return _csv_text(_CSV_COLUMNS, ([
-        r.name, str(r.year), r.reference, r.category,
-        format_material(r.material), repr(r.mass_kg),
-        _float_cell(r.n_override), _float_cell(r.f0_hz),
-        _float_cell(r.sqrt_sf), _float_cell(r.sqrt_sa),
-        _float_cell(r.temp_k), _float_cell(r.quality),
-        r.mode, r.location, "true" if r.secondhand else "false", r.notes,
-    ] for r in catalog))
-
-
-def _csv_text(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
-    """CSV text of the header and the rows, each line ending in "\\n".
-
-    Each row is written as soon as rows yields it, so no list of lines is
-    held.  A "\\r\\n" terminator makes the writer quote a cell holding a
-    bare "\\r", which the reader refuses unquoted; each line's "\\r" is
-    then dropped before the line is stored.
-    """
+    """Render a Catalog as CSV text; inverse of parse_records.  Each line
+    is written as it is built; only the free-text name, reference and
+    notes can need quoting."""
     out = io.StringIO()
     write = out.write
-    writer = csv.writer(SimpleNamespace(write=lambda line: write(line[:-2] + "\n")),
-                        lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    write(CSV_HEADER + "\n")
+    for r in catalog:
+        write(f"{_csv_cell(r.name)},{r.year},{_csv_cell(r.reference)},"
+              f"{r.category},{format_material(r.material)},{r.mass_kg!r},"
+              f"{_float_cell(r.n_override)},{_float_cell(r.f0_hz)},"
+              f"{_float_cell(r.sqrt_sf)},{_float_cell(r.sqrt_sa)},"
+              f"{_float_cell(r.temp_k)},{_float_cell(r.quality)},"
+              f"{r.mode},{r.location},{'true' if r.secondhand else 'false'},"
+              f"{_csv_cell(r.notes)}\n")
     return out.getvalue()
 
 

@@ -181,9 +181,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"ok: {len(catalog)} records")
             return 0
         results = evaluate_catalog(catalog, constants=constants)
-        for result in results.values():
-            for warning in result.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
+        # One write: on an unbuffered stderr each print is two syscalls.
+        sys.stderr.write("".join([f"warning: {warning}\n"
+                                  for result in results.values()
+                                  for warning in result.warnings]))
         return _RECORD_COMMANDS[args.command](args, catalog, constants, results)
     except CatalogError as exc:
         for diagnostic in exc.diagnostics:

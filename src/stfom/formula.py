@@ -22,6 +22,7 @@ with no whitespace and fractions that sum to one.
 from __future__ import annotations
 
 import re
+import sys
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -106,6 +107,11 @@ class Formula(_FormulaFields):
 
 _TERM_RE = re.compile(r"([A-Z][a-z]?)([0-9]*)")
 _CHARGE_RE = re.compile(r"([0-9]*)([+-])$")
+# The nuclei of one formula unit must convert to a finite float; the
+# largest float has 309 digits.
+_MAX_NUCLEI = int(sys.float_info.max)
+_MAX_COUNT_DIGITS = len(str(_MAX_NUCLEI))
+_TOO_MANY_NUCLEI = "element counts exceed the largest float"
 
 @lru_cache(maxsize=4096)
 def parse_formula(text: str, /) -> Formula:
@@ -126,6 +132,7 @@ def parse_formula(text: str, /) -> Formula:
         raise ParseError(0, "formula has a charge token but no element terms")
 
     terms: list[tuple[str, int]] = []
+    nuclei = 0
     i = 0
     while i < len(body):
         match = _TERM_RE.match(body, i)
@@ -135,6 +142,9 @@ def parse_formula(text: str, /) -> Formula:
         if symbol not in STANDARD_ATOMIC_WEIGHTS:
             raise UnknownElementError(symbol)
         if count_text:
+            # Checked before int(), which refuses very long digit strings.
+            if len(count_text) > _MAX_COUNT_DIGITS:
+                raise ParseError(i + len(symbol), _TOO_MANY_NUCLEI)
             count = int(count_text)
             if count < 1:
                 raise ParseError(
@@ -142,6 +152,10 @@ def parse_formula(text: str, /) -> Formula:
                 )
         else:
             count = 1
+        # Nucleus counts and molar masses are floats downstream.
+        nuclei += count
+        if nuclei > _MAX_NUCLEI:
+            raise ParseError(i + len(symbol), _TOO_MANY_NUCLEI)
         terms.append((symbol, count))
         i = match.end()
     return Formula(tuple(terms), charge_ignored=charge is not None)

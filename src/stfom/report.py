@@ -11,8 +11,9 @@ yield byte-identical outputs.
 
 from __future__ import annotations
 
+import io
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .bounds import (
     CAVENDISH_FOM,
@@ -28,7 +29,7 @@ from .catalog import (
     Catalog,
     ExperimentRecord,
     RecordFilter,
-    _csv_text,
+    _csv_cell,
     best_record,
     select_for_figure,
 )
@@ -67,16 +68,15 @@ def emit_table(
 ) -> str:
     """CSV of every record's inputs and derived values, one row per record
     in the order given; pass rank()'s list for best FOM first.  A number
-    that is not finite raises ValueError, as format_sig() does."""
-    return _csv_text(TABLE_HEADER, _table_rows(ranked, results))
+    that is not finite raises ValueError, as format_sig() does.
 
-
-def _table_rows(
-    ranked: Iterable[ExperimentRecord],
-    results: Mapping[str, FomResult],
-) -> Iterator[list[str]]:
-    """Each record's table row.  Its six numbers are formatted in one
-    f-string, each with format_sig()'s default 3 figures ('.2e')."""
+    Each row is written as it is built.  Its six numbers are formatted in
+    one f-string, each with format_sig()'s default 3 figures ('.2e'); only
+    the name can need quoting.
+    """
+    out = io.StringIO()
+    write = out.write
+    write(",".join(TABLE_HEADER) + "\n")
     for record in ranked:
         result = results[record.name]
         f0_hz = record.f0_hz
@@ -88,8 +88,9 @@ def _table_rows(
         if "n" in numbers:  # only 'inf', '-inf' and 'nan' hold an 'n'
             raise ValueError(
                 f"{record.name}: cannot format {numbers!r} in scientific notation")
-        yield [record.name, record.category, format_material(record.material),
-               *_bare_exponents(numbers).split(",")]
+        write(f"{_csv_cell(record.name)},{record.category},"
+              f"{format_material(record.material)},{_bare_exponents(numbers)}\n")
+    return out.getvalue()
 
 
 class FigurePoint(NamedTuple):

@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +22,10 @@ from stfom import (
     StfomError,
     embedded_catalog,
     embedded_reference_values,
+    emit_table,
     evaluate_catalog,
+    format_material,
+    format_sig,
     parse_material,
     parse_records,
     rank,
@@ -29,6 +33,7 @@ from stfom import (
     serialize_records,
 )
 from stfom.catalog import _is_xml_text, _lines, best_record
+from stfom.report import TABLE_HEADER
 
 GOOD_ROW = (
     "Probe '21,2021,synthetic,membrane,Si3N4,1e-9,,1e3,1e-15,,300,1e4,"
@@ -275,6 +280,61 @@ def test_bare_carriage_return_survives_the_round_trip():
     row = text.split("\n")[1]
     assert row.startswith('"a\rb",2021,"\r",') and row.endswith(',"c\r"')
     assert tuple(parse_records(text)) == (record,)
+
+
+def _reference_csv_text(header, rows):
+    """CSV as csv.writer writes it with a "\\r\\n" terminator, each line's
+    "\\r" then dropped: how both writers built their lines before they
+    quoted only the free-text cells themselves."""
+    out = io.StringIO()
+    write = out.write
+    writer = csv.writer(SimpleNamespace(write=lambda line: write(line[:-2] + "\n")),
+                        lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+# XML text mixing the characters CSV quoting turns on, "\x85" (a line
+# break to str.splitlines but not to the csv module) and exponent-like text.
+_FREE_TEXT = st.lists(
+    st.sampled_from([",", '"', "\r", "\n", "\r\n", "\x85", " ", "\t", "e+05"])
+    | st.text(st.characters(exclude_categories=("Cc", "Cs", "Cn")), min_size=1),
+    max_size=6).map("".join)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_FREE_TEXT.filter(bool), _FREE_TEXT, _FREE_TEXT),
+                min_size=1, max_size=4, unique_by=lambda texts: texts[0]))
+@example([('Glass "G1" & <Co>', "a,b", "c\r\nd")])
+@example([("e+05", "\x85", "\r")])
+def test_free_text_is_quoted_as_csv_writer_quotes_it(texts):
+    catalog = Catalog(
+        embedded_catalog()[i]._replace(name=name, reference=reference, notes=notes)
+        for i, (name, reference, notes) in enumerate(texts))
+    assert all(_is_xml_text(record.name) for record in catalog)
+    rows = [[r.name, str(r.year), r.reference, r.category,
+             format_material(r.material), repr(r.mass_kg),
+             *("" if v is None else repr(v) for v in (
+                 r.n_override, r.f0_hz, r.sqrt_sf, r.sqrt_sa, r.temp_k, r.quality)),
+             r.mode, r.location, "true" if r.secondhand else "false", r.notes]
+            for r in catalog]
+    text = serialize_records(catalog)
+    assert text == _reference_csv_text(CSV_HEADER.split(","), rows)
+    assert list(csv.reader(io.StringIO(text))) == [CSV_HEADER.split(","), *rows]
+    assert parse_records(text) == catalog
+
+    results = evaluate_catalog(catalog)
+    table_rows = [[r.name, r.category, format_material(r.material),
+                   *(format_sig(v) for v in (r.mass_kg, results[r.name].n_nuclei)),
+                   "" if r.f0_hz is None else format_sig(r.f0_hz),
+                   *(format_sig(v) for v in (results[r.name].sqrt_sf,
+                                             results[r.name].sqrt_sa,
+                                             results[r.name].fom))]
+                  for r in catalog]
+    table = emit_table(catalog, results)
+    assert table == _reference_csv_text(TABLE_HEADER, table_rows)
+    assert list(csv.reader(io.StringIO(table))) == [list(TABLE_HEADER), *table_rows]
 
 
 _MATERIALS = ("Si3N4", "SiO2", "Au", "Mg+", "Nd2Fe14B", "0.8*SiO2+0.2*B2O3",

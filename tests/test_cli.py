@@ -366,6 +366,36 @@ def test_formula_command_rejects_bad_text(capsys):
     assert "position 0" in err
 
 
+# An element count too long for int() (5,000 digits) or for a float (400
+# digits): each is a diagnostic, not a traceback.
+_HUGE_COUNTS = pytest.mark.parametrize(
+    "material", ["C" + "9" * 5000, "C" + "9" * 400], ids=["5000-digits", "400-digits"])
+_TOO_MANY_NUCLEI = "position 1: element counts exceed the largest float\n"
+
+
+@_HUGE_COUNTS
+def test_formula_command_rejects_huge_counts(capsys, material):
+    assert main(["formula", material]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: " + _TOO_MANY_NUCLEI
+
+
+@_HUGE_COUNTS
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+def test_huge_count_in_a_records_file_is_a_diagnostic(tmp_path, capsys, monkeypatch,
+                                                      command, material):
+    monkeypatch.chdir(tmp_path)
+    records = tmp_path / "records.csv"
+    records.write_text(CSV_HEADER + f"\nHuge,2021,synthetic,massive,{material},"
+                       "1e-9,,,1e-20,,,,absolute,earth,false,\n", encoding="utf-8")
+    assert main([command, "--records", str(records)]) == 1
+    err = capsys.readouterr().err
+    assert err == "row 1, column material: BadMaterial: " + _TOO_MANY_NUCLEI
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [records]
+
+
 def test_validate_embedded_catalog(capsys):
     assert main(["validate"]) == 0
     assert capsys.readouterr().out == "ok: 46 records\n"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,11 +75,25 @@ def test_charge_token_with_magnitude():
     ("", 0),
     ("+", 0),
     ("Si O2", 2),
+    # Counts past what int() reads or a float holds, alone or summed;
+    # leading zeros count toward a count's length.
+    pytest.param("C" + "9" * 5000, 1, id="5000-digits"),
+    pytest.param("C" + "9" * 400, 1, id="400-digits"),
+    pytest.param("Si" + "9" * 309, 2, id="309-digits"),
+    pytest.param("C" + "0" * 309 + "1", 1, id="leading-zeros"),
+    pytest.param("C" + "9" * 308 + "H" + "9" * 308, 310, id="sum"),
 ])
 def test_rejected_formulas(text, position):
     with pytest.raises(ParseError) as err:
         parse_formula(text)
     assert err.value.position == position
+
+
+def test_counts_a_float_holds_are_kept():
+    huge = parse_formula("C" + "9" * 308)
+    assert huge.terms == (("C", 10**308 - 1),)
+    assert 0.0 < molar_mass(huge) < math.inf
+    assert parse_formula("C" + "0" * 308 + "1").terms == (("C", 1),)
 
 
 def test_unknown_element_reports_symbol():

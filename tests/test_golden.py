@@ -1,9 +1,9 @@
 """Byte-for-byte comparison of CLI outputs against checked-in golden files.
 
 Each case runs compute, figure and bounds and compares table.csv,
-bounds.txt, figure.svg, figure.dat and the bounds stdout with the files
-under tests/golden/<case>/.  A deliberate change to output bytes
-regenerates them with
+bounds.txt, figure.svg, figure.dat, the bounds stdout and the compute
+stderr (its warnings) with the files under tests/golden/<case>/.  A
+deliberate change to output bytes regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -30,20 +30,24 @@ CASES = {
     "embedded-absolute-on-earth": ["--filter", "absolute-on-earth"],
     "thermal-records": ["--records", str(THERMAL_RECORDS)],
 }
-FILES = ("table.csv", "bounds.txt", "figure.svg", "figure.dat", "bounds.stdout")
+FILES = ("table.csv", "bounds.txt", "figure.svg", "figure.dat", "bounds.stdout",
+         "compute.stderr")
 
 
 def _run_case(extra: list[str], out_dir: Path) -> dict[str, bytes]:
     """Run the three output commands; returns every golden file's bytes."""
     sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+    warnings = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(warnings):
         assert main(["compute", *extra, "--out", str(out_dir)]) == 0
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
         assert main(["figure", *extra, "--out", str(out_dir)]) == 0
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         assert main(["bounds", *extra]) == 0
     outputs = {name: (out_dir / name).read_bytes() for name in FILES[:4]}
     outputs["bounds.stdout"] = stdout.getvalue().encode("utf-8")
+    outputs["compute.stderr"] = warnings.getvalue().encode("utf-8")
     return outputs
 
 
