@@ -36,7 +36,6 @@ from .errors import (
     CatalogError,
     ConstantsError,
     Diagnostic,
-    EmptyInputError,
     FilterError,
     FormulaError,
     MaterialError,
@@ -48,17 +47,7 @@ from .errors import (
     UnknownConstantError,
     UnknownElementError,
 )
-from .fom import (
-    FomResult,
-    accel_asd_from_force,
-    classify_thermal,
-    evaluate_catalog,
-    evaluate_record,
-    fom_from_psd,
-    force_asd_from_accel,
-    thermal_fom,
-    thermal_force_psd,
-)
+from .fom import FomResult, evaluate_catalog, evaluate_record
 from .formula import (
     STANDARD_ATOMIC_WEIGHTS,
     Formula,
@@ -73,13 +62,11 @@ from .formula import (
 from .quantities import (
     DEFAULT_CONSTANTS_TEXT,
     Constants,
-    angular_frequency,
     asd_to_psd,
     load_constants,
     psd_to_asd,
 )
 from .report import (
-    CATEGORY_COLORS,
     FigurePoint,
     build_figure_points,
     emit_bounds_summary,
@@ -91,25 +78,19 @@ from .report import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundAnchor", "CATEGORIES", "CATEGORY_COLORS",
-    "CAVENDISH_FOM", "CSV_HEADER", "Catalog", "CatalogError",
-    "Constants", "ConstantsError", "DEFAULT_ANCHORS",
-    "DEFAULT_CONSTANTS_TEXT", "Diagnostic", "EmptyInputError",
-    "ExperimentRecord", "FigurePoint", "FilterError", "FomResult", "Formula",
-    "FormulaError", "MaterialError", "MaterialSpec",
-    "ModelId", "NegativeInputError",
-    "NonPositiveError", "OutOfRangeError", "ParseError",
-    "QuotedValues", "STANDARD_ATOMIC_WEIGHTS", "StfomError",
-    "UnknownConstantError",
-    "UnknownElementError", "accel_asd_from_force", "anchored_bound",
-    "angular_frequency", "asd_to_psd",
-    "build_figure_points", "classify_thermal", "embedded_catalog",
-    "embedded_reference_values", "emit_bounds_summary", "emit_figure",
-    "emit_table", "evaluate_catalog", "evaluate_record", "fom_from_psd",
-    "fom_threshold", "force_asd_from_accel",
-    "format_material", "format_sig", "load_constants", "molar_mass",
-    "nuclei_count", "nuclei_per_formula", "orders_of_improvement",
-    "parse_formula", "parse_material", "parse_records", "psd_to_asd",
-    "rank", "select_for_figure", "serialize_records", "si_bound",
-    "thermal_fom", "thermal_force_psd",
+    "BoundAnchor", "CATEGORIES", "CAVENDISH_FOM", "CSV_HEADER", "Catalog",
+    "CatalogError", "Constants", "ConstantsError", "DEFAULT_ANCHORS",
+    "DEFAULT_CONSTANTS_TEXT", "Diagnostic", "ExperimentRecord",
+    "FigurePoint", "FilterError", "FomResult", "Formula", "FormulaError",
+    "MaterialError", "MaterialSpec", "ModelId", "NegativeInputError",
+    "NonPositiveError", "OutOfRangeError", "ParseError", "QuotedValues",
+    "STANDARD_ATOMIC_WEIGHTS", "StfomError", "UnknownConstantError",
+    "UnknownElementError", "anchored_bound", "asd_to_psd",
+    "build_figure_points", "embedded_catalog", "embedded_reference_values",
+    "emit_bounds_summary", "emit_figure", "emit_table", "evaluate_catalog",
+    "evaluate_record", "fom_threshold", "format_material", "format_sig",
+    "load_constants", "molar_mass", "nuclei_count", "nuclei_per_formula",
+    "orders_of_improvement", "parse_formula", "parse_material",
+    "parse_records", "psd_to_asd", "rank", "select_for_figure",
+    "serialize_records", "si_bound",
 ]

@@ -80,10 +80,6 @@ class OutOfRangeError(StfomError):
         self.value = value
 
 
-class EmptyInputError(StfomError):
-    """An operation that needs at least one data point received none."""
-
-
 class _Checked:
     """Mixin, listed before its NamedTuple base, for a value class whose
     fields are checked: every way of building one, _make and _replace

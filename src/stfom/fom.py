@@ -10,12 +10,16 @@ averaging time dT gives FOM = sigma_a^2 * N * dT.  Lower is better: the
 FOM is directly proportional to the smallest diffusion coefficient the
 experiment could have detected.
 
-Thermal support: a mechanical mode of mass m, angular frequency omega0
-and quality factor Q at temperature T has the force noise floor
+Thermal support: a mechanical mode of mass m, resonance frequency f0
+(omega0 = 2 pi f0) and quality factor Q at temperature T has the force
+noise floor
 
     S_F_th = 4 k_B T m omega0 / Q    [N^2/Hz]
 
-and the corresponding thermal FOM is 4 N k_B T omega0 / (m Q).
+and a measurement at that floor has the thermal FOM
+S_F_th / m^2 * N = 4 N k_B T omega0 / (m Q).
+
+evaluate_record is the one place these formulas are computed.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import NegativeInputError, NonPositiveError, OutOfRangeError
+from .errors import OutOfRangeError
 from .formula import nuclei_count
-from .quantities import BOLTZMANN, Constants
+from .quantities import Constants
 
 if TYPE_CHECKING:
     from .catalog import ExperimentRecord
@@ -39,103 +43,6 @@ _THERMAL_AMPLITUDE_FACTOR = 2.0
 # Relative disagreement between a quoted acceleration density and the one
 # recomputed from the quoted force density that triggers a warning.
 _ASD_CONSISTENCY_TOL = 0.02
-
-
-def accel_asd_from_force(sqrt_sf: float, mass_kg: float) -> float:
-    """Acceleration ASD (m s^-2/sqrt(Hz)) from force ASD (N/sqrt(Hz))."""
-    if mass_kg <= 0.0:
-        raise NonPositiveError("mass_kg", mass_kg)
-    if sqrt_sf < 0.0:
-        raise NegativeInputError("sqrt_sf", sqrt_sf)
-    return sqrt_sf / mass_kg
-
-def force_asd_from_accel(sqrt_sa: float, mass_kg: float) -> float:
-    """Force ASD (N/sqrt(Hz)) from acceleration ASD (m s^-2/sqrt(Hz))."""
-    if mass_kg <= 0.0:
-        raise NonPositiveError("mass_kg", mass_kg)
-    if sqrt_sa < 0.0:
-        raise NegativeInputError("sqrt_sa", sqrt_sa)
-    return sqrt_sa * mass_kg
-
-def fom_from_psd(s_a: float, n_nuclei: float) -> float:
-    """Figure of merit from an acceleration noise PSD and a nucleus count."""
-    if s_a < 0.0:
-        raise NegativeInputError("s_a", s_a)
-    if n_nuclei < 0.0:
-        raise NegativeInputError("n_nuclei", n_nuclei)
-    return s_a * n_nuclei
-
-def _check_thermal_inputs(
-    temp_k: float, mass_kg: float, omega0: float, quality: float
-) -> None:
-    """The input checks shared by thermal_force_psd and thermal_fom."""
-    if temp_k < 0.0:
-        raise NegativeInputError("temp_k", temp_k)
-    if mass_kg <= 0.0:
-        raise NonPositiveError("mass_kg", mass_kg)
-    if omega0 <= 0.0:
-        raise NonPositiveError("omega0", omega0)
-    if quality <= 0.0:
-        raise NonPositiveError("quality", quality)
-
-def thermal_force_psd(
-    temp_k: float,
-    mass_kg: float,
-    omega0: float,
-    quality: float,
-    k_b: float = BOLTZMANN,
-) -> float:
-    """Thermal force noise floor 4 k_B T m omega0 / Q in N^2/Hz.
-
-    Parameters
-    ----------
-    temp_k : float
-        Mode temperature in kelvin.
-    mass_kg : float
-        Effective mode mass in kg.
-    omega0 : float
-        Angular resonance frequency in rad/s.
-    quality : float
-        Mechanical quality factor, dimensionless.
-    """
-    _check_thermal_inputs(temp_k, mass_kg, omega0, quality)
-    return 4.0 * k_b * temp_k * mass_kg * omega0 / quality
-
-def thermal_fom(
-    n_nuclei: float,
-    temp_k: float,
-    omega0: float,
-    mass_kg: float,
-    quality: float,
-    k_b: float = BOLTZMANN,
-) -> float:
-    """Figure of merit of a measurement at the thermal force noise floor.
-
-    Equals fom_from_psd(thermal_force_psd(...) / mass^2, n_nuclei); the
-    mass enters inversely because the floor is a force noise.
-    """
-    if n_nuclei < 0.0:
-        raise NegativeInputError("n_nuclei", n_nuclei)
-    _check_thermal_inputs(temp_k, mass_kg, omega0, quality)
-    return 4.0 * n_nuclei * k_b * temp_k * omega0 / (mass_kg * quality)
-
-def classify_thermal(
-    measured_sqrt_sf: float, thermal_sqrt_sf: float
-) -> tuple[bool, bool]:
-    """Compare a measured force ASD against the thermal floor.
-
-    Returns (thermally_limited, show_thermal_marker).  The measurement is
-    thermally limited when the floor amplitude exceeds half the measured
-    amplitude; a separate thermal marker is warranted exactly otherwise,
-    when the measured amplitude is at least twice the floor.
-    """
-    if measured_sqrt_sf < 0.0:
-        raise NegativeInputError("measured_sqrt_sf", measured_sqrt_sf)
-    if thermal_sqrt_sf < 0.0:
-        raise NegativeInputError("thermal_sqrt_sf", thermal_sqrt_sf)
-    limited = thermal_sqrt_sf > measured_sqrt_sf / _THERMAL_AMPLITUDE_FACTOR
-    marker = measured_sqrt_sf >= _THERMAL_AMPLITUDE_FACTOR * thermal_sqrt_sf
-    return limited, marker
 
 
 class FomResult(NamedTuple):
@@ -172,11 +79,11 @@ def evaluate_record(
     with a warning rather than rejected.  A nucleus count, density, FOM or
     thermal floor that is not a finite float > 0 raises OutOfRangeError.
 
-    The arithmetic is that of accel_asd_from_force, force_asd_from_accel,
-    fom_from_psd, angular_frequency, thermal_force_psd, thermal_fom and
-    classify_thermal, in the same operation order, so every float is the
-    same; their sign checks are left out because a record's own check
-    already refuses what they would.
+    The thermal floor amplitude is sqrt(4 k_B T m omega0 / Q).  The record
+    is thermally limited when the floor exceeds half the measured force
+    amplitude; a separate thermal marker is shown exactly otherwise.  No
+    input is sign-checked here, because a record's own check already
+    refuses a density, mass, temperature, frequency or quality <= 0.
     """
     if constants is None:
         constants = Constants()

@@ -1,8 +1,8 @@
 """Physical constants and spectral density conversions.
 
-The package works in SI throughout.  Frequencies are stored in Hz and
-converted to angular frequency by angular_frequency(), whose product
-fom.evaluate_record repeats inline.
+The package works in SI throughout.  Frequencies are stored in Hz;
+fom.evaluate_record turns a resonance frequency into the angular
+frequency 2 pi f0 its thermal formulas take.
 Noise levels appear in two interchangeable forms: amplitude spectral
 densities (what experiments quote, e.g. N/sqrt(Hz)) and power spectral
 densities (what the formulas consume, e.g. N^2/Hz).  asd_to_psd() and
@@ -101,13 +101,6 @@ def load_constants(text: str) -> Constants:
             ) from None
         overrides[name] = value
     return Constants(**overrides)
-
-
-def angular_frequency(f0_hz: float) -> float:
-    """Convert a resonance frequency in Hz to angular frequency in rad/s."""
-    if f0_hz <= 0.0:
-        raise NonPositiveError("f0_hz", f0_hz)
-    return 2.0 * math.pi * f0_hz
 
 
 def asd_to_psd(x: float) -> float:

@@ -33,7 +33,6 @@ from .catalog import (
     best_record,
     select_for_figure,
 )
-from .errors import EmptyInputError
 from .fom import FomResult
 from .formula import _WHITESPACE_RE, format_material
 from .quantities import Constants
@@ -155,7 +154,8 @@ CATEGORY_COLORS: Mapping[str, str] = {
 def _decades(values: list[float], lo: int, hi: int) -> tuple[int, int]:
     """The whole decades lo..hi, widened until they hold every value."""
     logs = [math.log10(v) for v in values]
-    return min(lo, math.floor(min(logs))), max(hi, math.ceil(max(logs)))
+    return (min(lo, math.floor(min(logs, default=lo))),
+            max(hi, math.ceil(max(logs, default=hi))))
 
 
 def _axis(value: float, lo: int, hi: int, start: float, end: float) -> float:
@@ -182,10 +182,9 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
     underscore so each line has exactly five whitespace-separated fields.
     Shaded bands mark the FOM ranges that would probe each model below its
     current lower bound; each band rect carries its threshold in a data
-    attribute.
+    attribute.  No points give the default frame, with its bands and grid,
+    no marker or legend entry, and a data text of its header line only.
     """
-    if not points:
-        raise EmptyInputError("no points selected for the figure")
     x_lo, x_hi = _decades([p.mass_kg for p in points], _X_LOG_MIN, _X_LOG_MAX)
     y_lo, y_hi = _decades(
         [p.fom for p in points]
@@ -331,17 +330,13 @@ def emit_bounds_summary(
 
     The conservative entries always come from the best absolute
     measurement on Earth; the best entries honour the requested filter.
-    Bounds are computed from the table-precision (3 significant figure)
-    figures of merit so every printed line is consistent with the others
-    at the precision shown.
+    When no record passes, the entry's record line reads '-' and its other
+    lines are left out.  Bounds are computed from the table-precision
+    (3 significant figure) figures of merit so every printed line is
+    consistent with the others at the precision shown.
     """
     if constants is None:
         constants = Constants()
-
-    best = best_record(catalog, results, which)
-    if best is None:
-        raise EmptyInputError("no records pass the filter")
-    conservative = best_record(catalog, results, "absolute-on-earth")
 
     baseline = results.get("Cavendish 1798")
     baseline_name = "-" if baseline is None else "Cavendish 1798"
@@ -353,45 +348,34 @@ def emit_bounds_summary(
         f"baseline_record: {baseline_name}",
         f"baseline_fom: {format_sig(baseline_fom)}",
     ]
-
-    def rounded(value: float) -> float:
-        return float(format_sig(value))
-
-    best_fom = rounded(results[best.name].fom)
-
-    if conservative is not None:
-        conservative_fom = rounded(results[conservative.name].fom)
+    # (label, table-precision fom) of each entry that has a record.
+    entries = []
+    for label, subset in (("conservative", "absolute-on-earth"), ("best", which)):
+        record = best_record(catalog, results, subset)
+        if record is None:
+            lines.append(f"{label}_record: -")
+            continue
+        fom = float(format_sig(results[record.name].fom))
+        entries.append((label, fom))
         lines += [
-            f"conservative_record: {conservative.name}",
-            f"conservative_fom: {format_sig(conservative_fom)}",
-            "conservative_orders_vs_baseline: "
-            f"{orders_of_improvement(conservative_fom, baseline_fom):.1f}",
+            f"{label}_record: {record.name}",
+            f"{label}_fom: {format_sig(fom)}",
+            f"{label}_orders_vs_baseline: "
+            f"{orders_of_improvement(fom, baseline_fom):.1f}",
         ]
-    else:
-        lines.append("conservative_record: -")
-    lines += [
-        f"best_record: {best.name}",
-        f"best_fom: {format_sig(best_fom)}",
-        "best_orders_vs_baseline: "
-        f"{orders_of_improvement(best_fom, baseline_fom):.1f}",
-    ]
 
     for model in ModelId:
         anchor = DEFAULT_ANCHORS[model]
         key = model.value
         lines.append(f"{key}.lower_bound: {format_sig(anchor.lower_bound)}")
-        if conservative is not None:
+        for label, fom in entries:
+            bound = anchored_bound(fom, anchor)
             lines += [
-                f"{key}.conservative_bound: "
-                f"{format_sig(anchored_bound(conservative_fom, anchor))}",
-                f"{key}.conservative_si_bound: "
-                f"{format_sig(si_bound(model, conservative_fom, constants))}",
+                f"{key}.{label}_bound: {format_sig(bound)}",
+                f"{key}.{label}_si_bound: "
+                f"{format_sig(si_bound(model, fom, constants))}",
             ]
-        best_bound = anchored_bound(best_fom, anchor)
-        lines += [
-            f"{key}.best_bound: {format_sig(best_bound)}",
-            f"{key}.best_si_bound: {format_sig(si_bound(model, best_fom, constants))}",
-            f"{key}.best_below_lower_bound: "
-            f"{'true' if best_bound < anchor.lower_bound else 'false'}",
-        ]
+            if label == "best":
+                lines.append(f"{key}.best_below_lower_bound: "
+                             f"{'true' if bound < anchor.lower_bound else 'false'}")
     return "\n".join(lines) + "\n"

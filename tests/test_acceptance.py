@@ -16,24 +16,21 @@ import pytest
 from stfom import (
     CAVENDISH_FOM,
     DEFAULT_ANCHORS,
+    ExperimentRecord,
     ModelId,
-    accel_asd_from_force,
     anchored_bound,
     asd_to_psd,
     embedded_catalog,
     embedded_reference_values,
     emit_bounds_summary,
     evaluate_catalog,
-    fom_from_psd,
-    force_asd_from_accel,
     orders_of_improvement,
     parse_formula,
+    parse_material,
     parse_records,
     psd_to_asd,
     serialize_records,
     si_bound,
-    thermal_fom,
-    thermal_force_psd,
 )
 from stfom.cli import main
 from stfom.errors import FormulaError
@@ -115,6 +112,14 @@ def test_c3_bound_mapping_and_summary_lines(catalog, results):
           f"best record reaches {discrete:.2e} and {continuous:.2e}")
 
 
+def _draw(i, mass, **fields):
+    """A synthetic lead record for one random draw."""
+    return ExperimentRecord(**{
+        "name": f"draw {i}", "year": 2024, "reference": "synthetic",
+        "category": "massive", "material": parse_material("Pb"),
+        "mass_kg": mass, "sqrt_sf": 1e-15, **fields})
+
+
 def test_c4_numerical_properties(catalog):
     rng = random.Random(20240817)
 
@@ -130,27 +135,38 @@ def test_c4_numerical_properties(catalog):
             assert math.isclose(anchored_ratio, si_ratio, rel_tol=1e-12)
             assert math.isclose(anchored_ratio, fom_a / fom_b, rel_tol=1e-12)
 
-    # (b) force <-> acceleration and psd <-> asd conversions round-trip
-    for _ in range(2000):
+    # (b) force <-> acceleration and psd <-> asd conversions round-trip;
+    # the first catalog quotes each sqrt_sa, the second its derived sqrt_sf
+    draws = []
+    for i in range(2000):
         mass = 10.0 ** rng.uniform(-20, 2)
         sqrt_sa = 10.0 ** rng.uniform(-15, 0)
-        back = accel_asd_from_force(force_asd_from_accel(sqrt_sa, mass), mass)
-        assert math.isclose(back, sqrt_sa, rel_tol=1e-12)
+        draws.append(_draw(i, mass, sqrt_sf=None, sqrt_sa=sqrt_sa))
         density = 10.0 ** rng.uniform(-30, 5)
         assert math.isclose(psd_to_asd(asd_to_psd(density)), density,
                             rel_tol=1e-12)
+    forces = evaluate_catalog(draws)
+    backs = evaluate_catalog([
+        r._replace(sqrt_sf=forces[r.name].sqrt_sf, sqrt_sa=None) for r in draws])
+    for record in draws:
+        assert math.isclose(backs[record.name].sqrt_sa, record.sqrt_sa,
+                            rel_tol=1e-12)
 
     # (c) thermal figure of merit agrees with the explicit PSD route
-    for _ in range(10_000):
+    draws = []
+    for i in range(10_000):
         n = 10.0 ** rng.uniform(0, 27)
         temp = 10.0 ** rng.uniform(-3, 3)
         omega0 = 10.0 ** rng.uniform(0, 7)
         mass = 10.0 ** rng.uniform(-20, 2)
         quality = 10.0 ** rng.uniform(0, 9)
-        direct = thermal_fom(n, temp, omega0, mass, quality)
-        via_psd = fom_from_psd(
-            thermal_force_psd(temp, mass, omega0, quality) / mass**2, n)
-        assert math.isclose(direct, via_psd, rel_tol=1e-12)
+        draws.append(_draw(i, mass, n_override=n, temp_k=temp,
+                           f0_hz=omega0 / (2.0 * math.pi), quality=quality))
+    results = evaluate_catalog(draws)
+    for record in draws:
+        result = results[record.name]
+        via_psd = result.thermal_sqrt_sf**2 / record.mass_kg**2 * result.n_nuclei
+        assert math.isclose(result.thermal_fom, via_psd, rel_tol=1e-12)
 
     # (d) formula parser: canonical text round-trips, bad text is rejected
     for text in ("Si3N4", "SiO2", "Nd2Fe14B", "CHOCH2OH", "Yb", "B2O3"):

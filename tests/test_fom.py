@@ -11,17 +11,10 @@ from stfom import (
     NegativeInputError,
     NonPositiveError,
     OutOfRangeError,
-    accel_asd_from_force,
-    angular_frequency,
-    classify_thermal,
     evaluate_catalog,
     evaluate_record,
-    fom_from_psd,
-    force_asd_from_accel,
     nuclei_count,
     parse_material,
-    thermal_fom,
-    thermal_force_psd,
 )
 
 K_B = 1.380649e-23
@@ -37,26 +30,22 @@ def _record(**overrides):
 
 
 def test_accel_asd_from_force():
-    got = accel_asd_from_force(7.08e-28, 1.44e-19)
+    got = evaluate_record(_record(sqrt_sf=7.08e-28, mass_kg=1.44e-19)).sqrt_sa
     assert got == pytest.approx(7.08e-28 / 1.44e-19, rel=1e-15)
     assert got == pytest.approx(4.92e-9, rel=1e-3)
 
 
 def test_force_asd_from_accel():
-    assert force_asd_from_accel(1.03e-6, 9.30e-15) == pytest.approx(
-        1.03e-6 * 9.30e-15, rel=1e-15
-    )
+    got = evaluate_record(_record(sqrt_sf=None, sqrt_sa=1.03e-6, mass_kg=9.30e-15))
+    assert got.sqrt_sf == pytest.approx(1.03e-6 * 9.30e-15, rel=1e-15)
 
 
 def test_conversions_reject_bad_inputs():
-    with pytest.raises(NonPositiveError):
-        accel_asd_from_force(1.0, 0.0)
-    with pytest.raises(NonPositiveError):
-        force_asd_from_accel(1.0, -1.0)
-    with pytest.raises(NegativeInputError):
-        accel_asd_from_force(-1.0, 1.0)
-    with pytest.raises(NegativeInputError):
-        force_asd_from_accel(-1.0, 1.0)
+    # evaluate_record checks no sign: the record refuses these itself.
+    for fields in (dict(mass_kg=0.0), dict(mass_kg=-1.0), dict(sqrt_sf=-1.0),
+                   dict(sqrt_sf=None, sqrt_sa=-1.0)):
+        with pytest.raises(CatalogError):
+            _record(**fields)
 
 
 @given(
@@ -66,86 +55,65 @@ def test_conversions_reject_bad_inputs():
                    allow_nan=False, allow_infinity=False),
 )
 def test_force_accel_roundtrip(sqrt_sf, mass):
-    there = accel_asd_from_force(sqrt_sf, mass)
-    back = force_asd_from_accel(there, mass)
+    there = evaluate_record(_record(sqrt_sf=sqrt_sf, mass_kg=mass)).sqrt_sa
+    back = evaluate_record(_record(sqrt_sf=None, sqrt_sa=there, mass_kg=mass)).sqrt_sf
     assert back == pytest.approx(sqrt_sf, rel=1e-12)
 
 
 def test_fom_from_psd():
-    assert fom_from_psd(2.0, 3.0) == 6.0
-    got = fom_from_psd(1.03e-6 * 1.03e-6, 2.79e11)
-    assert got == pytest.approx(1.03e-6**2 * 2.79e11, rel=1e-15)
-    with pytest.raises(NegativeInputError):
-        fom_from_psd(-1.0, 1.0)
-    with pytest.raises(NegativeInputError):
-        fom_from_psd(1.0, -1.0)
+    assert evaluate_record(
+        _record(sqrt_sf=None, sqrt_sa=2.0, n_override=3.0)).fom == 12.0
+    got = evaluate_record(_record(sqrt_sf=None, sqrt_sa=1.03e-6, n_override=2.79e11))
+    assert got.fom == pytest.approx(1.03e-6**2 * 2.79e11, rel=1e-15)
 
 
 def test_thermal_force_psd_value():
     omega0 = 2.0 * math.pi * 1e5
     expected = 4.0 * K_B * 4.2 * 1e-12 * omega0 / 1e6
-    got = thermal_force_psd(4.2, 1e-12, omega0, 1e6)
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert got == pytest.approx(1.457e-34, rel=1e-3)
-    assert math.sqrt(got) == pytest.approx(1.207e-17, rel=1e-3)
+    floor = evaluate_record(_record(mass_kg=1e-12, temp_k=4.2, f0_hz=1e5,
+                                    quality=1e6)).thermal_sqrt_sf
+    assert floor**2 == pytest.approx(expected, rel=1e-12)
+    assert floor**2 == pytest.approx(1.457e-34, rel=1e-3)
+    assert floor == pytest.approx(1.207e-17, rel=1e-3)
 
 
 def test_thermal_force_psd_validation():
-    with pytest.raises(NegativeInputError):
-        thermal_force_psd(-1.0, 1.0, 1.0, 1.0)
-    for bad in ("mass", "omega0", "quality"):
-        kwargs = {"temp_k": 1.0, "mass_kg": 1.0, "omega0": 1.0, "quality": 1.0}
-        kwargs[{"mass": "mass_kg", "omega0": "omega0", "quality": "quality"}[bad]] = 0.0
-        with pytest.raises(NonPositiveError):
-            thermal_force_psd(**kwargs)
+    # evaluate_record checks no sign: the record refuses these itself.
+    for name in ("temp_k", "f0_hz", "quality", "mass_kg"):
+        for bad in (0.0, -1.0):
+            fields = dict(temp_k=1.0, f0_hz=1.0, quality=1.0)
+            fields[name] = bad
+            with pytest.raises(CatalogError):
+                _record(**fields)
 
 
 def test_thermal_fom_value():
     omega0 = 2.0 * math.pi * 1e3
     expected = 4.0 * 1e12 * K_B * 0.01 * omega0 / (1e-12 * 1e8)
-    got = thermal_fom(1e12, 0.01, omega0, 1e-12, 1e8)
+    got = evaluate_record(_record(n_override=1e12, temp_k=0.01, f0_hz=1e3,
+                                  mass_kg=1e-12, quality=1e8)).thermal_fom
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(3.470e-5, rel=1e-3)
 
 
 def test_thermal_fom_agrees_with_psd_route():
     rng = random.Random(99)
-    for _ in range(10_000):
+    records = []
+    for i in range(10_000):
         n = 10.0 ** rng.uniform(0, 27)
         temp = 10.0 ** rng.uniform(-3, 3)
         omega0 = 10.0 ** rng.uniform(-2, 8)
         mass = 10.0 ** rng.uniform(-27, 2)
         quality = 10.0 ** rng.uniform(0, 9)
-        direct = thermal_fom(n, temp, omega0, mass, quality)
-        via_psd = fom_from_psd(
-            thermal_force_psd(temp, mass, omega0, quality) / (mass * mass), n
-        )
-        assert direct == pytest.approx(via_psd, rel=1e-12)
-
-
-def test_classify_thermal_regions():
-    # floor just above half the measurement: limited, no marker
-    assert classify_thermal(1.0, 0.6) == (True, False)
-    # exactly twice the floor belongs to the marker side
-    assert classify_thermal(1.0, 0.5) == (False, True)
-    assert classify_thermal(1.0, 0.49) == (False, True)
-    # measurement below the floor is still "limited"
-    assert classify_thermal(0.5, 1.0) == (True, False)
-    with pytest.raises(NegativeInputError):
-        classify_thermal(-1.0, 1.0)
-    with pytest.raises(NegativeInputError):
-        classify_thermal(1.0, -1.0)
-
-
-@given(
-    measured=st.floats(min_value=1e-30, max_value=1e30,
-                       allow_nan=False, allow_infinity=False),
-    floor=st.floats(min_value=1e-30, max_value=1e30,
-                    allow_nan=False, allow_infinity=False),
-)
-def test_classify_thermal_flags_are_complementary(measured, floor):
-    limited, marker = classify_thermal(measured, floor)
-    assert limited != marker
+        records.append(_record(name=f"draw {i}", n_override=n, temp_k=temp,
+                               f0_hz=omega0 / (2.0 * math.pi), mass_kg=mass,
+                               quality=quality))
+    results = evaluate_catalog(records)
+    for record in records:
+        res = results[record.name]
+        via_psd = (res.thermal_sqrt_sf**2 / (record.mass_kg * record.mass_kg)
+                   * res.n_nuclei)
+        assert res.thermal_fom == pytest.approx(via_psd, rel=1e-12)
 
 
 def test_evaluate_record_force_density_is_authoritative():
@@ -268,22 +236,29 @@ def test_custom_constants_flow_through():
     assert scaled.thermal_fom == pytest.approx(2.0 * base.thermal_fom, rel=1e-12)
 
 
-# ------------------------------------------- evaluate_record against helpers
+# ------------------------------- evaluate_record against a written-out route
 
 def _reference_evaluate_record(record, constants=None):
-    """evaluate_record as it was written with the public helpers."""
+    """evaluate_record as it was written with the public conversion,
+    thermal and classification helpers, their formulas and input checks
+    written out here in each helper's operation order."""
     if constants is None:
         constants = Constants()
     warnings = []
+    mass_kg = record.mass_kg
+    if mass_kg <= 0.0:
+        raise NonPositiveError("mass_kg", mass_kg)
 
     if record.n_override is not None:
         n_nuclei = record.n_override
     else:
-        n_nuclei = nuclei_count(record.mass_kg, record.material, constants.N_A)
+        n_nuclei = nuclei_count(mass_kg, record.material, constants.N_A)
 
     if record.sqrt_sf is not None:
         sqrt_sf = record.sqrt_sf
-        sqrt_sa = accel_asd_from_force(sqrt_sf, record.mass_kg)
+        if sqrt_sf < 0.0:
+            raise NegativeInputError("sqrt_sf", sqrt_sf)
+        sqrt_sa = sqrt_sf / mass_kg
         if record.sqrt_sa is not None and record.sqrt_sa > 0.0:
             drift = abs(sqrt_sa - record.sqrt_sa) / record.sqrt_sa
             if drift > 0.02:
@@ -293,9 +268,14 @@ def _reference_evaluate_record(record, constants=None):
                 )
     else:
         sqrt_sa = record.sqrt_sa
-        sqrt_sf = force_asd_from_accel(sqrt_sa, record.mass_kg)
+        if sqrt_sa < 0.0:
+            raise NegativeInputError("sqrt_sa", sqrt_sa)
+        sqrt_sf = sqrt_sa * mass_kg
 
-    fom = fom_from_psd(sqrt_sa * sqrt_sa, n_nuclei)
+    s_a = sqrt_sa * sqrt_sa
+    if n_nuclei < 0.0:
+        raise NegativeInputError("n_nuclei", n_nuclei)
+    fom = s_a * n_nuclei
     for name, value in (("n_nuclei", n_nuclei), ("sqrt_sf", sqrt_sf),
                         ("sqrt_sa", sqrt_sa), ("fom", fom)):
         if not 0.0 < value < math.inf:
@@ -305,26 +285,27 @@ def _reference_evaluate_record(record, constants=None):
     thermal_fom_value = None
     limited = False
     marker = False
-    if (
-        record.temp_k is not None
-        and record.f0_hz is not None
-        and record.quality is not None
-    ):
-        omega0 = angular_frequency(record.f0_hz)
-        thermal_sqrt_sf = math.sqrt(
-            thermal_force_psd(
-                record.temp_k, record.mass_kg, omega0, record.quality, constants.k_B
-            )
-        )
-        thermal_fom_value = thermal_fom(
-            n_nuclei, record.temp_k, omega0, record.mass_kg,
-            record.quality, constants.k_B,
-        )
+    temp_k, f0_hz, quality = record.temp_k, record.f0_hz, record.quality
+    if temp_k is not None and f0_hz is not None and quality is not None:
+        k_b = constants.k_B
+        if f0_hz <= 0.0:
+            raise NonPositiveError("f0_hz", f0_hz)
+        omega0 = 2.0 * math.pi * f0_hz
+        if temp_k < 0.0:
+            raise NegativeInputError("temp_k", temp_k)
+        if omega0 <= 0.0:
+            raise NonPositiveError("omega0", omega0)
+        if quality <= 0.0:
+            raise NonPositiveError("quality", quality)
+        thermal_sqrt_sf = math.sqrt(4.0 * k_b * temp_k * mass_kg * omega0 / quality)
+        thermal_fom_value = (4.0 * n_nuclei * k_b * temp_k * omega0
+                             / (mass_kg * quality))
         for name, value in (("thermal_sqrt_sf", thermal_sqrt_sf),
                             ("thermal_fom", thermal_fom_value)):
             if not 0.0 < value < math.inf:
                 raise OutOfRangeError(record.name, name, value)
-        limited, marker = classify_thermal(sqrt_sf, thermal_sqrt_sf)
+        limited = thermal_sqrt_sf > sqrt_sf / 2.0
+        marker = sqrt_sf >= 2.0 * thermal_sqrt_sf
         if sqrt_sf < thermal_sqrt_sf:
             warnings.append(
                 f"{record.name}: measured force noise is below the thermal floor"
@@ -409,3 +390,57 @@ def test_evaluate_record_matches_the_helper_route(fields, constants):
     if expected[0] != "OutOfRangeError":
         catalog_results = evaluate_catalog([record], constants)
         assert tuple(catalog_results[record.name]) == got
+
+
+# ------------------------------------------------ thermal classification
+
+def _thermal_flags(measured_over_floor):
+    # A record whose measured force amplitude is `measured_over_floor`
+    # times its thermal floor; the floor does not depend on the
+    # measured density.
+    thermal = dict(mass_kg=1e-9, temp_k=300.0, f0_hz=1e3, quality=1e4)
+    floor = evaluate_record(_record(**thermal)).thermal_sqrt_sf
+    res = evaluate_record(_record(sqrt_sf=floor * measured_over_floor, **thermal))
+    return res.thermally_limited, res.show_thermal_marker
+
+
+def test_classify_thermal_regions():
+    # floor just above half the measurement: limited, no marker
+    assert _thermal_flags(1 / 0.6) == (True, False)
+    # exactly twice the floor belongs to the marker side
+    assert _thermal_flags(2.0) == (False, True)
+    assert _thermal_flags(1 / 0.49) == (False, True)
+    # measurement below the floor is still "limited"
+    assert _thermal_flags(0.5) == (True, False)
+    # a negative amplitude never reaches the classification
+    for fields in (dict(sqrt_sf=-1.0), dict(mass_kg=-1.0)):
+        with pytest.raises(CatalogError):
+            _record(temp_k=300.0, f0_hz=1e3, quality=1e4, **fields)
+
+
+@given(measured_over_floor=st.floats(min_value=1e-6, max_value=1e6,
+                                     allow_nan=False, allow_infinity=False))
+def test_classify_thermal_flags_are_complementary(measured_over_floor):
+    limited, marker = _thermal_flags(measured_over_floor)
+    assert limited != marker
+
+@given(mass_kg=_magnitude(-20, 1), temp_k=_magnitude(-3, 2),
+       f0_hz=_magnitude(-1, 6), quality=_magnitude(0, 8),
+       ratio=st.floats(1e-3, 1e3))
+@example(mass_kg=1e-9, temp_k=300.0, f0_hz=1e3, quality=1e4, ratio=0.5)
+@example(mass_kg=1e-9, temp_k=300.0, f0_hz=1e3, quality=1e4, ratio=0.6)
+@example(mass_kg=1e-9, temp_k=300.0, f0_hz=1e3, quality=1e4, ratio=0.49)
+@example(mass_kg=1e-9, temp_k=300.0, f0_hz=1e3, quality=1e4, ratio=2.0)
+def test_evaluate_record_thermal_flags_split_at_half_the_amplitude(
+        mass_kg, temp_k, f0_hz, quality, ratio):
+    thermal = dict(mass_kg=mass_kg, temp_k=temp_k, f0_hz=f0_hz, quality=quality)
+    # The floor does not depend on the measured density, so a record whose
+    # floor is `ratio` times its measured amplitude can be built from it;
+    # at a ratio of 0.5 the measured amplitude is exactly twice the floor.
+    floor = evaluate_record(_record(**thermal)).thermal_sqrt_sf
+    res = evaluate_record(_record(sqrt_sf=floor / ratio, **thermal))
+    assert res.thermal_sqrt_sf == floor
+    assert res.thermally_limited == (res.thermal_sqrt_sf > res.sqrt_sf / 2)
+    assert res.show_thermal_marker == (not res.thermally_limited)
+    if ratio == 0.5:
+        assert not res.thermally_limited and res.sqrt_sf / 2 == floor

@@ -24,11 +24,15 @@ from stfom.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 THERMAL_RECORDS = GOLDEN / "thermal_records.csv"
+# One record, in space, so no record passes --filter absolute-on-earth.
+SPACE_ONLY = GOLDEN / "space_only.csv"
 
 CASES = {
     "embedded": [],
     "embedded-absolute-on-earth": ["--filter", "absolute-on-earth"],
     "thermal-records": ["--records", str(THERMAL_RECORDS)],
+    "empty-selection": ["--records", str(SPACE_ONLY),
+                        "--filter", "absolute-on-earth"],
 }
 FILES = ("table.csv", "bounds.txt", "figure.svg", "figure.dat", "bounds.stdout",
          "compute.stderr")

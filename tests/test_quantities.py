@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +8,6 @@ from stfom import (
     NegativeInputError,
     NonPositiveError,
     UnknownConstantError,
-    angular_frequency,
     asd_to_psd,
     load_constants,
     psd_to_asd,
@@ -106,11 +103,3 @@ def test_psd_asd_roundtrip(x):
     assert psd_to_asd(asd_to_psd(x)) == pytest.approx(x, rel=1e-12)
     assert asd_to_psd(psd_to_asd(x)) == pytest.approx(x, rel=1e-12)
 
-
-def test_angular_frequency():
-    assert angular_frequency(1.0) == 2.0 * math.pi
-    assert angular_frequency(1.41e6) == pytest.approx(
-        2.0 * math.pi * 1.41e6, rel=1e-15
-    )
-    with pytest.raises(NonPositiveError):
-        angular_frequency(0.0)

@@ -10,7 +10,6 @@ from stfom import (
     CATEGORIES,
     Catalog,
     CatalogError,
-    EmptyInputError,
     ExperimentRecord,
     FigurePoint,
     FomResult,
@@ -342,9 +341,19 @@ def test_figure_svg_parses_for_every_name_a_record_accepts(name):
     ET.fromstring(svg)
 
 
-def test_figure_rejects_empty_selection():
-    with pytest.raises(EmptyInputError):
-        emit_figure(())
+def test_figure_of_an_empty_selection_is_the_default_frame():
+    svg, dat = emit_figure(())
+    assert dat == "# name category mass fom marker\n"
+    root = ET.fromstring(svg)
+    assert len([e for e in root.iter() if e.get("class") == "band"]) == 2
+    # A point inside the default frame adds its marker and its legend
+    # entry, and nothing else.
+    point = FigurePoint(name="solo", category="membrane",
+                        mass_kg=1e-9, fom=1.0, marker="circle")
+    framed, _ = emit_figure((point,))
+    assert svg.splitlines() == [
+        line for line in framed.splitlines()
+        if "<circle" not in line and ">membrane</text>" not in line]
 
 
 def _edge_record(**fields):
@@ -536,8 +545,13 @@ def test_summary_without_any_absolute_earth_record(catalog):
     assert entries["baseline_record"] == "-"
     assert "ultra-local-discrete.conservative_bound" not in entries
     assert "ultra-local-discrete.best_bound" in entries
-    with pytest.raises(EmptyInputError):
-        emit_bounds_summary(differential, partial, which="absolute-on-earth")
+    empty = _summary_map(emit_bounds_summary(differential, partial,
+                                             which="absolute-on-earth"))
+    assert empty["conservative_record"] == empty["best_record"] == "-"
+    assert list(empty) == [
+        "records", "filter", "baseline_record", "baseline_fom",
+        "conservative_record", "best_record",
+        "ultra-local-discrete.lower_bound", "non-local-continuous.lower_bound"]
 
 
 def test_table_keeps_both_spellings_of_zero_noise():
