@@ -59,13 +59,7 @@ from .formula import (
     parse_formula,
     parse_material,
 )
-from .quantities import (
-    DEFAULT_CONSTANTS_TEXT,
-    Constants,
-    asd_to_psd,
-    load_constants,
-    psd_to_asd,
-)
+from .quantities import DEFAULT_CONSTANTS_TEXT, Constants, load_constants
 from .report import (
     FigurePoint,
     build_figure_points,
@@ -85,12 +79,12 @@ __all__ = [
     "MaterialError", "MaterialSpec", "ModelId", "NegativeInputError",
     "NonPositiveError", "OutOfRangeError", "ParseError", "QuotedValues",
     "STANDARD_ATOMIC_WEIGHTS", "StfomError", "UnknownConstantError",
-    "UnknownElementError", "anchored_bound", "asd_to_psd",
-    "build_figure_points", "embedded_catalog", "embedded_reference_values",
-    "emit_bounds_summary", "emit_figure", "emit_table", "evaluate_catalog",
-    "evaluate_record", "fom_threshold", "format_material", "format_sig",
-    "load_constants", "molar_mass", "nuclei_count", "nuclei_per_formula",
+    "UnknownElementError", "anchored_bound", "build_figure_points",
+    "embedded_catalog", "embedded_reference_values", "emit_bounds_summary",
+    "emit_figure", "emit_table", "evaluate_catalog", "evaluate_record",
+    "fom_threshold", "format_material", "format_sig", "load_constants",
+    "molar_mass", "nuclei_count", "nuclei_per_formula",
     "orders_of_improvement", "parse_formula", "parse_material",
-    "parse_records", "psd_to_asd", "rank", "select_for_figure",
-    "serialize_records", "si_bound",
+    "parse_records", "rank", "select_for_figure", "serialize_records",
+    "si_bound",
 ]

@@ -10,7 +10,7 @@ bounds from new figures of merit follow by pure proportionality:
     bound(fom) = bound_ref * fom / fom_ref
 
 The anchored path is authoritative; si_bound() evaluates the raw SI
-combinations and is kept for exploratory scaling checks.
+combinations, which bounds.txt prints beside each anchored bound.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NegativeInputError, NonPositiveError, OutOfRangeError, _Checked
-from .quantities import Constants
+from .quantities import _DEFAULT_CONSTANTS, Constants
 
 # Figure of merit of the classic Cavendish torsion balance, the baseline
 # against which orders of improvement are counted.
@@ -75,13 +75,12 @@ DEFAULT_ANCHORS: MappingProxyType[ModelId, BoundAnchor] = MappingProxyType({
 })
 
 
-def si_bound(model: ModelId, fom: float, constants: Constants | None = None) -> float:
+def si_bound(model: ModelId, fom: float,
+             constants: Constants = _DEFAULT_CONSTANTS) -> float:
     """Dimensionless bound from the raw SI constant combination; a bound
     that is not a finite float > 0 raises OutOfRangeError."""
     if fom < 0.0:
         raise NegativeInputError("fom", fom)
-    if constants is None:
-        constants = Constants()
     # Products overflow to inf and underflow to 0 where ** and / raise.
     r_squared = constants.r_N * constants.r_N
     g_squared = constants.G * constants.G
@@ -97,23 +96,31 @@ def si_bound(model: ModelId, fom: float, constants: Constants | None = None) -> 
 
 def anchored_bound(fom: float, anchor: BoundAnchor) -> float:
     """Bound in anchor.model scaled off the anchor; exact at its own FOM."""
-    if fom < 0.0:
+    if not 0.0 <= fom < math.inf:
         raise NegativeInputError("fom", fom)
-    return anchor.bound_ref * (fom / anchor.fom_ref)
+    ratio = fom / anchor.fom_ref
+    # A fom near the largest float overflows the ratio, not the bound.
+    if ratio == math.inf:
+        return fom * (anchor.bound_ref / anchor.fom_ref)
+    return anchor.bound_ref * ratio
 
 
 def fom_threshold(bound: float, anchor: BoundAnchor) -> float:
     """Figure of merit needed to reach a given bound in anchor.model;
     inverse of anchored_bound."""
-    if bound < 0.0:
+    if not 0.0 <= bound < math.inf:
         raise NegativeInputError("bound", bound)
     return anchor.fom_ref * (bound / anchor.bound_ref)
 
 
 def orders_of_improvement(fom: float, baseline_fom: float = CAVENDISH_FOM) -> float:
     """Decades of figure-of-merit improvement over a baseline experiment."""
-    if fom <= 0.0:
+    if not 0.0 < fom < math.inf:
         raise NonPositiveError("fom", fom)
-    if baseline_fom <= 0.0:
+    if not 0.0 < baseline_fom < math.inf:
         raise NonPositiveError("baseline_fom", baseline_fom)
-    return math.log10(baseline_fom / fom)
+    ratio = baseline_fom / fom
+    # Figures of merit far apart overflow or underflow the ratio, not its log.
+    if not 0.0 < ratio < math.inf:
+        return math.log10(baseline_fom) - math.log10(fom)
+    return math.log10(ratio)

@@ -26,12 +26,6 @@ from .errors import (
 from .fom import FomResult
 from .formula import MaterialSpec, format_material, parse_material
 
-CSV_HEADER = (
-    "name,year,reference,category,material,mass_kg,n_override,f0_hz,"
-    "sqrt_sf,sqrt_sa,temp_k,quality,mode,location,secondhand,notes"
-)
-_CSV_COLUMNS = tuple(CSV_HEADER.split(","))
-
 # Closed taxonomy, ordered from lightest to heaviest typical test mass.
 CATEGORIES: tuple[str, ...] = (
     "trapped-ion",
@@ -82,6 +76,10 @@ class _RecordFields(NamedTuple):
     location: str = "earth"
     secondhand: bool = False
     notes: str = ""
+
+
+_CSV_COLUMNS = _RecordFields._fields
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 class ExperimentRecord(_Checked, _RecordFields):

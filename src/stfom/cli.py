@@ -19,8 +19,9 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import get_args
 
-from .catalog import embedded_catalog, parse_records, rank
+from .catalog import RecordFilter, embedded_catalog, parse_records, rank
 from .errors import CatalogError, Diagnostic, StfomError
 from .fom import evaluate_catalog
 from .formula import (
@@ -28,7 +29,7 @@ from .formula import (
     nuclei_per_formula,
     parse_formula,
 )
-from .quantities import Constants, load_constants
+from .quantities import _DEFAULT_CONSTANTS, load_constants
 from .report import (
     build_figure_points,
     emit_bounds_summary,
@@ -138,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     io_parent.add_argument("--constants", type=Path, default=None,
                            help="constants override file")
     filter_parent = argparse.ArgumentParser(add_help=False)
-    filter_parent.add_argument("--filter", choices=("all", "absolute-on-earth"),
+    filter_parent.add_argument("--filter", choices=get_args(RecordFilter),
                                default="all",
                                help="record subset to analyse")
     out_parent = argparse.ArgumentParser(add_help=False)
@@ -175,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_formula(args.text)
         catalog = (embedded_catalog() if args.records is None
                    else parse_records(_read_text(args.records)))
-        constants = (Constants() if args.constants is None
+        constants = (_DEFAULT_CONSTANTS if args.constants is None
                      else load_constants(_read_text(args.constants)))
         if args.command == "validate":
             print(f"ok: {len(catalog)} records")
@@ -196,7 +197,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -50,19 +50,19 @@ class UnknownConstantError(ConstantsError):
 
 
 class NonPositiveError(StfomError):
-    """A value that must be strictly positive was zero or negative."""
+    """A value that must be a finite float > 0 was not."""
 
     def __init__(self, name: str, value: float):
-        super().__init__(f"{name} must be > 0, got {value!r}")
+        super().__init__(f"{name} must be a finite float > 0, got {value!r}")
         self.name = name
         self.value = value
 
 
 class NegativeInputError(StfomError):
-    """A value that must be non-negative was negative."""
+    """A value that must be a finite float >= 0 was not."""
 
     def __init__(self, name: str, value: float):
-        super().__init__(f"{name} must be >= 0, got {value!r}")
+        super().__init__(f"{name} must be a finite float >= 0, got {value!r}")
         self.name = name
         self.value = value
 

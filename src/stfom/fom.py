@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OutOfRangeError
 from .formula import nuclei_count
-from .quantities import Constants
+from .quantities import _DEFAULT_CONSTANTS, Constants
 
 if TYPE_CHECKING:
     from .catalog import ExperimentRecord
@@ -68,7 +68,7 @@ class FomResult(NamedTuple):
 
 def evaluate_record(
     record: "ExperimentRecord",
-    constants: Constants | None = None,
+    constants: Constants = _DEFAULT_CONSTANTS,
 ) -> FomResult:
     """Compute the figure of merit and thermal context for one record.
 
@@ -85,8 +85,6 @@ def evaluate_record(
     input is sign-checked here, because a record's own check already
     refuses a density, mass, temperature, frequency or quality <= 0.
     """
-    if constants is None:
-        constants = Constants()
     name = record.name
     mass_kg = record.mass_kg
     warnings: tuple[str, ...] = ()
@@ -132,9 +130,11 @@ def evaluate_record(
         k_b = constants.k_B
         omega0 = 2.0 * math.pi * f0_hz
         thermal_sqrt_sf = math.sqrt(4.0 * k_b * temp_k * mass_kg * omega0 / quality)
-        thermal_fom_value = (4.0 * n_nuclei * k_b * temp_k * omega0
-                             / (mass_kg * quality))
-        # A tiny positive temperature can still underflow the floor to 0.
+        # Mass times quality can underflow to 0, and a tiny positive
+        # temperature the floor; both are refused below.
+        denominator = mass_kg * quality
+        thermal_fom_value = (4.0 * n_nuclei * k_b * temp_k * omega0 / denominator
+                             if denominator else math.inf)
         if not (0.0 < thermal_sqrt_sf < math.inf
                 and 0.0 < thermal_fom_value < math.inf):
             _raise_first_out_of_range(name, (
@@ -161,8 +161,6 @@ def _raise_first_out_of_range(record: str, values) -> None:
             raise OutOfRangeError(record, name, value)
 
 
-def evaluate_catalog(catalog, constants=None) -> dict[str, FomResult]:
+def evaluate_catalog(catalog, constants=_DEFAULT_CONSTANTS) -> dict[str, FomResult]:
     """Evaluate every record; returns a name -> FomResult mapping."""
-    if constants is None:
-        constants = Constants()
     return {record.name: evaluate_record(record, constants) for record in catalog}

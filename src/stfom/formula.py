@@ -21,6 +21,7 @@ with no whitespace and fractions that sum to one.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from functools import cached_property, lru_cache
@@ -34,7 +35,7 @@ from .errors import (
     UnknownElementError,
     _Checked,
 )
-from .quantities import AVOGADRO
+from .quantities import _DEFAULT_CONSTANTS
 
 # Standard atomic weights in kg/mol (CIAAW abridged values; conventional
 # values for elements whose weight is published as an interval).
@@ -252,16 +253,15 @@ def molar_mass(formula: Formula) -> float:
         raise UnknownElementError(exc.args[0]) from None
 
 
-def nuclei_count(
-    mass_kg: float, mat: MaterialSpec, n_avogadro: float = AVOGADRO
-) -> float:
+def nuclei_count(mass_kg: float, mat: MaterialSpec,
+                 n_avogadro: float = _DEFAULT_CONSTANTS.N_A) -> float:
     """Total nuclei in mass_kg of the material.
 
     Each component contributes mass * fraction / molar_mass moles of
     formula units, times Avogadro's number, times nuclei per unit.  The
     result is exactly linear in mass_kg.
     """
-    if mass_kg < 0.0:
+    if not 0.0 <= mass_kg < math.inf:
         raise NegativeInputError("mass_kg", mass_kg)
     total = 0.0
     for formula, fraction in mat.components:

@@ -1,12 +1,8 @@
-"""Physical constants and spectral density conversions.
+"""Physical constants and their override file.
 
 The package works in SI throughout.  Frequencies are stored in Hz;
 fom.evaluate_record turns a resonance frequency into the angular
 frequency 2 pi f0 its thermal formulas take.
-Noise levels appear in two interchangeable forms: amplitude spectral
-densities (what experiments quote, e.g. N/sqrt(Hz)) and power spectral
-densities (what the formulas consume, e.g. N^2/Hz).  asd_to_psd() and
-psd_to_asd() move between them.
 """
 
 from __future__ import annotations
@@ -16,20 +12,10 @@ from typing import NamedTuple
 
 from .errors import (
     ConstantsError,
-    NegativeInputError,
     NonPositiveError,
     UnknownConstantError,
     _Checked,
 )
-
-# Default constant values, SI.  CODATA 2018 for N_A and k_B; the
-# gravitational constant and the nuclear scales are kept at the precision
-# the downstream formulas actually resolve.
-GRAVITATIONAL_CONSTANT = 6.674e-11
-AVOGADRO = 6.02214076e23
-BOLTZMANN = 1.380649e-23
-NUCLEUS_RADIUS = 1.0e-15
-NUCLEON_MASS = 1.6726e-27
 
 # Canonical text form of the defaults, parseable by load_constants().
 DEFAULT_CONSTANTS_TEXT = """\
@@ -43,11 +29,14 @@ m_N 1.6726e-27
 
 
 class _ConstantsFields(NamedTuple):
-    G: float = GRAVITATIONAL_CONSTANT
-    N_A: float = AVOGADRO
-    k_B: float = BOLTZMANN
-    r_N: float = NUCLEUS_RADIUS
-    m_N: float = NUCLEON_MASS
+    # The default values, SI.  CODATA 2018 for N_A and k_B; the
+    # gravitational constant and the nuclear scales are kept at the
+    # precision the downstream formulas actually resolve.
+    G: float = 6.674e-11
+    N_A: float = 6.02214076e23
+    k_B: float = 1.380649e-23
+    r_N: float = 1.0e-15
+    m_N: float = 1.6726e-27
 
 
 class Constants(_Checked, _ConstantsFields):
@@ -67,6 +56,10 @@ class Constants(_Checked, _ConstantsFields):
             if not 0.0 < value < math.inf:
                 raise NonPositiveError(name, value)
 
+
+# The default of every function that takes constants; the CLI uses it
+# when no constants file is given.
+_DEFAULT_CONSTANTS = Constants()
 
 _CONSTANT_NAMES = frozenset(Constants._fields)
 
@@ -101,18 +94,3 @@ def load_constants(text: str) -> Constants:
             ) from None
         overrides[name] = value
     return Constants(**overrides)
-
-
-def asd_to_psd(x: float) -> float:
-    """Square a non-negative amplitude spectral density into a power
-    spectral density."""
-    if x < 0.0:
-        raise NegativeInputError("amplitude spectral density", x)
-    return x * x
-
-
-def psd_to_asd(x: float) -> float:
-    """Square root of a power spectral density, inverse of asd_to_psd."""
-    if x < 0.0:
-        raise NegativeInputError("power spectral density", x)
-    return math.sqrt(x)

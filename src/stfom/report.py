@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from typing import Iterable, Mapping, NamedTuple
 
 from .bounds import (
@@ -35,7 +36,7 @@ from .catalog import (
 )
 from .fom import FomResult
 from .formula import _WHITESPACE_RE, format_material
-from .quantities import Constants
+from .quantities import _DEFAULT_CONSTANTS, Constants
 
 
 def format_sig(x: float, sig: int = 3) -> str:
@@ -158,9 +159,10 @@ def _decades(values: list[float], lo: int, hi: int) -> tuple[int, int]:
             max(hi, math.ceil(max(logs, default=hi))))
 
 
-def _axis(value: float, lo: int, hi: int, start: float, end: float) -> float:
-    """Position of value on a log axis whose decades lo..hi run start..end."""
-    frac = (math.log10(value) - lo) / (hi - lo)
+def _axis(log_value: float, lo: int, hi: int, start: float, end: float) -> float:
+    """Position of a value, given as its log10, on a log axis whose decades
+    lo..hi run start..end."""
+    frac = (log_value - lo) / (hi - lo)
     return start + frac * (end - start)
 
 
@@ -193,10 +195,10 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
     )
 
     def px(mass_kg: float) -> float:
-        return _axis(mass_kg, x_lo, x_hi, _PLOT_LEFT, _PLOT_RIGHT)
+        return _axis(math.log10(mass_kg), x_lo, x_hi, _PLOT_LEFT, _PLOT_RIGHT)
 
     def py(fom: float) -> float:
-        return _axis(fom, y_lo, y_hi, _PLOT_BOTTOM, _PLOT_TOP)
+        return _axis(math.log10(fom), y_lo, y_hi, _PLOT_BOTTOM, _PLOT_TOP)
 
     svg: list[str] = []
     svg.append(
@@ -228,10 +230,11 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
 
     # A grid line every g decades and a label on every 3rd line: g is 1 on
     # the default frame and grows on a widened one, so labels stay <= 12.
+    # A line is placed by its decade, since 10.0 ** -324 is 0.
     x_grid = math.ceil((x_hi - x_lo) / 33)
     y_grid = math.ceil((y_hi - y_lo) / 33)
     for decade in range(x_lo + -x_lo % x_grid, x_hi + 1, x_grid):
-        x = px(10.0 ** decade)
+        x = _axis(decade, x_lo, x_hi, _PLOT_LEFT, _PLOT_RIGHT)
         svg.append(
             f'<line x1="{x:.2f}" y1="{_PLOT_TOP:.2f}" '
             f'x2="{x:.2f}" y2="{_PLOT_BOTTOM:.2f}" '
@@ -243,7 +246,7 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
                 f'text-anchor="middle">1e{decade}</text>'
             )
     for decade in range(y_lo + -y_lo % y_grid, y_hi + 1, y_grid):
-        y = py(10.0 ** decade)
+        y = _axis(decade, y_lo, y_hi, _PLOT_BOTTOM, _PLOT_TOP)
         svg.append(
             f'<line x1="{_PLOT_LEFT:.2f}" y1="{y:.2f}" '
             f'x2="{_PLOT_RIGHT:.2f}" y2="{y:.2f}" '
@@ -323,7 +326,7 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
 def emit_bounds_summary(
     catalog: Catalog,
     results: Mapping[str, FomResult],
-    constants: Constants | None = None,
+    constants: Constants = _DEFAULT_CONSTANTS,
     which: RecordFilter = "all",
 ) -> str:
     """Line-keyed 'key: value' summary of the bounds the catalog implies.
@@ -335,9 +338,6 @@ def emit_bounds_summary(
     (3 significant figure) figures of merit so every printed line is
     consistent with the others at the precision shown.
     """
-    if constants is None:
-        constants = Constants()
-
     baseline = results.get("Cavendish 1798")
     baseline_name = "-" if baseline is None else "Cavendish 1798"
     baseline_fom = CAVENDISH_FOM if baseline is None else baseline.fom
@@ -355,7 +355,8 @@ def emit_bounds_summary(
         if record is None:
             lines.append(f"{label}_record: -")
             continue
-        fom = float(format_sig(results[record.name].fom))
+        # A fom within 0.2% of the largest float rounds up past it.
+        fom = min(float(format_sig(results[record.name].fom)), sys.float_info.max)
         entries.append((label, fom))
         lines += [
             f"{label}_record: {record.name}",

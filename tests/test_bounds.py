@@ -155,3 +155,44 @@ def test_orders_of_improvement():
     assert orders_of_improvement(CAVENDISH_FOM) == 0.0
     assert orders_of_improvement(1.0, 1000.0) == pytest.approx(3.0, rel=1e-12)
 
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_anchored_bound_refuses_a_non_finite_fom(value):
+    with pytest.raises(NegativeInputError) as err:
+        anchored_bound(value, DEFAULT_ANCHORS[DISCRETE])
+    assert str(err.value) == f"fom must be a finite float >= 0, got {value!r}"
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_fom_threshold_refuses_a_non_finite_bound(value):
+    with pytest.raises(NegativeInputError) as err:
+        fom_threshold(value, DEFAULT_ANCHORS[DISCRETE])
+    assert str(err.value) == f"bound must be a finite float >= 0, got {value!r}"
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_orders_of_improvement_refuses_non_finite_foms(value):
+    with pytest.raises(NonPositiveError) as err:
+        orders_of_improvement(value)
+    assert str(err.value) == f"fom must be a finite float > 0, got {value!r}"
+    with pytest.raises(NonPositiveError) as err:
+        orders_of_improvement(1.0, value)
+    assert err.value.name == "baseline_fom"
+
+
+def test_anchored_bound_of_a_fom_near_the_largest_float():
+    # fom / fom_ref overflows above about 5.4e307; the bound does not.
+    anchor = DEFAULT_ANCHORS[DISCRETE]
+    got = anchored_bound(1.7e308, anchor)
+    assert got == pytest.approx(1.7e308 * 1.0e-16 / 2.98e-1, rel=1e-12)
+
+
+@pytest.mark.parametrize("fom, baseline, orders", [
+    (1e-200, 1e300, 500.0), (1e300, 1e-200, -500.0)])
+def test_orders_of_improvement_when_the_ratio_leaves_float_range(
+        fom, baseline, orders):
+    assert orders_of_improvement(fom, baseline) == pytest.approx(orders, rel=1e-12)

@@ -1,16 +1,28 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import threading
+from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import stfom
 
-from stfom import CSV_HEADER, Catalog, embedded_catalog, serialize_records
+from stfom import (
+    CATEGORIES,
+    CSV_HEADER,
+    Catalog,
+    Constants,
+    embedded_catalog,
+    serialize_records,
+)
 from stfom.cli import _write_atomic, main
 
 
@@ -229,8 +241,9 @@ def test_bare_carriage_return_is_a_diagnostic(tmp_path, capsys, monkeypatch,
 
 # Every number is finite, but a derived one is not: the squared acceleration
 # density underflows, a subnormal mass overflows it, a 0 K thermal row has a
-# zero floor, and the nucleus count of 1e300 kg of lead overflows.  Only the
-# last depends on the material, so only the record commands can see it.
+# zero floor, the nucleus count of 1e300 kg of lead overflows, and mass times
+# quality underflows to 0 in the thermal FOM's denominator.  The last two
+# pass the field checks, so only the commands that evaluate can see them.
 _OUT_OF_RANGE_ROWS = {
     "underflow": ("Tiny,2021,synthetic,membrane,Si3N4,1e-11,,,,1e-170,,,"
                   "absolute,earth,false,",
@@ -244,12 +257,16 @@ _OUT_OF_RANGE_ROWS = {
     "overflow": ("Huge,2021,synthetic,massive,Pb,1e300,,,,1e-9,,,"
                  "absolute,earth,false,",
                  "error: Huge: n_nuclei is inf, "),
+    "zero-denominator": ("Tiny,2021,synthetic,membrane,Si3N4,1e-200,,1e3,"
+                         "1e-190,,300,1e-200,absolute,earth,false,",
+                         "error: Tiny: thermal_fom is inf, "),
 }
 
 
 @pytest.mark.parametrize("case, command", [
-    (case, command) for case in _OUT_OF_RANGE_ROWS for command in RECORD_COMMANDS
-    if not (case == "overflow" and command == "validate")
+    (case, command) for case, (_, expected) in _OUT_OF_RANGE_ROWS.items()
+    for command in RECORD_COMMANDS
+    if not (command == "validate" and expected.startswith("error: "))
 ])
 def test_out_of_range_values_are_diagnostics(tmp_path, capsys, monkeypatch,
                                              case, command):
@@ -336,6 +353,15 @@ def test_bad_constants_file_is_validation_error(tmp_path, capsys):
     constants.write_text("G 0\n", encoding="utf-8")
     assert main(["validate", "--constants", str(constants)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_constant_is_refused(tmp_path, capsys, value):
+    constants = tmp_path / "constants.txt"
+    constants.write_text(f"G {value}\n", encoding="utf-8")
+    assert main(["bounds", "--constants", str(constants)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: G must be a finite float > 0, got {value}\n")
 
 
 @pytest.mark.parametrize("name", ["l_P", "m_P"])
@@ -455,3 +481,134 @@ def test_import_leaves_network_and_mail_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == ""
+
+
+# ------------------------------------------------ the CLI contract, fuzzed
+
+# A row that validate accepts but whose thermal FOM divides by mass times
+# quality, which underflows to 0.
+_ZERO_DENOMINATOR_ROW = _OUT_OF_RANGE_ROWS["zero-denominator"][0]
+
+# Floats from 5e-324 to 1.7e308: the extremes, every decade, and the decades
+# real experiments quote, so that some files pass validation.
+_FUZZ_NUMBER = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7e308),
+    *(st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                st.floats(1.0, 9.99), st.integers(lo, hi))
+      for lo, hi in ((-323, 307), (-30, 30))),
+).map(repr)
+_FUZZ_CELL = st.just("") | _FUZZ_NUMBER
+# Numbers as Python prints them, and the words it prints for the rest.
+_NUMBER_RE = re.compile(r"(?i)[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?|\b(?:inf|nan)\b")
+
+
+@st.composite
+def _fuzz_files(draw):
+    """The text of a records file and, or None, of a constants file."""
+    rows = []
+    for i in range(draw(st.integers(1, 3))):
+        name = "Cavendish 1798" if i == 0 and draw(st.booleans()) else f"R{i}"
+        rows.append(",".join([
+            name, "2021", "synthetic", draw(st.sampled_from(CATEGORIES)),
+            draw(st.sampled_from(["Si3N4", "Pb", "C", "0.8*SiO2+0.2*B2O3"])),
+            draw(_FUZZ_NUMBER),  # mass_kg
+            *(draw(_FUZZ_CELL) for _ in range(6)),  # n_override through quality
+            draw(st.sampled_from(["absolute", "differential"])),
+            draw(st.sampled_from(["earth", "space"])), "false", "",
+        ]))
+    constants = draw(st.none() | st.lists(
+        st.builds("{} {}".format, st.sampled_from(Constants._fields), _FUZZ_NUMBER),
+        max_size=2).map(lambda lines: "".join(f"{line}\n" for line in lines)))
+    return "".join(f"{line}\n" for line in (CSV_HEADER, *rows)), constants
+
+
+def _run(argv):
+    """main's exit code, stdout and stderr; an exception that escapes main
+    fails the test with its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_finite_numbers(text):
+    for token in _NUMBER_RE.findall(text):
+        assert Decimal(token).is_finite(), (token, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fuzz_files())
+@example((f"{CSV_HEADER}\n{_ZERO_DENOMINATOR_ROW}\n", None))
+# A fom of 1.796e308 rounds to 1.80e308 at table precision, past the largest
+# float, and overflows the anchored bound's fom / fom_ref.
+@example((f"{CSV_HEADER}\nR0,2021,synthetic,trapped-ion,Si3N4,1.0,1.796e308,,,"
+          "1.0,,,absolute,earth,false,\n", None))
+# A subnormal fom widens the figure to the decade 1e-324, which is 0.0 as a
+# float; with a fom of 1e50 a grid line falls on it.
+@example((f"{CSV_HEADER}\nR0,2021,synthetic,trapped-ion,Si3N4,1.0,1,,,2.2e-162,,,"
+          "absolute,earth,false,\nR1,2021,synthetic,massive,Si3N4,1.0,1e50,,,1.0,,,"
+          "absolute,earth,false,\n", None))
+# The baseline's fom over the best one overflows a float.
+@example((f"{CSV_HEADER}\nCavendish 1798,2021,synthetic,massive,Pb,1.0,1e300,,,"
+          "1.0,,,differential,earth,false,\nR1,2021,synthetic,massive,Pb,1.0,1,,,"
+          "1e-100,,,absolute,earth,false,\n", None))
+def test_every_command_keeps_the_cli_contract(files):
+    records_text, constants_text = files
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        records = tmp / "records.csv"
+        records.write_text(records_text, encoding="utf-8")
+        inputs = ["--records", str(records)]
+        if constants_text is not None:
+            (tmp / "constants.txt").write_text(constants_text, encoding="utf-8")
+            inputs += ["--constants", str(tmp / "constants.txt")]
+        rows = list(csv.reader(io.StringIO(records_text)))[1:]
+        passing = {"all": len(rows),
+                   "absolute-on-earth": sum(row[12:14] == ["absolute", "earth"]
+                                            for row in rows)}
+        for which, count in passing.items():
+            for command in ("compute", "figure", "bounds"):
+                out_dir = tmp / f"{command}-{which}"
+                argv = [command, *inputs, "--filter", which]
+                if command != "bounds":
+                    argv += ["--out", str(out_dir)]
+                code, out, err = _run(argv)
+                assert code in (0, 1, 2), (argv, code, err)
+                assert "Traceback" not in err
+                _assert_finite_numbers(out)
+                if code != 0:
+                    assert not out_dir.exists()
+                    continue
+                if command != "bounds":
+                    for path in out_dir.iterdir():
+                        _assert_finite_numbers(path.read_text(encoding="utf-8"))
+                if command == "compute":
+                    table = (out_dir / "table.csv").read_text(encoding="utf-8")
+                    assert len(list(csv.reader(io.StringIO(table)))) == 1 + count
+
+
+# validate does not evaluate records, so it accepts each of these inputs and
+# the record commands refuse them.  Delete a case once validate refuses it.
+@pytest.mark.xfail(strict=True, reason="validate only loads its input")
+@pytest.mark.parametrize("row, constants", [
+    ("Huge,2021,synthetic,massive,Pb,1e300,,,,1e-9,,,absolute,earth,false,", None),
+    ("Cold,2021,synthetic,membrane,Si3N4,1e-9,,1e3,1e-15,,1e-320,1e4,"
+     "absolute,earth,false,", None),
+    ("Probe,2021,synthetic,membrane,Si3N4,1e-9,,,1e-15,,,,absolute,earth,false,",
+     "G 1e200\n"),
+    (_ZERO_DENOMINATOR_ROW, None),
+], ids=["1e300-kg-lead", "temp-1e-320", "G-1e200", "zero-denominator"])
+def test_what_validate_accepts_every_command_runs(tmp_path, monkeypatch, row,
+                                                  constants):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "records.csv").write_text(f"{CSV_HEADER}\n{row}\n", encoding="utf-8")
+    inputs = ["--records", "records.csv"]
+    if constants is not None:
+        (tmp_path / "constants.txt").write_text(constants, encoding="utf-8")
+        inputs += ["--constants", "constants.txt"]
+    assert _run(["validate", *inputs])[0] == 0
+    for command in ("compute", "figure", "bounds"):
+        assert _run([command, *inputs])[0] == 0

@@ -150,6 +150,9 @@ def test_evaluate_record_acceleration_only():
                       sqrt_sf=None, sqrt_sa=1e-9)),
     ("sqrt_sf", dict(n_override=1.0, mass_kg=1e300, sqrt_sf=None, sqrt_sa=1e10)),
     ("fom", dict(n_override=1e10, sqrt_sf=None, sqrt_sa=1e150)),
+    # mass_kg * quality underflows to 0 in the thermal FOM's denominator.
+    ("thermal_fom", dict(mass_kg=1e-200, f0_hz=1e3, sqrt_sf=1e-190,
+                         temp_k=300.0, quality=1e-200)),
 ])
 def test_evaluate_record_refuses_values_outside_float_range(name, fields):
     with pytest.raises(OutOfRangeError, match=f"^probe: {name} is inf,"):
@@ -238,12 +241,10 @@ def test_custom_constants_flow_through():
 
 # ------------------------------- evaluate_record against a written-out route
 
-def _reference_evaluate_record(record, constants=None):
+def _reference_evaluate_record(record, constants):
     """evaluate_record as it was written with the public conversion,
     thermal and classification helpers, their formulas and input checks
     written out here in each helper's operation order."""
-    if constants is None:
-        constants = Constants()
     warnings = []
     mass_kg = record.mass_kg
     if mass_kg <= 0.0:
@@ -366,18 +367,20 @@ def _evaluation_fields(draw):
     return fields
 
 
-_CONSTANTS = _optional(st.builds(lambda n_a, k_b: Constants(N_A=n_a, k_B=k_b),
-                                 _magnitude(20, 26), _magnitude(-26, -20)))
+_CONSTANTS = st.just(Constants()) | st.builds(
+    lambda n_a, k_b: Constants(N_A=n_a, k_B=k_b),
+    _magnitude(20, 26), _magnitude(-26, -20))
 
 
 @given(_evaluation_fields(), _CONSTANTS)
 @example(dict(material=parse_material("Pb"), mass_kg=1e300, sqrt_sf=None,
-              sqrt_sa=1e-9), None)
-@example(dict(n_override=1.0, mass_kg=1e300, sqrt_sf=None, sqrt_sa=1e10), None)
-@example(dict(n_override=1e10, sqrt_sf=None, sqrt_sa=1e150), None)
-@example(dict(temp_k=1e-320, f0_hz=1e3, quality=1e4), None)
+              sqrt_sa=1e-9), Constants())
+@example(dict(n_override=1.0, mass_kg=1e300, sqrt_sf=None, sqrt_sa=1e10),
+         Constants())
+@example(dict(n_override=1e10, sqrt_sf=None, sqrt_sa=1e150), Constants())
+@example(dict(temp_k=1e-320, f0_hz=1e3, quality=1e4), Constants())
 @example(dict(n_override=1.0, mass_kg=1e10, sqrt_sf=None, sqrt_sa=1e-9,
-              temp_k=1e-300, f0_hz=1e3, quality=1e4), None)
+              temp_k=1e-300, f0_hz=1e3, quality=1e4), Constants())
 def test_evaluate_record_matches_the_helper_route(fields, constants):
     try:
         record = _record(**fields)

@@ -217,6 +217,14 @@ def test_nuclei_count_rejects_negative_mass():
         nuclei_count(-1.0, parse_material("C"))
 
 
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+def test_nuclei_count_refuses_a_non_finite_mass(mass):
+    from stfom import NegativeInputError
+    with pytest.raises(NegativeInputError) as err:
+        nuclei_count(mass, parse_material("C"))
+    assert str(err.value) == f"mass_kg must be a finite float >= 0, got {mass!r}"
+
+
 def test_single_element_count_inverts_to_mass():
     mat = parse_material("C")
     mass = 3.7e-12

@@ -1,16 +1,14 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
 
 from stfom import (
     Constants,
     ConstantsError,
     DEFAULT_CONSTANTS_TEXT,
-    NegativeInputError,
     NonPositiveError,
     UnknownConstantError,
-    asd_to_psd,
     load_constants,
-    psd_to_asd,
 )
 
 
@@ -82,24 +80,8 @@ def test_constants_reject_non_positive_fields():
         Constants(G=0.0)
 
 
-def test_asd_to_psd_plain_floats():
-    assert asd_to_psd(0.0) == 0.0
-    assert asd_to_psd(1.0) == 1.0
-    got = asd_to_psd(4.91e-9)
-    assert got == 4.91e-9 * 4.91e-9
-    assert got == pytest.approx(2.411e-17, rel=5e-4)
-
-
-def test_spectral_conversions_reject_negative():
-    with pytest.raises(NegativeInputError):
-        asd_to_psd(-1.0)
-    with pytest.raises(NegativeInputError):
-        psd_to_asd(-1.0)
-
-
-@given(x=st.floats(min_value=1e-30, max_value=1e30,
-                   allow_nan=False, allow_infinity=False))
-def test_psd_asd_roundtrip(x):
-    assert psd_to_asd(asd_to_psd(x)) == pytest.approx(x, rel=1e-12)
-    assert asd_to_psd(psd_to_asd(x)) == pytest.approx(x, rel=1e-12)
-
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_constants_refuse_non_finite_fields(value):
+    with pytest.raises(NonPositiveError) as err:
+        Constants(G=value)
+    assert str(err.value) == f"G must be a finite float > 0, got {value!r}"
