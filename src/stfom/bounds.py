@@ -107,10 +107,20 @@ def anchored_bound(fom: float, anchor: BoundAnchor) -> float:
 
 def fom_threshold(bound: float, anchor: BoundAnchor) -> float:
     """Figure of merit needed to reach a given bound in anchor.model;
-    inverse of anchored_bound."""
+    inverse of anchored_bound.  A threshold that is not a finite float > 0
+    raises OutOfRangeError."""
     if not 0.0 <= bound < math.inf:
         raise NegativeInputError("bound", bound)
-    return anchor.fom_ref * (bound / anchor.bound_ref)
+    ratio = bound / anchor.bound_ref
+    # A bound near the largest float overflows the ratio, not always the
+    # threshold.
+    if ratio == math.inf:
+        threshold = bound * (anchor.fom_ref / anchor.bound_ref)
+    else:
+        threshold = anchor.fom_ref * ratio
+    if not 0.0 < threshold < math.inf:
+        raise OutOfRangeError(anchor.model.value, "fom_threshold", threshold)
+    return threshold
 
 
 def orders_of_improvement(fom: float, baseline_fom: float = CAVENDISH_FOM) -> float:

@@ -211,12 +211,19 @@ def parse_material(text: str, /) -> MaterialSpec:
     """
     if not text:
         raise MaterialError("empty material expression")
-    if _WHITESPACE_RE.search(text):
+    # Every whitespace character but ' ' is unprintable, so clean text
+    # skips the regex.
+    if not (text.isprintable() and " " not in text) and _WHITESPACE_RE.search(text):
         raise MaterialError("material expression must not contain whitespace")
     if "*" not in text:
         return MaterialSpec.pure(parse_formula(text))
 
+    # The fractions are checked as they are read, so a clean mixture skips
+    # MaterialSpec._check's second walk; any other goes through it, which
+    # raises its error only after every component has parsed.
     components: list[tuple[Formula, float]] = []
+    total = 0.0
+    in_range = True
     for part in _COMPONENT_SPLIT_RE.split(text):
         fraction_text, star, formula_text = part.partition("*")
         if not star or not fraction_text or not formula_text:
@@ -226,6 +233,11 @@ def parse_material(text: str, /) -> MaterialSpec:
         except ValueError:
             raise MaterialError(f"bad mass fraction {fraction_text!r}") from None
         components.append((parse_formula(formula_text), fraction))
+        if not 0.0 < fraction <= 1.0:
+            in_range = False
+        total += fraction
+    if in_range and abs(total - 1.0) <= 1e-9:
+        return tuple.__new__(MaterialSpec, (tuple(components),))
     return MaterialSpec(tuple(components))
 
 

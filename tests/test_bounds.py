@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -172,6 +173,23 @@ def test_fom_threshold_refuses_a_non_finite_bound(value):
     with pytest.raises(NegativeInputError) as err:
         fom_threshold(value, DEFAULT_ANCHORS[DISCRETE])
     assert str(err.value) == f"bound must be a finite float >= 0, got {value!r}"
+
+
+def test_fom_threshold_survives_an_overflowing_ratio():
+    anchor = DEFAULT_ANCHORS[DISCRETE]
+    assert 3e292 / anchor.bound_ref == math.inf
+    got = fom_threshold(3e292, anchor)
+    assert got == pytest.approx(3e292 * (2.98e-1 / 1.0e-16), rel=1e-12)
+    assert got == pytest.approx(8.94e307, rel=1e-12)
+    assert anchored_bound(got, anchor) == pytest.approx(3e292, rel=1e-12)
+
+
+@pytest.mark.parametrize("bound", [1e300, sys.float_info.max, 0.0])
+def test_fom_threshold_outside_the_range_of_a_float_raises(bound):
+    with pytest.raises(OutOfRangeError) as err:
+        fom_threshold(bound, DEFAULT_ANCHORS[DISCRETE])
+    assert (err.value.record, err.value.name) == (
+        "ultra-local-discrete", "fom_threshold")
 
 
 @pytest.mark.parametrize("value", _NON_FINITE)

@@ -371,6 +371,77 @@ def test_whitespace_check_rejects_every_space_code_point():
     assert matched == spaces
 
 
+# --------------------------------------------------------- one-pass mixtures
+
+def _mixture(parts):
+    """The text and the checked constructor's components for (fraction
+    text, formula text) pairs."""
+    text = "+".join(f"{fraction}*{formula}" for fraction, formula in parts)
+    components = tuple((parse_formula(formula), float(fraction))
+                       for fraction, formula in parts)
+    return text, components
+
+
+@pytest.mark.parametrize("parts", [
+    [("1.0", "SiO2")],
+    [("1", "Au")],
+    [("0.8", "SiO2"), ("0.2", "B2O3")],
+    [("0.5", "Mg+"), ("0.5", "C")],
+    [("0.5000000001", "SiO2"), ("0.5", "B2O3")],  # off by less than 1e-9
+    [("0.1", "H2O"), ("0.2", "NaCl"), ("0.7", "SiO2")],
+    [("0.7", "SiO2"), ("0.1", "B2O3"), ("0.1", "Na2O"), ("0.1", "Al2O3")],
+    [("0.1", "C"), ("0.2", "C"), ("0.3", "C"), ("0.4", "C")],
+])
+def test_parsed_mixture_equals_the_checked_spec(parts):
+    text, components = _mixture(parts)
+    parse_material.cache_clear()
+    got = parse_material(text)
+    expected = MaterialSpec(components)
+    assert type(got) is MaterialSpec
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("parts", [
+    [("0", "SiO2"), ("1", "B2O3")],
+    [("-0.2", "SiO2"), ("1.2", "B2O3")],
+    [("1.5", "SiO2")],
+    [("nan", "SiO2"), ("0.5", "B2O3")],
+    [("inf", "SiO2")],
+    [("0.5", "SiO2"), ("0.500001", "B2O3")],
+    [("0.5", "SiO2"), ("0.499999", "B2O3")],
+])
+def test_bad_fractions_raise_what_the_checked_spec_raises(parts):
+    text, components = _mixture(parts)
+    with pytest.raises(MaterialError) as expected:
+        MaterialSpec(components)
+    parse_material.cache_clear()
+    with pytest.raises(MaterialError) as got:
+        parse_material(text)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("text", ["1.5*SiO2+0.5*Xx", "0*SiO2+1*Xx2"])
+def test_a_later_unknown_element_wins_over_an_earlier_bad_fraction(text):
+    parse_material.cache_clear()
+    with pytest.raises(UnknownElementError):
+        parse_material(text)
+
+
+def test_whitespace_anywhere_in_a_mixture_is_refused():
+    import sys
+
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for space in spaces:
+        for text in (f"{space}0.8*SiO2+0.2*B2O3", f"0.8*Si{space}O2+0.2*B2O3",
+                     f"0.8*SiO2{space}+0.2*B2O3", f"0.8*SiO2+0.2*B2O3{space}"):
+            parse_material.cache_clear()
+            with pytest.raises(MaterialError, match="whitespace"):
+                parse_material(text)
+
+
 # ------------------------------------------------------------- formula cache
 
 def test_equal_formula_texts_share_one_formula():
