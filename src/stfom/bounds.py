@@ -20,7 +20,13 @@ import math
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import NegativeInputError, NonPositiveError, OutOfRangeError, _Checked
+from .errors import (
+    _PRINT_MAX,
+    NegativeInputError,
+    NonPositiveError,
+    OutOfRangeError,
+    _Checked,
+)
 from .quantities import _DEFAULT_CONSTANTS, Constants
 
 # Figure of merit of the classic Cavendish torsion balance, the baseline
@@ -78,7 +84,8 @@ DEFAULT_ANCHORS: MappingProxyType[ModelId, BoundAnchor] = MappingProxyType({
 def si_bound(model: ModelId, fom: float,
              constants: Constants = _DEFAULT_CONSTANTS) -> float:
     """Dimensionless bound from the raw SI constant combination; a bound
-    that is not a finite float > 0 raises OutOfRangeError."""
+    that is not a float > 0 and at most _PRINT_MAX, the largest number
+    stfom prints, raises OutOfRangeError."""
     if fom < 0.0:
         raise NegativeInputError("fom", fom)
     # Products overflow to inf and underflow to 0 where ** and / raise.
@@ -89,7 +96,7 @@ def si_bound(model: ModelId, fom: float,
     else:
         numerator, denominator = fom * r_squared * constants.r_N, g_squared
     bound = numerator / denominator if denominator else math.inf
-    if not 0.0 < bound < math.inf:
+    if not 0.0 < bound <= _PRINT_MAX:
         raise OutOfRangeError(model.value, "si_bound", bound)
     return bound
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import sys
 from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import (
+    _PRINT_MAX,
     CatalogError,
     Diagnostic,
     FilterError,
@@ -104,20 +106,21 @@ class ExperimentRecord(_Checked, _RecordFields):
 def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
     """Every problem of one record's fields, given in ExperimentRecord
     order; the material is not read, so it may be None.  Each chained
-    comparison also refuses NaN and the infinities."""
+    comparison also refuses NaN and the infinities, and those of the
+    numbers stfom prints refuse one above _PRINT_MAX."""
     (name, _, _, category, _, mass_kg, n_override, f0_hz, sqrt_sf, sqrt_sa,
      temp_k, quality, mode, location, _, _) = fields
     # A clean record passes this one test; the checks below run only to
     # name the problems of one that does not.  mass_kg is checked before
     # sqrt_sf is divided by it, and the square is a product, because
     # float ** raises OverflowError where * gives inf.
-    if (_SMALLEST_NORMAL <= mass_kg < math.inf
-            and (n_override is None or 1.0 <= n_override < math.inf)
-            and (f0_hz is None or 0.0 < f0_hz < math.inf)
-            and (sqrt_sa is None or 0.0 < sqrt_sa < math.inf)
+    if (_SMALLEST_NORMAL <= mass_kg <= _PRINT_MAX
+            and (n_override is None or 1.0 <= n_override <= _PRINT_MAX)
+            and (f0_hz is None or 0.0 < f0_hz <= _PRINT_MAX)
+            and (sqrt_sa is None or 0.0 < sqrt_sa <= _PRINT_MAX)
             and (temp_k is None or 0.0 < temp_k < math.inf)
             and (quality is None or 0.0 < quality < math.inf)
-            and (0.0 < sqrt_sf < math.inf if sqrt_sf is not None
+            and (0.0 < sqrt_sf <= _PRINT_MAX if sqrt_sf is not None
                  else sqrt_sa is not None)
             and 0.0 < (accel := sqrt_sa if sqrt_sf is None
                        else sqrt_sf / mass_kg) * accel < math.inf
@@ -136,10 +139,10 @@ def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
             f"record name {name!r} holds a character XML 1.0 cannot represent")
     if category not in _CATEGORY_SET:
         bad("category", "BadCategory", f"unknown category {category!r}")
-    mass_ok = _SMALLEST_NORMAL <= mass_kg < math.inf
+    mass_ok = _SMALLEST_NORMAL <= mass_kg <= _PRINT_MAX
     if not 0.0 < mass_kg < math.inf:
         bad("mass_kg", "BadNumber", f"mass must be finite and > 0, got {mass_kg!r}")
-    elif not mass_ok:
+    elif mass_kg < _SMALLEST_NORMAL:
         bad("mass_kg", "BadNumber",
             f"mass must be at least {_SMALLEST_NORMAL!r}, got {mass_kg!r}")
     if n_override is not None and not 1.0 <= n_override < math.inf:
@@ -147,14 +150,20 @@ def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
             f"nucleus count must be finite and >= 1, got {n_override!r}")
     if f0_hz is not None and not 0.0 < f0_hz < math.inf:
         bad("f0_hz", "BadNumber", f"resonance frequency must be finite and > 0, got {f0_hz!r}")
-    sf_ok = sqrt_sf is not None and 0.0 < sqrt_sf < math.inf
-    sa_ok = sqrt_sa is not None and 0.0 < sqrt_sa < math.inf
+    sf_ok = sqrt_sf is not None and 0.0 < sqrt_sf <= _PRINT_MAX
+    sa_ok = sqrt_sa is not None and 0.0 < sqrt_sa <= _PRINT_MAX
     if sqrt_sf is None and sqrt_sa is None:
         bad("sqrt_sf", "MissingRequired", "need sqrt_sf or sqrt_sa")
-    if sqrt_sf is not None and not sf_ok:
+    if sqrt_sf is not None and not 0.0 < sqrt_sf < math.inf:
         bad("sqrt_sf", "BadNumber", f"noise density must be finite and > 0, got {sqrt_sf!r}")
-    if sqrt_sa is not None and not sa_ok:
+    if sqrt_sa is not None and not 0.0 < sqrt_sa < math.inf:
         bad("sqrt_sa", "BadNumber", f"noise density must be finite and > 0, got {sqrt_sa!r}")
+    for column, value in (("mass_kg", mass_kg), ("n_override", n_override),
+                          ("f0_hz", f0_hz), ("sqrt_sf", sqrt_sf),
+                          ("sqrt_sa", sqrt_sa)):
+        if value is not None and _PRINT_MAX < value < math.inf:
+            bad(column, "BadNumber", f"{column} must be at most {_PRINT_MAX!r}, "
+                f"the largest number stfom prints, got {value!r}")
     # The FOM squares the authoritative acceleration density.
     accel = None
     if sf_ok and mass_ok:
@@ -209,13 +218,35 @@ def _lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
+def _rows(text: str) -> Iterator[list[str]]:
+    """The rows that csv.reader(_lines(text)) yields, and its csv.Error.
+
+    A plain line, one that ends in "\\n", is no longer than the csv field
+    size limit and holds no '"', "\\r" or "\\0", is split at its commas.
+    The csv module reads every other line, with the lines that a quoted
+    cell spans, so it keeps its quoting, its "\\r\\n" ends, its errors, its
+    empty row for a blank line and its field size check.
+    """
+    limit = csv.field_size_limit()
+    lines = _lines(text)
+    for line in lines:
+        if (1 < len(line) <= limit and line[-1] == "\n" and '"' not in line
+                and "\r" not in line and "\0" not in line):
+            yield line[:-1].split(",")
+        else:
+            yield next(csv.reader(itertools.chain((line,), lines)))
+
+
 def parse_records(text: str) -> Catalog:
     """Parse CSV text into a Catalog, reporting every problem at once.
 
-    Rows are parsed as the reader yields them, so no copy of the text and
-    no list of rows is held.
+    Rows are parsed as they are read, so no copy of the text and no list
+    of rows is held.  A plain line is split at its commas; the csv module
+    reads only the lines that quote a cell, hold a "\\r" or "\\0", are
+    blank, overlong or last without a "\\n", so every line reads as
+    csv.reader reads it.
     """
-    reader = csv.reader(_lines(text))
+    reader = _rows(text)
     problems: list[Diagnostic] = []
     records: list[ExperimentRecord] = []
     seen: set[str] = set()

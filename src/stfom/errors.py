@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+# The largest number stfom prints.  At 3 significant figures any larger
+# float is written 1.80e308, which float() reads back as inf.
+_PRINT_MAX = 1.795e308
+
 
 class StfomError(Exception):
     """Base class for every error raised by this package."""
@@ -68,12 +72,14 @@ class NegativeInputError(StfomError):
 
 
 class OutOfRangeError(StfomError):
-    """A record's derived value, or a model's bound, is 0, inf or NaN."""
+    """A record's derived value, or a model's bound, is not a float > 0
+    and at most _PRINT_MAX: 0, NaN, or too large to print."""
 
     def __init__(self, record: str, name: str, value: float):
         super().__init__(
-            f"{record}: {name} is {value!r}, outside the range of a float; "
-            "the values it is computed from are too large or too small"
+            f"{record}: {name} is {value!r}, outside the range stfom prints "
+            f"(> 0 and at most {_PRINT_MAX!r}); the values it is computed "
+            "from are too large or too small"
         )
         self.record = record
         self.name = name

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import OutOfRangeError
+from .errors import _PRINT_MAX, OutOfRangeError
 from .formula import nuclei_count
 from .quantities import _DEFAULT_CONSTANTS, Constants
 
@@ -77,7 +77,8 @@ def evaluate_record(
     is attached if the quoted one disagrees by more than 2%.  A measured
     noise below the thermal floor is physically suspect, so it is flagged
     with a warning rather than rejected.  A nucleus count, density, FOM or
-    thermal floor that is not a finite float > 0 raises OutOfRangeError.
+    thermal floor that is not a float > 0 and at most _PRINT_MAX, the
+    largest number stfom prints, raises OutOfRangeError.
 
     The thermal floor amplitude is sqrt(4 k_B T m omega0 / Q).  The record
     is thermally limited when the floor exceeds half the measured force
@@ -112,9 +113,10 @@ def evaluate_record(
     fom = sqrt_sa * sqrt_sa * n_nuclei
     # Valid inputs can still overflow, for example the nucleus count of a
     # 1e300 kg mass; validation cannot see it without the material.  A fom
-    # in range needs a nucleus count and an acceleration density in range,
-    # so two comparisons cover all four values.
-    if not (0.0 < fom < math.inf and 0.0 < sqrt_sf < math.inf):
+    # in range makes the nucleus count and the acceleration density finite
+    # and > 0, but not at most _PRINT_MAX, so all four are compared.
+    if not (0.0 < fom <= _PRINT_MAX and 0.0 < sqrt_sf <= _PRINT_MAX
+            and sqrt_sa <= _PRINT_MAX and n_nuclei <= _PRINT_MAX):
         _raise_first_out_of_range(name, (
             ("n_nuclei", n_nuclei), ("sqrt_sf", sqrt_sf),
             ("sqrt_sa", sqrt_sa), ("fom", fom)))
@@ -135,8 +137,8 @@ def evaluate_record(
         denominator = mass_kg * quality
         thermal_fom_value = (4.0 * n_nuclei * k_b * temp_k * omega0 / denominator
                              if denominator else math.inf)
-        if not (0.0 < thermal_sqrt_sf < math.inf
-                and 0.0 < thermal_fom_value < math.inf):
+        if not (0.0 < thermal_sqrt_sf <= _PRINT_MAX
+                and 0.0 < thermal_fom_value <= _PRINT_MAX):
             _raise_first_out_of_range(name, (
                 ("thermal_sqrt_sf", thermal_sqrt_sf),
                 ("thermal_fom", thermal_fom_value)))
@@ -155,9 +157,9 @@ def evaluate_record(
 
 def _raise_first_out_of_range(record: str, values) -> None:
     """Raise OutOfRangeError for the first (name, value) that is not a
-    finite float > 0."""
+    float > 0 and at most _PRINT_MAX."""
     for name, value in values:
-        if not 0.0 < value < math.inf:
+        if not 0.0 < value <= _PRINT_MAX:
             raise OutOfRangeError(record, name, value)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import math
-import sys
 from typing import Iterable, Mapping, NamedTuple
 
 from .bounds import (
@@ -350,13 +349,14 @@ def emit_bounds_summary(
     ]
     # (label, table-precision fom) of each entry that has a record.
     entries = []
-    for label, subset in (("conservative", "absolute-on-earth"), ("best", which)):
-        record = best_record(catalog, results, subset)
+    conservative = best_record(catalog, results, "absolute-on-earth")
+    best = (conservative if which == "absolute-on-earth"
+            else best_record(catalog, results, which))
+    for label, record in (("conservative", conservative), ("best", best)):
         if record is None:
             lines.append(f"{label}_record: -")
             continue
-        # A fom within 0.2% of the largest float rounds up past it.
-        fom = min(float(format_sig(results[record.name].fom)), sys.float_info.max)
+        fom = float(format_sig(results[record.name].fom))
         entries.append((label, fom))
         lines += [
             f"{label}_record: {record.name}",

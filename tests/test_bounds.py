@@ -137,6 +137,8 @@ def test_negative_and_zero_inputs_rejected():
     (1.0, Constants(m_N=1e-320)),
     (1.0, Constants(r_N=1e100)),
     (1.0, Constants(G=1e200)),
+    # Finite, but too large to print: 3 figures spell it 1.80e308.
+    (1.796e308, Constants(G=1.0, r_N=1.0, m_N=1.0)),
 ])
 def test_si_bound_outside_the_range_of_a_float_raises(fom, constants):
     with pytest.raises(OutOfRangeError) as err:

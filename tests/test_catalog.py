@@ -32,7 +32,8 @@ from stfom import (
     select_for_figure,
     serialize_records,
 )
-from stfom.catalog import _is_xml_text, _lines, best_record
+from stfom.catalog import _is_xml_text, _lines, _rows, best_record
+from stfom.errors import _PRINT_MAX
 from stfom.report import TABLE_HEADER
 
 GOOD_ROW = (
@@ -239,6 +240,19 @@ def test_hand_built_record_refuses_non_finite_numbers(column, value):
         _probe(**{column: value})
     assert [(d.row, d.column, d.code) for d in err.value.diagnostics] == [
         (0, column, "BadNumber")]
+
+
+@pytest.mark.parametrize("column, other", [
+    ("mass_kg", dict(sqrt_sf=1e300)), ("n_override", {}), ("f0_hz", {}),
+    ("sqrt_sf", dict(mass_kg=1e300)), ("sqrt_sa", {})])
+def test_a_number_too_large_to_print_is_refused(column, other):
+    # 1.796e308 is finite, but printed at 3 figures it reads back as inf.
+    assert _probe(**{column: _PRINT_MAX}, **other)
+    with pytest.raises(CatalogError) as err:
+        _probe(**{column: 1.796e308}, **other)
+    assert err.value.diagnostics == ((0, column, "BadNumber",
+        f"{column} must be at most 1.795e+308, the largest number stfom "
+        "prints, got 1.796e+308"),)
 
 
 @pytest.mark.parametrize("name", ["X\x01Y", "nul\x00", "esc\x1b", "bad\ufffe",
@@ -523,6 +537,44 @@ def test_lines_split_as_a_string_buffer_does(text):
     assert list(_lines(text)) == list(io.StringIO(text))
 
 
+def _read(rows):
+    """The rows an iterable yields, then the message of the csv.Error that
+    stops it, or None."""
+    read = []
+    try:
+        for row in rows:
+            read.append(row)
+    except csv.Error as exc:
+        return read, str(exc)
+    return read, None
+
+
+_FIELD_LIMIT = csv.field_size_limit()
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet='a,"\r\n\0 é'), st.none() | st.integers(1, 6))
+@example("a,b\n\nc\n", None)  # a blank line
+@example("a,b\nc,d", None)  # a last line with no "\n"
+@example("a,b\r\nc\r\n", None)
+@example("a,b\rc\n", None)  # a bare "\r" inside a cell
+@example("a,\0b\n", None)
+@example('a,"b\nc,\n\nd"\ne,f\ng\n', None)  # a quoted cell spans lines
+@example("a" * _FIELD_LIMIT + "\nb\n", None)
+@example("a" * (_FIELD_LIMIT + 1) + "\nb\n", None)
+@example("ab,abcd\nabcde\n", 4)
+def test_rows_read_as_the_csv_module_reads_them(text, limit):
+    # The same rows, then the same error, under the field size limit in effect.
+    if limit is None:
+        assert _read(_rows(text)) == _read(csv.reader(_lines(text)))
+        return
+    csv.field_size_limit(limit)
+    try:
+        assert _read(_rows(text)) == _read(csv.reader(_lines(text)))
+    finally:
+        csv.field_size_limit(_FIELD_LIMIT)
+
+
 def test_parse_holds_no_copy_of_the_text(catalog):
     survey = Catalog(tuple(
         record._replace(name=f"{record.name} #{copy}")
@@ -698,10 +750,10 @@ def _reference_validate_fields(row, fields):
     if category not in CATEGORIES:
         bad("category", "BadCategory", f"unknown category {category!r}")
     smallest_normal = sys.float_info.min
-    mass_ok = smallest_normal <= mass_kg < math.inf
+    mass_ok = smallest_normal <= mass_kg <= _PRINT_MAX
     if not 0.0 < mass_kg < math.inf:
         bad("mass_kg", "BadNumber", f"mass must be finite and > 0, got {mass_kg!r}")
-    elif not mass_ok:
+    elif mass_kg < smallest_normal:
         bad("mass_kg", "BadNumber",
             f"mass must be at least {smallest_normal!r}, got {mass_kg!r}")
     if n_override is not None and not 1.0 <= n_override < math.inf:
@@ -710,16 +762,22 @@ def _reference_validate_fields(row, fields):
     if f0_hz is not None and not 0.0 < f0_hz < math.inf:
         bad("f0_hz", "BadNumber",
             f"resonance frequency must be finite and > 0, got {f0_hz!r}")
-    sf_ok = sqrt_sf is not None and 0.0 < sqrt_sf < math.inf
-    sa_ok = sqrt_sa is not None and 0.0 < sqrt_sa < math.inf
+    sf_ok = sqrt_sf is not None and 0.0 < sqrt_sf <= _PRINT_MAX
+    sa_ok = sqrt_sa is not None and 0.0 < sqrt_sa <= _PRINT_MAX
     if sqrt_sf is None and sqrt_sa is None:
         bad("sqrt_sf", "MissingRequired", "need sqrt_sf or sqrt_sa")
-    if sqrt_sf is not None and not sf_ok:
+    if sqrt_sf is not None and not 0.0 < sqrt_sf < math.inf:
         bad("sqrt_sf", "BadNumber",
             f"noise density must be finite and > 0, got {sqrt_sf!r}")
-    if sqrt_sa is not None and not sa_ok:
+    if sqrt_sa is not None and not 0.0 < sqrt_sa < math.inf:
         bad("sqrt_sa", "BadNumber",
             f"noise density must be finite and > 0, got {sqrt_sa!r}")
+    for column, value in (("mass_kg", mass_kg), ("n_override", n_override),
+                          ("f0_hz", f0_hz), ("sqrt_sf", sqrt_sf),
+                          ("sqrt_sa", sqrt_sa)):
+        if value is not None and _PRINT_MAX < value < math.inf:
+            bad(column, "BadNumber", f"{column} must be at most {_PRINT_MAX!r}, "
+                f"the largest number stfom prints, got {value!r}")
     accel = None
     if sf_ok and mass_ok:
         column, accel = "sqrt_sf", sqrt_sf / mass_kg
@@ -811,6 +869,17 @@ def _quoted_text(rows):
         for cells in rows)
 
 
+def _plain_text(rows):
+    """Records text with only the cells that hold ',', '"', "\\r" or "\\n"
+    quoted, as the csv module's writer quotes them."""
+    def cell(text):
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+    return CSV_HEADER + "\n" + "".join(
+        ",".join(map(cell, cells)) + "\n" for cells in rows)
+
+
 def _outcome(parse, text):
     try:
         return repr(parse(text))
@@ -857,10 +926,16 @@ def _hand_built_fields(cells):
 @example([_row(name="nul\x00")])
 @example([_row(name="")])
 @example([_row(temp_k="0")])
+# Each number stfom prints is at most 1.795e308.
+@example([_row(mass_kg="1.797e308", sqrt_sf="1e300", n_override="1.796e308")])
+@example([_row(f0_hz="1.797e308", sqrt_sf="1.797e308", sqrt_sa="1.796e308")])
+@example([_row(sqrt_sf="", sqrt_sa="1.797e308")])
 def test_rows_convert_as_the_cell_by_cell_reference_does(rows):
-    text = _quoted_text(rows)
-    expected = _outcome(_reference_parse_records, text)
-    assert _outcome(parse_records, text) == expected
+    # Quoting every cell reads each row through the csv module; quoting only
+    # the cells that need it leaves most rows plain.
+    for text in (_plain_text(rows), _quoted_text(rows)):
+        expected = _outcome(_reference_parse_records, text)
+        assert _outcome(parse_records, text) == expected
     if isinstance(expected, str) or any(d.code == "BadCsv" for d in expected):
         return
     # A hand-built record of each converting row gets its field problems.

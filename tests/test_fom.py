@@ -16,6 +16,7 @@ from stfom import (
     nuclei_count,
     parse_material,
 )
+from stfom.errors import _PRINT_MAX
 
 K_B = 1.380649e-23
 
@@ -279,7 +280,7 @@ def _reference_evaluate_record(record, constants):
     fom = s_a * n_nuclei
     for name, value in (("n_nuclei", n_nuclei), ("sqrt_sf", sqrt_sf),
                         ("sqrt_sa", sqrt_sa), ("fom", fom)):
-        if not 0.0 < value < math.inf:
+        if not 0.0 < value <= _PRINT_MAX:
             raise OutOfRangeError(record.name, name, value)
 
     thermal_sqrt_sf = None
@@ -303,7 +304,7 @@ def _reference_evaluate_record(record, constants):
                              / (mass_kg * quality))
         for name, value in (("thermal_sqrt_sf", thermal_sqrt_sf),
                             ("thermal_fom", thermal_fom_value)):
-            if not 0.0 < value < math.inf:
+            if not 0.0 < value <= _PRINT_MAX:
                 raise OutOfRangeError(record.name, name, value)
         limited = thermal_sqrt_sf > sqrt_sf / 2.0
         marker = sqrt_sf >= 2.0 * thermal_sqrt_sf
@@ -447,3 +448,20 @@ def test_evaluate_record_thermal_flags_split_at_half_the_amplitude(
     assert res.show_thermal_marker == (not res.thermally_limited)
     if ratio == 0.5:
         assert not res.thermally_limited and res.sqrt_sf / 2 == floor
+
+
+@pytest.mark.parametrize("fields, name", [
+    (dict(material=parse_material("Pb"), mass_kg=6.18e283, sqrt_sf=None,
+          sqrt_sa=1e-150), "n_nuclei"),
+    (dict(n_override=1.0, mass_kg=1e160, sqrt_sf=None, sqrt_sa=1.796e148),
+     "sqrt_sf"),
+    (dict(n_override=1.796e300, sqrt_sf=None, sqrt_sa=1e4), "fom"),
+    (dict(n_override=1e300, mass_kg=1e-10, sqrt_sf=1e-10, temp_k=5.176e13,
+          f0_hz=1e3, quality=1e-3), "thermal_fom"),
+])
+def test_a_derived_value_too_large_to_print_is_out_of_range(fields, name):
+    # 1.796e308 is finite, but printed at 3 figures it reads back as inf.
+    with pytest.raises(OutOfRangeError) as err:
+        evaluate_record(_record(**fields))
+    assert err.value.name == name
+    assert _PRINT_MAX < err.value.value < math.inf

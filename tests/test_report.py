@@ -23,6 +23,8 @@ from stfom import (
     rank,
     select_for_figure,
 )
+from stfom.catalog import best_record
+from stfom.errors import _PRINT_MAX
 
 # ---------------------------------------------------------------- format_sig
 
@@ -70,6 +72,12 @@ def _reference_format_sig(x, sig):
 @example(9.9949e99, 4)
 def test_format_sig_matches_the_split_and_int_spelling(x, sig):
     assert format_sig(x, sig) == _reference_format_sig(x, sig)
+
+
+def test_the_largest_printed_number_reads_back_finite():
+    assert format_sig(_PRINT_MAX) == "1.79e308"
+    assert format_sig(math.nextafter(_PRINT_MAX, math.inf)) == "1.80e308"
+    assert float("1.80e308") == math.inf
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -141,11 +149,14 @@ def _table_record(name="probe", **fields):
 _ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@given(st.floats(min_value=2.2250738585072014e-308, allow_infinity=False),
-       st.none() | st.floats(min_value=5e-324, allow_infinity=False),
+# A record's mass and frequency are at most 1.795e308, the largest number
+# stfom prints; the result's numbers are not checked.
+@given(st.floats(min_value=2.2250738585072014e-308, max_value=1.795e308),
+       st.none() | st.floats(min_value=5e-324, max_value=1.795e308),
        _ANY_FINITE, _ANY_FINITE, _ANY_FINITE, _ANY_FINITE)
 @example(1e-300, 5e-324, 0.0, -0.0, 1e-310, -2.5e-320)
-@example(1.7976931348623157e308, 1e100, -1e-100, 9.995e-100, 9.9949e99, -1e300)
+@example(1.795e308, 1e100, -1e-100, 9.995e-100, 9.9949e99, -1e300)
+@example(1e-9, 1.795e308, 1.7976931348623157e308, 1e-9, 1e-9, 1e-9)
 @example(2.2250738585072014e-308, None, -0.0, 0.0, -5e-324, 1e-101)
 def test_table_cells_are_format_sig_of_each_value(mass_kg, f0_hz, n_nuclei,
                                                    sqrt_sf, sqrt_sa, fom):
@@ -569,3 +580,18 @@ def test_table_keeps_both_spellings_of_zero_noise():
     assert rows["Plus"][6:8] == ["0.00e0", "0.00e0"]
     assert rows["Minus"][6:8] == ["-0.00e0", "-0.00e0"]
 
+
+
+@pytest.mark.parametrize("which, calls", [("absolute-on-earth", 1), ("all", 2)])
+def test_bounds_summary_finds_each_best_record_once(monkeypatch, catalog,
+                                                    results, which, calls):
+    expected = emit_bounds_summary(catalog, results, which=which)
+    seen = []
+
+    def counted(*args):
+        seen.append(args[2])
+        return best_record(*args)
+
+    monkeypatch.setattr("stfom.report.best_record", counted)
+    assert emit_bounds_summary(catalog, results, which=which) == expected
+    assert len(seen) == calls
