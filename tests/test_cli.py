@@ -1,4 +1,6 @@
 import csv
+import errno
+import importlib.util
 import io
 import math
 import os
@@ -23,7 +25,9 @@ from stfom import (
     embedded_catalog,
     serialize_records,
 )
-from stfom.cli import _write_atomic, main
+from stfom.cli import _build_parser, _read_argv, _write_atomic, main
+
+_TESTS = Path(__file__).resolve().parent
 
 
 def _read(path):
@@ -439,6 +443,31 @@ def test_failed_write_leaves_no_temporary_files(tmp_path, monkeypatch):
     assert (tmp_path / "table.csv").read_text(encoding="utf-8") == "old\n"
 
 
+def test_bounds_with_a_closed_stdout_is_an_io_error(capsys, monkeypatch):
+    # Python sets sys.stdout to None when it starts with file descriptor 1
+    # closed, as in "stfom bounds >&-".
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["bounds"]) == 2
+    assert capsys.readouterr().err == "io error: stdout is closed\n"
+
+
+class _FullStream(io.StringIO):
+    """A stream on a full device, as stderr is under "2>/dev/full"."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_an_unwritable_stderr_still_exits_2(tmp_path, monkeypatch):
+    # The thermal records' warnings fail to reach stderr, and so does the
+    # io error line about that failure.
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    out = tmp_path / "out"
+    assert main(["compute", "--records", str(_TESTS / "golden" / "thermal_records.csv"),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_concurrent_writers_never_share_a_temporary_file(tmp_path):
     target = tmp_path / "table.csv"
     texts = [f"writer {i}\n" * 1000 for i in range(4)]
@@ -481,6 +510,131 @@ def test_import_leaves_network_and_mail_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == ""
+
+
+def test_plain_command_lines_leave_argparse_unloaded(tmp_path):
+    src = str(Path(stfom.__file__).resolve().parents[1])
+    code = (
+        "import sys, stfom.cli\n"
+        "for argv in (['validate'], ['bounds'], ['formula', 'Si3N4'],\n"
+        "             ['compute', '--out', sys.argv[1]]):\n"
+        "    assert stfom.cli.main(argv) == 0, argv\n"
+        "print('loaded:', *(m for m in ('argparse', 'gettext') if m in sys.modules))\n"
+        "try:\n"
+        "    stfom.cli.main(['figure', '--k', '0'])\n"
+        "except SystemExit as exc:\n"
+        "    print('exit:', exc.code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-2:] == ["loaded:", "exit: 2"]
+    assert out.stderr.endswith(
+        "stfom figure: error: argument --k: must be >= 1, got 0\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds.txt", "table.csv"]
+
+
+# ------------------------------------- the plain reader against argparse
+
+_COMMANDS = ("compute", "figure", "bounds", "formula", "validate")
+_OPTIONS = ("--records", "--constants", "--filter", "--out", "--k")
+# Values the parser accepts for an option, and near misses it refuses.
+_OPTION_VALUES = {
+    "--filter": ("all", "absolute-on-earth", "ALL", "none", ""),
+    "--k": ("1", "3", "03", " 3", "3\n", "+2", "1_0", "\u0663", "0", "3.0", "x", ""),
+}
+_TEXTS = st.sampled_from(["r.csv", "a/b.csv", "out dir", "", "Si3N4", "figure", "all"])
+_ODD_OPTIONS = st.one_of(
+    st.sampled_from(["--rec", "--cons", "--fil", "--o", "--help", "-h", "--",
+                     "--unknown", "-k", "k", "++out", "--K", "--text",
+                     "--command"]),
+    st.builds("{}={}".format, st.sampled_from(_OPTIONS),
+              st.sampled_from(["x", "3", "all", ""])),
+)
+_ODD_VALUES = st.sampled_from(["-x", "-1", "-", "--", "--out", "-h"]) | st.text(max_size=4)
+
+
+@st.composite
+def _command_lines(draw):
+    """An argv: a command or a near miss, its text for formula, option and
+    value pairs, and at times one extra token anywhere.  One token in four
+    is drawn from the odd ones, the rest from what a command takes."""
+    def odd():
+        return draw(st.integers(0, 3)) == 0
+
+    argv = [draw(st.sampled_from(["comp", "Compute", "-h", "--help", ""]) if odd()
+                 else st.sampled_from(_COMMANDS))]
+    if argv[0] == "formula":
+        argv.append(draw(_ODD_VALUES if odd() else _TEXTS))
+    for _ in range(draw(st.integers(0, 3))):
+        option = draw(_ODD_OPTIONS if odd() else st.sampled_from(_OPTIONS))
+        values = (st.sampled_from(_OPTION_VALUES[option]) if option in _OPTION_VALUES
+                  else _TEXTS)
+        argv += [option, draw(_ODD_VALUES if odd() else values)]
+    if odd():
+        argv.insert(draw(st.integers(0, len(argv))), draw(_ODD_OPTIONS | _ODD_VALUES))
+    return argv
+
+
+def _parse_args(argv):
+    """vars() of the parser's namespace for argv, or None if argparse exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+# The command lines the benchmark runs (bench/workloads.py).
+@example(["compute", "--out", "o"])
+@example(["figure", "--out", "o"])
+@example(["bounds"])
+@example(["validate"])
+@example(["formula", "Si3N4"])
+@example(["compute", "--records", "r.csv", "--out", "o"])
+@example(["figure", "--records", "r.csv", "--out", "o"])
+@example(["bounds", "--records", "r.csv"])
+@example(["validate", "--records", "r.csv"])
+@example(["compute", "--records", "r.csv", "--constants", "c.txt",
+          "--filter", "absolute-on-earth", "--out", "o"])
+@example(["figure", "--records", "r.csv", "--constants", "c.txt",
+          "--filter", "absolute-on-earth", "--out", "o"])
+@example(["bounds", "--records", "r.csv", "--constants", "c.txt",
+          "--filter", "absolute-on-earth"])
+@example(["validate", "--records", "r.csv", "--constants", "c.txt"])
+# Repeats, and values the parser converts or refuses.
+@example(["figure", "--k", "03", "--out", "a", "--out", "b", "--k", " 3"])
+@example(["figure", "--k", "0", "--k", "3"])
+@example(["figure", "--k", "x"])
+@example(["figure", "--filter", "none"])
+@example(["compute", "--out", ""])
+@example(["formula", ""])
+@example(["formula", "-x"])
+@example(["formula", "Si3N4", "extra"])
+@example(["validate", "--filter", "all"])
+@example(["compute", "++out", "o"])
+def test_the_plain_reader_agrees_with_argparse(argv):
+    read = _read_argv(argv)
+    assert read is None or vars(read) == _parse_args(argv), (argv, read)
+
+
+def test_the_benchmark_command_lines_are_read_without_argparse(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "stfom_bench_workloads", _TESTS.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks it up
+    spec.loader.exec_module(workloads)
+    records, constants = tmp_path / "records.csv", tmp_path / "constants.txt"
+    for workload in (workloads.Workload(None, None, "all"),
+                     workloads.Workload(records, None, "all"),
+                     workloads.Workload(records, constants, "absolute-on-earth")):
+        for command in workloads.COMMANDS:
+            argv = workload.argv(command, tmp_path / "out")
+            read = _read_argv(argv)
+            assert read is not None, argv
+            assert vars(read) == _parse_args(argv)
 
 
 # ------------------------------------------------ the CLI contract, fuzzed
