@@ -101,15 +101,21 @@ def si_bound(model: ModelId, fom: float,
     return bound
 
 
+def _rescale(value: float, ref: float, target_ref: float) -> float:
+    """target_ref * value / ref, the proportionality both directions use."""
+    ratio = value / ref
+    # A value near the largest float overflows the ratio, not always the
+    # result.
+    if ratio == math.inf:
+        return value * (target_ref / ref)
+    return target_ref * ratio
+
+
 def anchored_bound(fom: float, anchor: BoundAnchor) -> float:
     """Bound in anchor.model scaled off the anchor; exact at its own FOM."""
     if not 0.0 <= fom < math.inf:
         raise NegativeInputError("fom", fom)
-    ratio = fom / anchor.fom_ref
-    # A fom near the largest float overflows the ratio, not the bound.
-    if ratio == math.inf:
-        return fom * (anchor.bound_ref / anchor.fom_ref)
-    return anchor.bound_ref * ratio
+    return _rescale(fom, anchor.fom_ref, anchor.bound_ref)
 
 
 def fom_threshold(bound: float, anchor: BoundAnchor) -> float:
@@ -118,13 +124,7 @@ def fom_threshold(bound: float, anchor: BoundAnchor) -> float:
     raises OutOfRangeError."""
     if not 0.0 <= bound < math.inf:
         raise NegativeInputError("bound", bound)
-    ratio = bound / anchor.bound_ref
-    # A bound near the largest float overflows the ratio, not always the
-    # threshold.
-    if ratio == math.inf:
-        threshold = bound * (anchor.fom_ref / anchor.bound_ref)
-    else:
-        threshold = anchor.fom_ref * ratio
+    threshold = _rescale(bound, anchor.bound_ref, anchor.fom_ref)
     if not 0.0 < threshold < math.inf:
         raise OutOfRangeError(anchor.model.value, "fom_threshold", threshold)
     return threshold

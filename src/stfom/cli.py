@@ -1,24 +1,18 @@
-"""Command line front end.
+"""Command line front end: compute, figure, bounds, formula and validate.
 
-Commands:
-  compute   write table.csv and bounds.txt
-  figure    write figure.svg and figure.dat
-  bounds    print the bounds summary to stdout
-  formula   parse one chemical formula and print its composition
-  validate  check a records file (and optional constants file)
-
-Exit codes: 0 success, 1 validation problem, 2 I/O failure or a usage
-error reported by argparse (unknown command or option, bad value).  Output
-files are written to a temporary name and renamed into place, so a
+Exit codes: 0 success, 1 validation problem, 2 I/O failure (a closed
+stdout for bounds, formula and validate, whose results go there) or a
+usage error reported by argparse (unknown command or option, bad value).
+Output files are written to a temporary name and renamed into place, so a
 failing run never leaves a partial file behind.
 
-_build_parser's argparse parser is the grammar of the command line.  A
-plain command line, the command followed by full-spelled options each with
-its value, is read by _read_argv without importing argparse: importing it
-and building and running the parser take a fresh process about 4.5 ms.
-Every other command line (--help, an abbreviation, --opt=value, a bad
-value, an unknown command) goes to the parser, so its messages and exit
-codes are argparse's own.
+_COMMANDS and _ARGUMENTS state the grammar of the command line once.
+_build_parser builds the argparse parser from them, and _read_argv reads a
+plain command line from them without importing argparse: the command, its
+positional, then full-spelled options each with its value.  Every other
+command line (--help, an abbreviation, --opt=value, a bad value, an
+unknown command) goes to the parser, so its messages and exit codes are
+argparse's own.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import get_args
+from typing import Callable, NamedTuple, get_args
 
 from .catalog import RecordFilter, embedded_catalog, parse_records, rank
 from .errors import CatalogError, Diagnostic, StfomError
@@ -90,7 +84,34 @@ def _write_outputs(out: Path, files: dict[str, str]) -> None:
         _write_atomic(out / name, text)
 
 
-def cmd_compute(args, catalog, constants, results) -> int:
+def _write_stdout(text: str) -> None:
+    if sys.stdout is None:  # the process started with its stdout closed
+        raise OSError("stdout is closed")
+    sys.stdout.write(text)
+
+
+def _load(args):
+    """The catalog and constants that args name, or the embedded defaults."""
+    catalog = (embedded_catalog() if args.records is None
+               else parse_records(_read_text(args.records)))
+    constants = (_DEFAULT_CONSTANTS if args.constants is None
+                 else load_constants(_read_text(args.constants)))
+    return catalog, constants
+
+
+def _evaluate(args):
+    """_load's inputs and their results, each warning written to stderr."""
+    catalog, constants = _load(args)
+    results = evaluate_catalog(catalog, constants=constants)
+    # One write: on an unbuffered stderr each print is two syscalls.
+    sys.stderr.write("".join([f"warning: {warning}\n"
+                              for result in results.values()
+                              for warning in result.warnings]))
+    return catalog, constants, results
+
+
+def cmd_compute(args) -> int:
+    catalog, constants, results = _evaluate(args)
     ranked = rank(catalog, results, args.filter)
     _write_outputs(args.out, {
         "table.csv": emit_table(ranked, results),
@@ -101,7 +122,8 @@ def cmd_compute(args, catalog, constants, results) -> int:
     return 0
 
 
-def cmd_figure(args, catalog, constants, results) -> int:
+def cmd_figure(args) -> int:
+    catalog, _, results = _evaluate(args)
     points = build_figure_points(rank(catalog, results, args.filter), results, args.k)
     svg_text, data_text = emit_figure(points)
     _write_outputs(args.out, {"figure.svg": svg_text, "figure.dat": data_text})
@@ -109,81 +131,100 @@ def cmd_figure(args, catalog, constants, results) -> int:
     return 0
 
 
-def cmd_bounds(args, catalog, constants, results) -> int:
-    if sys.stdout is None:  # the process started with its stdout closed
-        raise OSError("stdout is closed")
-    sys.stdout.write(
-        emit_bounds_summary(catalog, results, constants=constants, which=args.filter)
-    )
+def cmd_bounds(args) -> int:
+    catalog, constants, results = _evaluate(args)
+    _write_stdout(emit_bounds_summary(catalog, results, constants=constants,
+                                      which=args.filter))
     return 0
 
 
-def cmd_formula(text: str) -> int:
-    formula = parse_formula(text)
+def cmd_formula(args) -> int:
+    formula = parse_formula(args.text)
     terms = " ".join(f"{symbol}:{count}" for symbol, count in formula.terms)
-    print(f"terms: {terms}")
-    print(f"M = {format_sig(molar_mass(formula), 4)} kg/mol")
-    print(f"nuclei = {nuclei_per_formula(formula)}")
-    if formula.charge_ignored:
-        print("charge token ignored")
+    _write_stdout(f"terms: {terms}\n"
+                  f"M = {format_sig(molar_mass(formula), 4)} kg/mol\n"
+                  f"nuclei = {nuclei_per_formula(formula)}\n"
+                  + ("charge token ignored\n" if formula.charge_ignored else ""))
     return 0
 
 
-_FILTERS = get_args(RecordFilter)
-# The options each record command takes, as _build_parser's parser has
-# them, and every option's default, which the parser takes from here;
-# tests/test_cli.py checks that _read_argv and the parser agree.
-_COMMAND_OPTIONS = {
-    "compute": ("records", "constants", "filter", "out"),
-    "figure": ("records", "constants", "filter", "out", "k"),
-    "bounds": ("records", "constants", "filter"),
-    "validate": ("records", "constants"),
-}
-_OPTION_DEFAULTS = {"records": None, "constants": None, "filter": "all",
-                    "out": Path("."), "k": 3}
-
-
-def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """What _build_parser().parse_args(argv) returns, for a plain argv.
-
-    A plain argv is "formula TEXT", or a record command followed by
-    "--option value" pairs, each option one the command takes spelt in
-    full and each value not starting with "-".  Values are converted as the
-    parser converts them, and the last of a repeated option wins.  Any
-    other argv returns None, and so does a value the parser would refuse.
-    """
-    if len(argv) == 2 and argv[0] == "formula" and not argv[1].startswith("-"):
-        return SimpleNamespace(command="formula", text=argv[1])
-    options = _COMMAND_OPTIONS.get(argv[0]) if argv else None
-    if options is None or len(argv) % 2 == 0:
-        return None
-    values = {name: _OPTION_DEFAULTS[name] for name in options}
-    for option, text in zip(argv[1::2], argv[2::2]):
-        name = option[2:]
-        if not option.startswith("--") or name not in values or text.startswith("-"):
-            return None
-        if name == "filter":
-            if text not in _FILTERS:
-                return None
-            values[name] = text
-        elif name == "k":
-            try:
-                values[name] = int(text)
-            except ValueError:
-                return None
-            if values[name] < 1:
-                return None
-        else:
-            values[name] = Path(text)
-    return SimpleNamespace(command=argv[0], **values)
+def cmd_validate(args) -> int:
+    catalog, _ = _load(args)
+    _write_stdout(f"ok: {len(catalog)} records\n")
+    return 0
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        import argparse  # already loaded: only the parser calls this
+        import argparse  # the parser is built next if _read_argv gets here
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
+
+
+class _Command(NamedTuple):
+    help: str
+    arguments: tuple[str, ...]  # keys of _ARGUMENTS, positionals first
+    handler: Callable[[SimpleNamespace], int]
+
+
+# The command-line grammar, from which _build_parser builds the parser and
+# _read_argv reads a plain argv.  Each argument is add_argument's name and
+# keywords; a name without "--" is a positional.
+_ARGUMENTS = {
+    "--records": {"type": Path, "default": None,
+                  "help": "records CSV (default: embedded catalog)"},
+    "--constants": {"type": Path, "default": None, "help": "constants override file"},
+    "--filter": {"type": str, "choices": get_args(RecordFilter), "default": "all",
+                 "help": "record subset to analyse"},
+    "--out": {"type": Path, "default": Path("."), "help": "output directory"},
+    "--k": {"type": _positive_int, "default": 3, "help": "points kept per category"},
+    "text": {"type": str, "default": None, "help": "formula, e.g. Si3N4"},
+}
+_COMMANDS = {
+    "compute": _Command("write table.csv and bounds.txt",
+                        ("--records", "--constants", "--filter", "--out"), cmd_compute),
+    "figure": _Command("write figure.svg and figure.dat",
+                       ("--records", "--constants", "--filter", "--out", "--k"), cmd_figure),
+    "bounds": _Command("print the bounds summary",
+                       ("--records", "--constants", "--filter"), cmd_bounds),
+    "formula": _Command("inspect a chemical formula", ("text",), cmd_formula),
+    "validate": _Command("check input files and report problems",
+                         ("--records", "--constants"), cmd_validate),
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What _build_parser().parse_args(argv) returns, for a plain argv.
+
+    A plain argv is a command, its positionals, then "--option value"
+    pairs, each option one the command takes spelt in full; no positional
+    or value starts with "-".  Values are converted as the parser converts
+    them, and the last of a repeated option wins.  Any other argv returns
+    None, and so does a value the parser would refuse.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    names = command.arguments
+    n = sum(not name.startswith("-") for name in names)
+    options = argv[n + 1::2]
+    if len(argv) <= n or (len(argv) - n) % 2 == 0 or not all(
+            option in names[n:] for option in options):
+        return None
+    values = {name.lstrip("-"): _ARGUMENTS[name]["default"] for name in names}
+    for name, text in [*zip(names[:n], argv[1:]), *zip(options, argv[n + 2::2])]:
+        argument = _ARGUMENTS[name]
+        if text.startswith("-"):
+            return None
+        try:
+            value = argument["type"](text)
+        except Exception:  # the parser refuses a value its converter raises on
+            return None
+        if value not in argument.get("choices", (value,)):
+            return None
+        values[name.lstrip("-")] = value
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _build_parser():
@@ -194,45 +235,11 @@ def _build_parser():
         description="Force-noise figures of merit and diffusion-model bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    io_parent = argparse.ArgumentParser(add_help=False)
-    io_parent.add_argument("--records", type=Path,
-                           default=_OPTION_DEFAULTS["records"],
-                           help="records CSV (default: embedded catalog)")
-    io_parent.add_argument("--constants", type=Path,
-                           default=_OPTION_DEFAULTS["constants"],
-                           help="constants override file")
-    filter_parent = argparse.ArgumentParser(add_help=False)
-    filter_parent.add_argument("--filter", choices=_FILTERS,
-                               default=_OPTION_DEFAULTS["filter"],
-                               help="record subset to analyse")
-    out_parent = argparse.ArgumentParser(add_help=False)
-    out_parent.add_argument("--out", type=Path,
-                            default=_OPTION_DEFAULTS["out"],
-                            help="output directory")
-
-    sub.add_parser("compute", parents=[io_parent, filter_parent, out_parent],
-                   help="write table.csv and bounds.txt")
-    figure_parser = sub.add_parser(
-        "figure", parents=[io_parent, filter_parent, out_parent],
-        help="write figure.svg and figure.dat",
-    )
-    figure_parser.add_argument("--k", type=_positive_int,
-                               default=_OPTION_DEFAULTS["k"],
-                               help="points kept per category")
-    sub.add_parser("bounds", parents=[io_parent, filter_parent],
-                   help="print the bounds summary")
-    formula_parser = sub.add_parser("formula", help="inspect a chemical formula")
-    formula_parser.add_argument("text", help="formula, e.g. Si3N4")
-    sub.add_parser("validate", parents=[io_parent],
-                   help="check input files and report problems")
+    for name, command in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=command.help)
+        for argument in command.arguments:
+            command_parser.add_argument(argument, **_ARGUMENTS[argument])
     return parser
-
-
-# Each record command takes the parsed arguments, the loaded inputs and
-# the evaluated results; main does the loading, evaluation and warnings.
-_RECORD_COMMANDS = {"compute": cmd_compute, "figure": cmd_figure,
-                    "bounds": cmd_bounds}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -240,21 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         args = _build_parser().parse_args(argv)
     try:
-        if args.command == "formula":
-            return cmd_formula(args.text)
-        catalog = (embedded_catalog() if args.records is None
-                   else parse_records(_read_text(args.records)))
-        constants = (_DEFAULT_CONSTANTS if args.constants is None
-                     else load_constants(_read_text(args.constants)))
-        if args.command == "validate":
-            print(f"ok: {len(catalog)} records")
-            return 0
-        results = evaluate_catalog(catalog, constants=constants)
-        # One write: on an unbuffered stderr each print is two syscalls.
-        sys.stderr.write("".join([f"warning: {warning}\n"
-                                  for result in results.values()
-                                  for warning in result.warnings]))
-        return _RECORD_COMMANDS[args.command](args, catalog, constants, results)
+        return _COMMANDS[args.command].handler(args)
     except CatalogError as exc:
         for diagnostic in exc.diagnostics:
             print(str(diagnostic), file=sys.stderr)

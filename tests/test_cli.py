@@ -443,11 +443,14 @@ def test_failed_write_leaves_no_temporary_files(tmp_path, monkeypatch):
     assert (tmp_path / "table.csv").read_text(encoding="utf-8") == "old\n"
 
 
-def test_bounds_with_a_closed_stdout_is_an_io_error(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [["bounds"], ["formula", "Si3N4"], ["validate"]],
+                         ids=lambda argv: argv[0])
+def test_bounds_with_a_closed_stdout_is_an_io_error(capsys, monkeypatch, argv):
     # Python sets sys.stdout to None when it starts with file descriptor 1
-    # closed, as in "stfom bounds >&-".
+    # closed, as in "stfom bounds >&-"; each of these commands' results go
+    # to stdout.
     monkeypatch.setattr(sys, "stdout", None)
-    assert main(["bounds"]) == 2
+    assert main(argv) == 2
     assert capsys.readouterr().err == "io error: stdout is closed\n"
 
 
@@ -532,6 +535,56 @@ def test_plain_command_lines_leave_argparse_unloaded(tmp_path):
     assert out.stderr.endswith(
         "stfom figure: error: argument --k: must be >= 1, got 0\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds.txt", "table.csv"]
+
+
+# ------------------------------------------------------- the help texts
+
+_HELP = ("-h, --help", "show this help message and exit")
+_RECORDS = ("--records RECORDS", "records CSV (default: embedded catalog)")
+_CONSTANTS = ("--constants CONSTANTS", "constants override file")
+_FILTER = ("--filter {all,absolute-on-earth}", "record subset to analyse")
+_OUT = ("--out OUT", "output directory")
+_EXPECTED_HELP = {
+    (): [("{compute,figure,bounds,formula,validate}", ""),
+         ("compute", "write table.csv and bounds.txt"),
+         ("figure", "write figure.svg and figure.dat"),
+         ("bounds", "print the bounds summary"),
+         ("formula", "inspect a chemical formula"),
+         ("validate", "check input files and report problems"),
+         _HELP],
+    ("compute",): [_HELP, _RECORDS, _CONSTANTS, _FILTER, _OUT],
+    ("figure",): [_HELP, _RECORDS, _CONSTANTS, _FILTER, _OUT,
+                  ("--k K", "points kept per category")],
+    ("bounds",): [_HELP, _RECORDS, _CONSTANTS, _FILTER],
+    ("validate",): [_HELP, _RECORDS, _CONSTANTS],
+    ("formula",): [("text", "formula, e.g. Si3N4"), _HELP],
+}
+
+
+def _help_entries(text):
+    """(invocation, help) for each argument argparse's help lists, the help
+    joined from the lines indented under it.  Argument lines are indented
+    two or four spaces, help continuation lines further."""
+    entries = []
+    for line in text.splitlines():
+        indent = len(line) - len(line.lstrip(" "))
+        if indent in (2, 4):
+            invocation, _, help_text = line.strip().partition("  ")
+            entries.append([invocation, help_text.strip()])
+        elif indent > 4 and entries:
+            entries[-1][1] = " ".join(filter(None, (entries[-1][1], line.strip())))
+    return [tuple(entry) for entry in entries]
+
+
+@pytest.mark.parametrize("command", _EXPECTED_HELP, ids=lambda c: " ".join(c) or "stfom")
+def test_help_lists_each_command_and_option(capsys, monkeypatch, command):
+    # Wide enough that no usage line wraps, and no colour (Python 3.14).
+    monkeypatch.setenv("COLUMNS", "200")
+    monkeypatch.setenv("PYTHON_COLORS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert _help_entries(capsys.readouterr().out) == _EXPECTED_HELP[command]
 
 
 # ------------------------------------- the plain reader against argparse
