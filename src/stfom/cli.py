@@ -1,10 +1,11 @@
 """Command line front end: compute, figure, bounds, formula and validate.
 
-Exit codes: 0 success, 1 validation problem, 2 I/O failure (a closed
-stdout for bounds, formula and validate, whose results go there) or a
-usage error reported by argparse (unknown command or option, bad value).
-Output files are written to a temporary name and renamed into place, so a
-failing run never leaves a partial file behind.
+Each cmd_* handler returns its text for stdout; main alone writes the
+streams and picks the exit code: 0 success, 1 a validation problem, 2 when
+an input, an output file, stdout or stderr cannot be read or written, or a
+usage error from argparse (unknown command or option, bad value).  Every
+output file is written before any is renamed into place, so a failed write
+replaces none; a failed rename can leave an earlier one replaced.
 
 _COMMANDS and _ARGUMENTS state the grammar of the command line once.
 _build_parser builds the argparse parser from them, and _read_argv reads a
@@ -26,11 +27,7 @@ from typing import Callable, NamedTuple, get_args
 from .catalog import RecordFilter, embedded_catalog, parse_records, rank
 from .errors import CatalogError, Diagnostic, StfomError
 from .fom import evaluate_catalog
-from .formula import (
-    molar_mass,
-    nuclei_per_formula,
-    parse_formula,
-)
+from .formula import molar_mass, nuclei_per_formula, parse_formula
 from .quantities import _DEFAULT_CONSTANTS, load_constants
 from .report import (
     build_figure_points,
@@ -58,36 +55,45 @@ def _read_text(path: Path) -> str:
         )) from None
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary file of its own in path's directory.
+def _write_outputs(out: Path, files: dict[str, str]) -> None:
+    """Write every file to a temporary file in out, then rename each into place.
 
-    The temporary name is unique to the call, so concurrent runs on one
-    --out never share it, and it is removed if anything fails before the
-    rename.  It is created with mode 0o666 less the umask, as an ordinary
-    file is; tempfile.mkstemp would leave the output readable by its owner
-    only.
+    The temporary names are unique to the call, so concurrent runs on one
+    --out never share one; those not yet renamed are removed on failure.
+    Their mode is 0o666 less the umask, as for an ordinary file (not 0o600).
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    out.mkdir(parents=True, exist_ok=True)
+    tag = f"{os.getpid()}.{os.urandom(6).hex()}"
+    tmps = {name: out / f".{name}.{tag}.tmp" for name in files}
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for name, text in files.items():
+            fd = os.open(tmps[name], os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for name in files:
+            os.replace(tmps[name], out / name)
+            del tmps[name]
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
         raise
 
 
-def _write_outputs(out: Path, files: dict[str, str]) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        _write_atomic(out / name, text)
-
-
-def _write_stdout(text: str) -> None:
-    if sys.stdout is None:  # the process started with its stdout closed
-        raise OSError("stdout is closed")
-    sys.stdout.write(text)
+def _write(name: str, text: str) -> None:
+    """Write and flush text to sys.<name>, which is None if the process
+    started with it closed ("stfom bounds >&-").  A stream that fails is
+    closed, dropping its text, or the interpreter would fail again at exit
+    and exit 120."""
+    if text:
+        stream = getattr(sys, name)
+        if stream is None or stream.closed:
+            raise OSError(f"{name} is closed")
+        try:
+            stream.write(text)
+            stream.flush()
+        except OSError:
+            stream.close()  # flushes, so it may raise the same error, but closes
+            raise
 
 
 def _load(args):
@@ -104,13 +110,13 @@ def _evaluate(args):
     catalog, constants = _load(args)
     results = evaluate_catalog(catalog, constants=constants)
     # One write: on an unbuffered stderr each print is two syscalls.
-    sys.stderr.write("".join([f"warning: {warning}\n"
+    _write("stderr", "".join([f"warning: {warning}\n"
                               for result in results.values()
                               for warning in result.warnings]))
     return catalog, constants, results
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> str:
     catalog, constants, results = _evaluate(args)
     ranked = rank(catalog, results, args.filter)
     _write_outputs(args.out, {
@@ -118,40 +124,34 @@ def cmd_compute(args) -> int:
         "bounds.txt": emit_bounds_summary(catalog, results, constants=constants,
                                           which=args.filter),
     })
-    print(f"wrote table.csv ({len(ranked)} rows) and bounds.txt to {args.out}")
-    return 0
+    return f"wrote table.csv ({len(ranked)} rows) and bounds.txt to {args.out}\n"
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args) -> str:
     catalog, _, results = _evaluate(args)
     points = build_figure_points(rank(catalog, results, args.filter), results, args.k)
     svg_text, data_text = emit_figure(points)
     _write_outputs(args.out, {"figure.svg": svg_text, "figure.dat": data_text})
-    print(f"wrote figure.svg and figure.dat ({len(points)} points) to {args.out}")
-    return 0
+    return f"wrote figure.svg and figure.dat ({len(points)} points) to {args.out}\n"
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> str:
     catalog, constants, results = _evaluate(args)
-    _write_stdout(emit_bounds_summary(catalog, results, constants=constants,
-                                      which=args.filter))
-    return 0
+    return emit_bounds_summary(catalog, results, constants=constants, which=args.filter)
 
 
-def cmd_formula(args) -> int:
+def cmd_formula(args) -> str:
     formula = parse_formula(args.text)
     terms = " ".join(f"{symbol}:{count}" for symbol, count in formula.terms)
-    _write_stdout(f"terms: {terms}\n"
-                  f"M = {format_sig(molar_mass(formula), 4)} kg/mol\n"
-                  f"nuclei = {nuclei_per_formula(formula)}\n"
-                  + ("charge token ignored\n" if formula.charge_ignored else ""))
-    return 0
+    return (f"terms: {terms}\n"
+            f"M = {format_sig(molar_mass(formula), 4)} kg/mol\n"
+            f"nuclei = {nuclei_per_formula(formula)}\n"
+            + ("charge token ignored\n" if formula.charge_ignored else ""))
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> str:
     catalog, _ = _load(args)
-    _write_stdout(f"ok: {len(catalog)} records\n")
-    return 0
+    return f"ok: {len(catalog)} records\n"
 
 
 def _positive_int(text: str) -> int:
@@ -165,7 +165,7 @@ def _positive_int(text: str) -> int:
 class _Command(NamedTuple):
     help: str
     arguments: tuple[str, ...]  # keys of _ARGUMENTS, positionals first
-    handler: Callable[[SimpleNamespace], int]
+    handler: Callable[[SimpleNamespace], str]  # returns the text for stdout
 
 
 # The command-line grammar, from which _build_parser builds the parser and
@@ -247,17 +247,16 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command].handler(args)
+        _write("stdout", _COMMANDS[args.command].handler(args))
+        return 0
     except CatalogError as exc:
-        for diagnostic in exc.diagnostics:
-            print(str(diagnostic), file=sys.stderr)
-        return 1
+        message, code = "".join([f"{diagnostic}\n" for diagnostic in exc.diagnostics]), 1
     except StfomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"error: {exc}\n", 1
     except OSError as exc:
-        try:
-            print(f"io error: {exc}", file=sys.stderr)
-        except OSError:
-            pass  # stderr failed too; the exit code still reports the failure
-        return 2
+        message, code = f"io error: {exc}\n", 2
+    try:
+        _write("stderr", message)
+    except OSError:
+        return 2  # stderr cannot take the message: an I/O failure itself
+    return code

@@ -25,7 +25,7 @@ from stfom import (
     embedded_catalog,
     serialize_records,
 )
-from stfom.cli import _build_parser, _read_argv, _write_atomic, main
+from stfom.cli import _build_parser, _read_argv, _write_outputs, main
 
 _TESTS = Path(__file__).resolve().parent
 
@@ -146,14 +146,19 @@ def test_records_file_roundtrips_through_cli(tmp_path, capsys):
         (embedded_out / "table.csv").read_bytes()
 
 
+# A records file with a problem in each of its two rows.
+_TWO_PROBLEMS = (
+    CSV_HEADER + "\n"
+    "Probe,2021,src,squishy,Si3N4,1e-9,,,1e-15,,,,absolute,earth,false,\n"
+    "Other,2021,src,membrane,Si3N4,zero,,,1e-15,,,,absolute,earth,false,\n"
+)
+_TWO_DIAGNOSTICS = ("row 1, column category: BadCategory: unknown category 'squishy'\n"
+                    "row 2, column mass_kg: BadNumber: not a number: 'zero'\n")
+
+
 def test_bad_records_file_reports_diagnostics(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text(
-        CSV_HEADER + "\n"
-        "Probe,2021,src,squishy,Si3N4,1e-9,,,1e-15,,,,absolute,earth,false,\n"
-        "Other,2021,src,membrane,Si3N4,zero,,,1e-15,,,,absolute,earth,false,\n",
-        encoding="utf-8",
-    )
+    bad.write_text(_TWO_PROBLEMS, encoding="utf-8")
     assert main(["validate", "--records", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "row 1, column category: BadCategory:" in err
@@ -443,12 +448,55 @@ def test_failed_write_leaves_no_temporary_files(tmp_path, monkeypatch):
     assert (tmp_path / "table.csv").read_text(encoding="utf-8") == "old\n"
 
 
-@pytest.mark.parametrize("argv", [["bounds"], ["formula", "Si3N4"], ["validate"]],
+def test_a_failed_write_replaces_neither_output(tmp_path, monkeypatch):
+    # The device fills up as bounds.txt's temporary file is created, after
+    # table.csv's was written: the pair already there stays as it was.
+    for name in ("table.csv", "bounds.txt"):
+        (tmp_path / name).write_text(f"old {name}\n", encoding="utf-8")
+    create = os.open
+
+    def full_at_bounds(path, *args, **kwargs):
+        if Path(path).name.startswith(".bounds.txt."):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return create(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", full_at_bounds)
+    assert main(["compute", "--out", str(tmp_path)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds.txt", "table.csv"]
+    for name in ("table.csv", "bounds.txt"):
+        assert (tmp_path / name).read_text(encoding="utf-8") == f"old {name}\n"
+
+
+_THERMAL_RECORDS = _TESTS / "golden" / "thermal_records.csv"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["validate", "--records", "bad.csv"], 1, "", _TWO_DIAGNOSTICS),
+    (["compute", "--records", "bad.csv"], 1, "", _TWO_DIAGNOSTICS),
+    (["formula", "Xx"], 1, "", "error: unknown element symbol 'Xx'\n"),
+    (["validate", "--records", "absent.csv"], 2, "",
+     f"io error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'absent.csv'\n"),
+    (["compute", "--records", str(_THERMAL_RECORDS)], 0,
+     "wrote table.csv (6 rows) and bounds.txt to .\n",
+     _read(_TESTS / "golden" / "thermal-records" / "compute.stderr")),
+], ids=["validate-two-problems", "compute-two-problems", "formula-Xx",
+        "missing-records", "thermal-warnings"])
+def test_each_stream_gets_these_bytes_and_exit_code(tmp_path, capsys, monkeypatch,
+                                                    argv, code, out, err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text(_TWO_PROBLEMS, encoding="utf-8")
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("argv", [["compute"], ["figure"], ["bounds"],
+                                  ["formula", "Si3N4"], ["validate"]],
                          ids=lambda argv: argv[0])
-def test_bounds_with_a_closed_stdout_is_an_io_error(capsys, monkeypatch, argv):
+def test_bounds_with_a_closed_stdout_is_an_io_error(tmp_path, capsys, monkeypatch, argv):
     # Python sets sys.stdout to None when it starts with file descriptor 1
-    # closed, as in "stfom bounds >&-"; each of these commands' results go
-    # to stdout.
+    # closed, as in "stfom bounds >&-"; each command's result or status
+    # line goes to stdout.
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "stdout", None)
     assert main(argv) == 2
     assert capsys.readouterr().err == "io error: stdout is closed\n"
@@ -466,8 +514,90 @@ def test_an_unwritable_stderr_still_exits_2(tmp_path, monkeypatch):
     # io error line about that failure.
     monkeypatch.setattr(sys, "stderr", _FullStream())
     out = tmp_path / "out"
-    assert main(["compute", "--records", str(_TESTS / "golden" / "thermal_records.csv"),
+    assert main(["compute", "--records", str(_THERMAL_RECORDS),
                  "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+_FAILING_ARGVS = pytest.mark.parametrize(
+    "argv", [["validate", "--records", "bad.csv"], ["compute", "--records", "bad.csv"],
+             ["formula", "Xx"], ["validate", "--records", "absent.csv"]],
+    ids=["validate-two-problems", "compute-two-problems", "formula-Xx",
+         "missing-records"])
+
+
+@_FAILING_ARGVS
+def test_a_failure_with_an_unwritable_stderr_exits_2(tmp_path, capsys, monkeypatch,
+                                                     argv):
+    # The diagnostic cannot be written, as under "2>/dev/full"; that is an
+    # I/O failure, whatever the failure it would have reported.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text(_TWO_PROBLEMS, encoding="utf-8")
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@_FAILING_ARGVS
+def test_a_failure_with_a_closed_stderr_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # Python sets sys.stderr to None when it starts with file descriptor 2
+    # closed, as in "stfom validate 2>&-"; the diagnostic goes nowhere else.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text(_TWO_PROBLEMS, encoding="utf-8")
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+class _FullOnFlush(io.StringIO):
+    """A block-buffered stream on a full device: it takes a write and fails
+    at the flush, as stdout does under ">/dev/full"."""
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failed_flush_is_an_io_error_and_closes_the_stream(capsys, monkeypatch):
+    stdout = _FullOnFlush()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["bounds"]) == 2
+    assert capsys.readouterr().err == (
+        f"io error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    # Left open, the interpreter would flush it again at exit and exit 120.
+    assert stdout.closed
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, full", [
+    (["bounds"], "stdout"), (["compute"], "stdout"), (["formula", "Xx"], "stderr"),
+    (["validate", "--records", "bad.csv"], "stderr"),
+    (["compute", "--records", str(_THERMAL_RECORDS)], "stderr"),
+], ids=["bounds", "compute", "formula-Xx", "validate-two-problems", "thermal-warnings"])
+def test_a_full_device_exits_2_from_the_command_line(tmp_path, argv, full):
+    # A fresh process with the default buffering: stdout is block-buffered
+    # and stderr line-buffered, so the text that could not be written stays
+    # in the stream's buffer unless main drops it.
+    (tmp_path / "bad.csv").write_text(_TWO_PROBLEMS, encoding="utf-8")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(stfom.__file__).resolve().parents[1])
+    with open("/dev/full", "w", encoding="utf-8") as device:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, full: device}
+        run = subprocess.run([sys.executable, "-m", "stfom", *argv], cwd=tmp_path,
+                             env=env, timeout=60, **streams)
+    assert run.returncode == 2
+    if full == "stdout":
+        assert run.stderr.decode() == (
+            f"io error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    else:
+        assert run.stdout == b""
+
+
+def test_warnings_with_a_closed_stderr_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stderr", None)
+    out = tmp_path / "out"
+    assert main(["compute", "--records", str(_THERMAL_RECORDS),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
     assert not out.exists()
 
 
@@ -479,7 +609,7 @@ def test_concurrent_writers_never_share_a_temporary_file(tmp_path):
     def write(text):
         try:
             for _ in range(25):
-                _write_atomic(target, text)
+                _write_outputs(tmp_path, {"table.csv": text})
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
