@@ -38,14 +38,8 @@ from .errors import (
     Diagnostic,
     FilterError,
     FormulaError,
-    MaterialError,
-    NegativeInputError,
-    NonPositiveError,
     OutOfRangeError,
-    ParseError,
     StfomError,
-    UnknownConstantError,
-    UnknownElementError,
 )
 from .fom import FomResult, evaluate_catalog, evaluate_record
 from .formula import (
@@ -76,14 +70,12 @@ __all__ = [
     "CatalogError", "Constants", "ConstantsError", "DEFAULT_ANCHORS",
     "DEFAULT_CONSTANTS_TEXT", "Diagnostic", "ExperimentRecord",
     "FigurePoint", "FilterError", "FomResult", "Formula", "FormulaError",
-    "MaterialError", "MaterialSpec", "ModelId", "NegativeInputError",
-    "NonPositiveError", "OutOfRangeError", "ParseError", "QuotedValues",
-    "STANDARD_ATOMIC_WEIGHTS", "StfomError", "UnknownConstantError",
-    "UnknownElementError", "anchored_bound", "build_figure_points",
-    "embedded_catalog", "embedded_reference_values", "emit_bounds_summary",
-    "emit_figure", "emit_table", "evaluate_catalog", "evaluate_record",
-    "fom_threshold", "format_material", "format_sig", "load_constants",
-    "molar_mass", "nuclei_count", "nuclei_per_formula",
+    "MaterialSpec", "ModelId", "OutOfRangeError", "QuotedValues",
+    "STANDARD_ATOMIC_WEIGHTS", "StfomError", "anchored_bound",
+    "build_figure_points", "embedded_catalog", "embedded_reference_values",
+    "emit_bounds_summary", "emit_figure", "emit_table", "evaluate_catalog",
+    "evaluate_record", "fom_threshold", "format_material", "format_sig",
+    "load_constants", "molar_mass", "nuclei_count", "nuclei_per_formula",
     "orders_of_improvement", "parse_formula", "parse_material",
     "parse_records", "rank", "select_for_figure", "serialize_records",
     "si_bound",

@@ -20,13 +20,7 @@ import math
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import (
-    _PRINT_MAX,
-    NegativeInputError,
-    NonPositiveError,
-    OutOfRangeError,
-    _Checked,
-)
+from .errors import _PRINT_MAX, OutOfRangeError, _Checked
 from .quantities import _DEFAULT_CONSTANTS, Constants
 
 # Figure of merit of the classic Cavendish torsion balance, the baseline
@@ -62,7 +56,7 @@ class BoundAnchor(_Checked, _AnchorFields):
         for name in ("fom_ref", "bound_ref", "lower_bound"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
-                raise NonPositiveError(name, value)
+                raise OutOfRangeError(name, value)
 
 
 DEFAULT_ANCHORS: MappingProxyType[ModelId, BoundAnchor] = MappingProxyType({
@@ -87,7 +81,7 @@ def si_bound(model: ModelId, fom: float,
     that is not a float > 0 and at most _PRINT_MAX, the largest number
     stfom prints, raises OutOfRangeError."""
     if fom < 0.0:
-        raise NegativeInputError("fom", fom)
+        raise OutOfRangeError("fom", fom, ">= 0")
     # Products overflow to inf and underflow to 0 where ** and / raise.
     r_squared = constants.r_N * constants.r_N
     g_squared = constants.G * constants.G
@@ -97,7 +91,7 @@ def si_bound(model: ModelId, fom: float,
         numerator, denominator = fom * r_squared * constants.r_N, g_squared
     bound = numerator / denominator if denominator else math.inf
     if not 0.0 < bound <= _PRINT_MAX:
-        raise OutOfRangeError(model.value, "si_bound", bound)
+        raise OutOfRangeError("si_bound", bound, record=model.value)
     return bound
 
 
@@ -114,7 +108,7 @@ def _rescale(value: float, ref: float, target_ref: float) -> float:
 def anchored_bound(fom: float, anchor: BoundAnchor) -> float:
     """Bound in anchor.model scaled off the anchor; exact at its own FOM."""
     if not 0.0 <= fom < math.inf:
-        raise NegativeInputError("fom", fom)
+        raise OutOfRangeError("fom", fom, ">= 0")
     return _rescale(fom, anchor.fom_ref, anchor.bound_ref)
 
 
@@ -123,19 +117,19 @@ def fom_threshold(bound: float, anchor: BoundAnchor) -> float:
     inverse of anchored_bound.  A threshold that is not a finite float > 0
     raises OutOfRangeError."""
     if not 0.0 <= bound < math.inf:
-        raise NegativeInputError("bound", bound)
+        raise OutOfRangeError("bound", bound, ">= 0")
     threshold = _rescale(bound, anchor.bound_ref, anchor.fom_ref)
     if not 0.0 < threshold < math.inf:
-        raise OutOfRangeError(anchor.model.value, "fom_threshold", threshold)
+        raise OutOfRangeError("fom_threshold", threshold, record=anchor.model.value)
     return threshold
 
 
 def orders_of_improvement(fom: float, baseline_fom: float = CAVENDISH_FOM) -> float:
     """Decades of figure-of-merit improvement over a baseline experiment."""
     if not 0.0 < fom < math.inf:
-        raise NonPositiveError("fom", fom)
+        raise OutOfRangeError("fom", fom)
     if not 0.0 < baseline_fom < math.inf:
-        raise NonPositiveError("baseline_fom", baseline_fom)
+        raise OutOfRangeError("baseline_fom", baseline_fom)
     ratio = baseline_fom / fom
     # Figures of merit far apart overflow or underflow the ratio, not its log.
     if not 0.0 < ratio < math.inf:

@@ -83,7 +83,9 @@ def _write(name: str, text: str) -> None:
     """Write and flush text to sys.<name>, which is None if the process
     started with it closed ("stfom bounds >&-").  A stream that fails is
     closed, dropping its text, or the interpreter would fail again at exit
-    and exit 120."""
+    and exit 120.  Text the stream's encoding cannot spell is an OSError
+    too; the stream encodes all of it before it writes any, so it stays
+    open."""
     if text:
         stream = getattr(sys, name)
         if stream is None or stream.closed:
@@ -91,6 +93,8 @@ def _write(name: str, text: str) -> None:
         try:
             stream.write(text)
             stream.flush()
+        except UnicodeEncodeError as exc:
+            raise OSError(f"{name}: {exc}") from None
         except OSError:
             stream.close()  # flushes, so it may raise the same error, but closes
             raise

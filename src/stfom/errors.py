@@ -14,27 +14,9 @@ class StfomError(Exception):
 
 
 class FormulaError(StfomError):
-    """Base class for chemical formula and material expression problems."""
-
-
-class ParseError(FormulaError):
-    """Formula text violates the grammar at a specific position."""
-
-    def __init__(self, position: int, message: str):
-        super().__init__(f"position {position}: {message}")
-        self.position = position
-
-
-class UnknownElementError(FormulaError):
-    """Formula names a symbol absent from the atomic weight table."""
-
-    def __init__(self, symbol: str):
-        super().__init__(f"unknown element symbol {symbol!r}")
-        self.symbol = symbol
-
-
-class MaterialError(FormulaError):
-    """Malformed mixture expression or invalid mass fractions."""
+    """A formula or material expression that does not parse: bad grammar
+    (its message starts "position N: "), an unknown element symbol, or a
+    malformed mixture or mass fraction."""
 
 
 class FilterError(StfomError, ValueError):
@@ -42,48 +24,29 @@ class FilterError(StfomError, ValueError):
 
 
 class ConstantsError(StfomError):
-    """Malformed physical constants configuration."""
-
-
-class UnknownConstantError(ConstantsError):
-    """Constants configuration names a constant that does not exist."""
-
-    def __init__(self, name: str):
-        super().__init__(f"unknown constant {name!r}")
-        self.name = name
-
-
-class NonPositiveError(StfomError):
-    """A value that must be a finite float > 0 was not."""
-
-    def __init__(self, name: str, value: float):
-        super().__init__(f"{name} must be a finite float > 0, got {value!r}")
-        self.name = name
-        self.value = value
-
-
-class NegativeInputError(StfomError):
-    """A value that must be a finite float >= 0 was not."""
-
-    def __init__(self, name: str, value: float):
-        super().__init__(f"{name} must be a finite float >= 0, got {value!r}")
-        self.name = name
-        self.value = value
+    """Malformed physical constants configuration or an unknown constant."""
 
 
 class OutOfRangeError(StfomError):
-    """A record's derived value, or a model's bound, is not a float > 0
-    and at most _PRINT_MAX: 0, NaN, or too large to print."""
+    """A value outside its range.
 
-    def __init__(self, record: str, name: str, value: float):
+    Without a record, the message states rule, "> 0" or ">= 0", for a
+    value that must be a finite float so.  A value derived for a named
+    record, or a model's bound, must instead be a float > 0 and at most
+    _PRINT_MAX: not 0, NaN, or too large to print.
+    """
+
+    def __init__(self, name: str, value: float, rule: str = "> 0",
+                 record: str | None = None):
         super().__init__(
-            f"{record}: {name} is {value!r}, outside the range stfom prints "
-            f"(> 0 and at most {_PRINT_MAX!r}); the values it is computed "
-            "from are too large or too small"
+            f"{name} must be a finite float {rule}, got {value!r}" if record is None
+            else f"{record}: {name} is {value!r}, outside the range stfom prints "
+                 f"(> 0 and at most {_PRINT_MAX!r}); the values it is computed "
+                 "from are too large or too small"
         )
-        self.record = record
         self.name = name
         self.value = value
+        self.record = record
 
 
 class _Checked:

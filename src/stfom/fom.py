@@ -160,7 +160,7 @@ def _raise_first_out_of_range(record: str, values) -> None:
     float > 0 and at most _PRINT_MAX."""
     for name, value in values:
         if not 0.0 < value <= _PRINT_MAX:
-            raise OutOfRangeError(record, name, value)
+            raise OutOfRangeError(name, value, record=record)
 
 
 def evaluate_catalog(catalog, constants=_DEFAULT_CONSTANTS) -> dict[str, FomResult]:

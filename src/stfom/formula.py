@@ -28,13 +28,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import (
-    MaterialError,
-    NegativeInputError,
-    ParseError,
-    UnknownElementError,
-    _Checked,
-)
+from .errors import FormulaError, OutOfRangeError, _Checked
 from .quantities import _DEFAULT_CONSTANTS
 
 # Standard atomic weights in kg/mol (CIAAW abridged values; conventional
@@ -119,18 +113,19 @@ def parse_formula(text: str, /) -> Formula:
     """Parse formula text, validating every symbol against the standard
     atomic weights.
 
-    Equal texts return the same Formula.  Raises ParseError with the
-    offending character position for grammar violations and
-    UnknownElementError for syntactically valid symbols missing from
-    STANDARD_ATOMIC_WEIGHTS.
+    Equal texts return the same Formula.  Raises FormulaError, its
+    message prefixed "position N: " with the offending character position
+    for a grammar violation, or naming the symbol for a syntactically valid
+    one missing from STANDARD_ATOMIC_WEIGHTS.
     """
     if not text:
-        raise ParseError(0, "empty formula")
+        raise FormulaError("position 0: empty formula")
 
     charge = _CHARGE_RE.search(text)
     body = text[: charge.start()] if charge else text
     if not body:
-        raise ParseError(0, "formula has a charge token but no element terms")
+        raise FormulaError(
+            "position 0: formula has a charge token but no element terms")
 
     terms: list[tuple[str, int]] = []
     nuclei = 0
@@ -138,25 +133,25 @@ def parse_formula(text: str, /) -> Formula:
     while i < len(body):
         match = _TERM_RE.match(body, i)
         if match is None or not match.group(1):
-            raise ParseError(i, f"expected an element symbol, found {body[i]!r}")
+            raise FormulaError(
+                f"position {i}: expected an element symbol, found {body[i]!r}")
         symbol, count_text = match.group(1), match.group(2)
         if symbol not in STANDARD_ATOMIC_WEIGHTS:
-            raise UnknownElementError(symbol)
+            raise FormulaError(f"unknown element symbol {symbol!r}")
         if count_text:
             # Checked before int(), which refuses very long digit strings.
             if len(count_text) > _MAX_COUNT_DIGITS:
-                raise ParseError(i + len(symbol), _TOO_MANY_NUCLEI)
+                raise FormulaError(f"position {match.start(2)}: {_TOO_MANY_NUCLEI}")
             count = int(count_text)
             if count < 1:
-                raise ParseError(
-                    i + len(symbol), "element count must be a positive integer"
-                )
+                raise FormulaError(f"position {match.start(2)}: "
+                                   "element count must be a positive integer")
         else:
             count = 1
         # Nucleus counts and molar masses are floats downstream.
         nuclei += count
         if nuclei > _MAX_NUCLEI:
-            raise ParseError(i + len(symbol), _TOO_MANY_NUCLEI)
+            raise FormulaError(f"position {match.start(2)}: {_TOO_MANY_NUCLEI}")
         terms.append((symbol, count))
         i = match.end()
     return Formula(tuple(terms), charge_ignored=charge is not None)
@@ -180,16 +175,16 @@ class MaterialSpec(_Checked, _MaterialFields):
 
     def _check(self) -> None:
         if not self.components:
-            raise MaterialError("material needs at least one component")
+            raise FormulaError("material needs at least one component")
         total = 0.0
         for formula, fraction in self.components:
             if not 0.0 < fraction <= 1.0:
-                raise MaterialError(
+                raise FormulaError(
                     f"mass fraction must be in (0, 1], got {fraction!r}"
                 )
             total += fraction
         if abs(total - 1.0) > 1e-9:
-            raise MaterialError(f"mass fractions sum to {total!r}, expected 1")
+            raise FormulaError(f"mass fractions sum to {total!r}, expected 1")
 
     @classmethod
     def pure(cls, formula: Formula) -> MaterialSpec:
@@ -210,11 +205,11 @@ def parse_material(text: str, /) -> MaterialSpec:
     Equal texts return the same MaterialSpec.
     """
     if not text:
-        raise MaterialError("empty material expression")
+        raise FormulaError("empty material expression")
     # Every whitespace character but ' ' is unprintable, so clean text
     # skips the regex.
     if not (text.isprintable() and " " not in text) and _WHITESPACE_RE.search(text):
-        raise MaterialError("material expression must not contain whitespace")
+        raise FormulaError("material expression must not contain whitespace")
     if "*" not in text:
         return MaterialSpec.pure(parse_formula(text))
 
@@ -227,11 +222,11 @@ def parse_material(text: str, /) -> MaterialSpec:
     for part in _COMPONENT_SPLIT_RE.split(text):
         fraction_text, star, formula_text = part.partition("*")
         if not star or not fraction_text or not formula_text:
-            raise MaterialError(f"bad mixture component {part!r}")
+            raise FormulaError(f"bad mixture component {part!r}")
         try:
             fraction = float(fraction_text)
         except ValueError:
-            raise MaterialError(f"bad mass fraction {fraction_text!r}") from None
+            raise FormulaError(f"bad mass fraction {fraction_text!r}") from None
         components.append((parse_formula(formula_text), fraction))
         if not 0.0 < fraction <= 1.0:
             in_range = False
@@ -262,7 +257,7 @@ def molar_mass(formula: Formula) -> float:
         return sum(count * STANDARD_ATOMIC_WEIGHTS[symbol]
                    for symbol, count in formula.terms)
     except KeyError as exc:
-        raise UnknownElementError(exc.args[0]) from None
+        raise FormulaError(f"unknown element symbol {exc.args[0]!r}") from None
 
 
 def nuclei_count(mass_kg: float, mat: MaterialSpec,
@@ -274,7 +269,7 @@ def nuclei_count(mass_kg: float, mat: MaterialSpec,
     result is exactly linear in mass_kg.
     """
     if not 0.0 <= mass_kg < math.inf:
-        raise NegativeInputError("mass_kg", mass_kg)
+        raise OutOfRangeError("mass_kg", mass_kg, ">= 0")
     total = 0.0
     for formula, fraction in mat.components:
         moles = mass_kg * fraction / formula._molar_mass

@@ -10,22 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (
-    ConstantsError,
-    NonPositiveError,
-    UnknownConstantError,
-    _Checked,
-)
-
-# Canonical text form of the defaults, parseable by load_constants().
-DEFAULT_CONSTANTS_TEXT = """\
-# default physical constants (SI)
-G 6.674e-11
-N_A 6.02214076e23
-k_B 1.380649e-23
-r_N 1.0e-15
-m_N 1.6726e-27
-"""
+from .errors import ConstantsError, OutOfRangeError, _Checked
 
 
 class _ConstantsFields(NamedTuple):
@@ -54,12 +39,16 @@ class Constants(_Checked, _ConstantsFields):
     def _check(self) -> None:
         for name, value in zip(self._fields, self):
             if not 0.0 < value < math.inf:
-                raise NonPositiveError(name, value)
+                raise OutOfRangeError(name, value)
 
 
 # The default of every function that takes constants; the CLI uses it
 # when no constants file is given.
 _DEFAULT_CONSTANTS = Constants()
+
+# Canonical text form of the defaults, parseable by load_constants().
+DEFAULT_CONSTANTS_TEXT = "# default physical constants (SI)\n" + "".join(
+    [f"{name} {value!r}\n" for name, value in _DEFAULT_CONSTANTS._asdict().items()])
 
 _CONSTANT_NAMES = frozenset(Constants._fields)
 
@@ -85,7 +74,7 @@ def load_constants(text: str) -> Constants:
             )
         name, value_text = parts
         if name not in _CONSTANT_NAMES:
-            raise UnknownConstantError(name)
+            raise ConstantsError(f"unknown constant {name!r}")
         try:
             value = float(value_text)
         except ValueError:

@@ -10,8 +10,6 @@ from stfom import (
     DEFAULT_ANCHORS,
     BoundAnchor,
     ModelId,
-    NegativeInputError,
-    NonPositiveError,
     OutOfRangeError,
     anchored_bound,
     fom_threshold,
@@ -119,15 +117,20 @@ def test_bounds_are_monotonic_in_fom():
 
 def test_negative_and_zero_inputs_rejected():
     anchor = DEFAULT_ANCHORS[DISCRETE]
-    with pytest.raises(NegativeInputError):
+    with pytest.raises(OutOfRangeError,
+                       match=r"^fom must be a finite float >= 0, got -1\.0$"):
         anchored_bound(-1.0, anchor)
-    with pytest.raises(NegativeInputError):
+    with pytest.raises(OutOfRangeError,
+                       match=r"^fom must be a finite float >= 0, got -1\.0$"):
         si_bound(DISCRETE, -1.0)
-    with pytest.raises(NegativeInputError):
+    with pytest.raises(OutOfRangeError,
+                       match=r"^bound must be a finite float >= 0, got -1\.0$"):
         fom_threshold(-1.0, anchor)
-    with pytest.raises(NonPositiveError):
+    with pytest.raises(OutOfRangeError,
+                       match=r"^fom must be a finite float > 0, got 0\.0$"):
         orders_of_improvement(0.0)
-    with pytest.raises(NonPositiveError):
+    with pytest.raises(OutOfRangeError,
+                       match=r"^baseline_fom must be a finite float > 0, got 0\.0$"):
         orders_of_improvement(1.0, 0.0)
 
 
@@ -147,7 +150,8 @@ def test_si_bound_outside_the_range_of_a_float_raises(fom, constants):
 
 
 def test_anchor_validation():
-    with pytest.raises(NonPositiveError):
+    with pytest.raises(OutOfRangeError,
+                       match=r"^fom_ref must be a finite float > 0, got 0\.0$"):
         BoundAnchor(DISCRETE, fom_ref=0.0, bound_ref=1e-16, lower_bound=1e-25)
 
 
@@ -165,14 +169,14 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
 
 @pytest.mark.parametrize("value", _NON_FINITE)
 def test_anchored_bound_refuses_a_non_finite_fom(value):
-    with pytest.raises(NegativeInputError) as err:
+    with pytest.raises(OutOfRangeError) as err:
         anchored_bound(value, DEFAULT_ANCHORS[DISCRETE])
     assert str(err.value) == f"fom must be a finite float >= 0, got {value!r}"
 
 
 @pytest.mark.parametrize("value", _NON_FINITE)
 def test_fom_threshold_refuses_a_non_finite_bound(value):
-    with pytest.raises(NegativeInputError) as err:
+    with pytest.raises(OutOfRangeError) as err:
         fom_threshold(value, DEFAULT_ANCHORS[DISCRETE])
     assert str(err.value) == f"bound must be a finite float >= 0, got {value!r}"
 
@@ -196,11 +200,12 @@ def test_fom_threshold_outside_the_range_of_a_float_raises(bound):
 
 @pytest.mark.parametrize("value", _NON_FINITE)
 def test_orders_of_improvement_refuses_non_finite_foms(value):
-    with pytest.raises(NonPositiveError) as err:
+    with pytest.raises(OutOfRangeError) as err:
         orders_of_improvement(value)
     assert str(err.value) == f"fom must be a finite float > 0, got {value!r}"
-    with pytest.raises(NonPositiveError) as err:
+    with pytest.raises(OutOfRangeError) as err:
         orders_of_improvement(1.0, value)
+    assert str(err.value) == f"baseline_fom must be a finite float > 0, got {value!r}"
     assert err.value.name == "baseline_fom"
 
 

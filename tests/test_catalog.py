@@ -18,7 +18,6 @@ from stfom import (
     ExperimentRecord,
     FilterError,
     FormulaError,
-    MaterialError,
     StfomError,
     embedded_catalog,
     embedded_reference_values,
@@ -703,7 +702,7 @@ def _reference_parse_row(row, cells, seen, problems):
     material = None
     try:
         material = parse_material(material_text)
-    except (MaterialError, FormulaError) as exc:
+    except FormulaError as exc:
         row_problems.append(Diagnostic(row, "material", "BadMaterial", str(exc)))
     mass_kg = _reference_optional_float(mass_text, "mass_kg", row, row_problems)
     if not mass_text:

@@ -567,6 +567,27 @@ def test_a_failed_flush_is_an_io_error_and_closes_the_stream(capsys, monkeypatch
     assert stdout.closed
 
 
+@pytest.mark.parametrize("argv", [["bounds", "--records", "records.csv"],
+                                  ["compute", "--out", "m\u00fcller"]],
+                         ids=["bounds-name", "compute-out-dir"])
+def test_text_an_ascii_stdout_cannot_encode_is_an_io_error(tmp_path, capsys,
+                                                          monkeypatch, argv):
+    # As under PYTHONIOENCODING=ascii: a record's name in the bounds
+    # summary, or the --out directory in compute's status line, is not ASCII.
+    monkeypatch.chdir(tmp_path)
+    record = next(iter(embedded_catalog()))._replace(name="M\u00fcller '24")
+    (tmp_path / "records.csv").write_text(serialize_records(Catalog([record])),
+                                          encoding="utf-8")
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"io error: stdout: 'ascii' codec can't encode character "
+                        r"'\\xfc' in position \d+: ordinal not in range\(128\)\n", err)
+    stdout.flush()
+    assert stdout.buffer.getvalue() == b""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv, full", [
     (["bounds"], "stdout"), (["compute"], "stdout"), (["formula", "Xx"], "stderr"),

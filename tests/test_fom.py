@@ -8,8 +8,6 @@ from stfom import (
     CatalogError,
     Constants,
     ExperimentRecord,
-    NegativeInputError,
-    NonPositiveError,
     OutOfRangeError,
     evaluate_catalog,
     evaluate_record,
@@ -249,7 +247,7 @@ def _reference_evaluate_record(record, constants):
     warnings = []
     mass_kg = record.mass_kg
     if mass_kg <= 0.0:
-        raise NonPositiveError("mass_kg", mass_kg)
+        raise OutOfRangeError("mass_kg", mass_kg)
 
     if record.n_override is not None:
         n_nuclei = record.n_override
@@ -259,7 +257,7 @@ def _reference_evaluate_record(record, constants):
     if record.sqrt_sf is not None:
         sqrt_sf = record.sqrt_sf
         if sqrt_sf < 0.0:
-            raise NegativeInputError("sqrt_sf", sqrt_sf)
+            raise OutOfRangeError("sqrt_sf", sqrt_sf, ">= 0")
         sqrt_sa = sqrt_sf / mass_kg
         if record.sqrt_sa is not None and record.sqrt_sa > 0.0:
             drift = abs(sqrt_sa - record.sqrt_sa) / record.sqrt_sa
@@ -271,17 +269,17 @@ def _reference_evaluate_record(record, constants):
     else:
         sqrt_sa = record.sqrt_sa
         if sqrt_sa < 0.0:
-            raise NegativeInputError("sqrt_sa", sqrt_sa)
+            raise OutOfRangeError("sqrt_sa", sqrt_sa, ">= 0")
         sqrt_sf = sqrt_sa * mass_kg
 
     s_a = sqrt_sa * sqrt_sa
     if n_nuclei < 0.0:
-        raise NegativeInputError("n_nuclei", n_nuclei)
+        raise OutOfRangeError("n_nuclei", n_nuclei, ">= 0")
     fom = s_a * n_nuclei
     for name, value in (("n_nuclei", n_nuclei), ("sqrt_sf", sqrt_sf),
                         ("sqrt_sa", sqrt_sa), ("fom", fom)):
         if not 0.0 < value <= _PRINT_MAX:
-            raise OutOfRangeError(record.name, name, value)
+            raise OutOfRangeError(name, value, record=record.name)
 
     thermal_sqrt_sf = None
     thermal_fom_value = None
@@ -291,21 +289,21 @@ def _reference_evaluate_record(record, constants):
     if temp_k is not None and f0_hz is not None and quality is not None:
         k_b = constants.k_B
         if f0_hz <= 0.0:
-            raise NonPositiveError("f0_hz", f0_hz)
+            raise OutOfRangeError("f0_hz", f0_hz)
         omega0 = 2.0 * math.pi * f0_hz
         if temp_k < 0.0:
-            raise NegativeInputError("temp_k", temp_k)
+            raise OutOfRangeError("temp_k", temp_k, ">= 0")
         if omega0 <= 0.0:
-            raise NonPositiveError("omega0", omega0)
+            raise OutOfRangeError("omega0", omega0)
         if quality <= 0.0:
-            raise NonPositiveError("quality", quality)
+            raise OutOfRangeError("quality", quality)
         thermal_sqrt_sf = math.sqrt(4.0 * k_b * temp_k * mass_kg * omega0 / quality)
         thermal_fom_value = (4.0 * n_nuclei * k_b * temp_k * omega0
                              / (mass_kg * quality))
         for name, value in (("thermal_sqrt_sf", thermal_sqrt_sf),
                             ("thermal_fom", thermal_fom_value)):
             if not 0.0 < value <= _PRINT_MAX:
-                raise OutOfRangeError(record.name, name, value)
+                raise OutOfRangeError(name, value, record=record.name)
         limited = thermal_sqrt_sf > sqrt_sf / 2.0
         marker = sqrt_sf >= 2.0 * thermal_sqrt_sf
         if sqrt_sf < thermal_sqrt_sf:
@@ -318,11 +316,11 @@ def _reference_evaluate_record(record, constants):
 
 
 def _outcome(evaluate, record, constants):
-    """The result, or the field and value an OutOfRangeError names."""
+    """The result, or the record, field and value an OutOfRangeError names."""
     try:
         return tuple(evaluate(record, constants))
     except OutOfRangeError as exc:
-        return ("OutOfRangeError", exc.name, repr(exc.value))
+        return ("OutOfRangeError", exc.record, exc.name, repr(exc.value))
 
 
 def _magnitude(lo, hi):

@@ -16,10 +16,10 @@ from stfom import (
     FigurePoint,
     FomResult,
     Formula,
-    MaterialError,
+    FormulaError,
     MaterialSpec,
     ModelId,
-    NonPositiveError,
+    OutOfRangeError,
     QuotedValues,
     embedded_catalog,
     parse_material,
@@ -120,28 +120,38 @@ def _anchor():
 
 
 # The four classes that check their fields, each with bad replacements
-# and the error its constructor raises for them.
+# and the error and message its constructor raises for them.
 CHECKED = {
-    "Constants": (lambda: Constants(), {"G": 0.0}, NonPositiveError),
-    "BoundAnchor": (_anchor, {"lower_bound": -1.0}, NonPositiveError),
-    "BoundAnchor-nan": (_anchor, {"fom_ref": math.nan}, NonPositiveError),
-    "BoundAnchor-inf": (_anchor, {"bound_ref": math.inf}, NonPositiveError),
-    "MaterialSpec": (_mixture, {"components": ()}, MaterialError),
-    "ExperimentRecord": (_record, {"mass_kg": -1.0}, CatalogError),
-    "ExperimentRecord-nan": (_record, {"sqrt_sa": math.nan}, CatalogError),
+    "Constants": (lambda: Constants(), {"G": 0.0}, OutOfRangeError,
+                  "G must be a finite float > 0, got 0.0"),
+    "BoundAnchor": (_anchor, {"lower_bound": -1.0}, OutOfRangeError,
+                    "lower_bound must be a finite float > 0, got -1.0"),
+    "BoundAnchor-nan": (_anchor, {"fom_ref": math.nan}, OutOfRangeError,
+                        "fom_ref must be a finite float > 0, got nan"),
+    "BoundAnchor-inf": (_anchor, {"bound_ref": math.inf}, OutOfRangeError,
+                        "bound_ref must be a finite float > 0, got inf"),
+    "MaterialSpec": (_mixture, {"components": ()}, FormulaError,
+                     "material needs at least one component"),
+    "ExperimentRecord": (_record, {"mass_kg": -1.0}, CatalogError,
+                         "1 problem(s): row 0, column mass_kg: BadNumber: "
+                         "mass must be finite and > 0, got -1.0"),
+    "ExperimentRecord-nan": (_record, {"sqrt_sa": math.nan}, CatalogError,
+                             "1 problem(s): row 0, column sqrt_sa: BadNumber: "
+                             "noise density must be finite and > 0, got nan"),
 }
 
 
-@pytest.mark.parametrize("make, bad, error", CHECKED.values(), ids=list(CHECKED))
-def test_replace_and_make_run_the_constructor_checks(make, bad, error):
+@pytest.mark.parametrize("make, bad, error, message", CHECKED.values(),
+                         ids=list(CHECKED))
+def test_replace_and_make_run_the_constructor_checks(make, bad, error, message):
     value = make()
     fields = value._asdict()
-    with pytest.raises(error):
-        type(value)(**{**fields, **bad})
-    with pytest.raises(error):
-        value._replace(**bad)
-    with pytest.raises(error):
-        type(value)._make({**fields, **bad}.values())
+    for build in (lambda: type(value)(**{**fields, **bad}),
+                  lambda: value._replace(**bad),
+                  lambda: type(value)._make({**fields, **bad}.values())):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
     assert type(value._replace()) is type(value)
     assert value._replace() == value
 
