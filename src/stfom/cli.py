@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, get_args
+from typing import Callable, NamedTuple, TextIO, get_args
 
 from .catalog import RecordFilter, embedded_catalog, parse_records, rank
 from .errors import CatalogError, Diagnostic, StfomError
@@ -55,9 +55,11 @@ def _read_text(path: Path) -> str:
         )) from None
 
 
-def _write_outputs(out: Path, files: dict[str, str]) -> None:
+def _write_outputs(out: Path, files: dict[str, str | Callable[[TextIO], object]]) -> None:
     """Write every file to a temporary file in out, then rename each into place.
 
+    A file's value is its text, or a function that writes the text into
+    the open temporary file, so a large file need not be held in memory.
     The temporary names are unique to the call, so concurrent runs on one
     --out never share one; those not yet renamed are removed on failure.
     Their mode is 0o666 less the umask, as for an ordinary file (not 0o600).
@@ -66,10 +68,13 @@ def _write_outputs(out: Path, files: dict[str, str]) -> None:
     tag = f"{os.getpid()}.{os.urandom(6).hex()}"
     tmps = {name: out / f".{name}.{tag}.tmp" for name in files}
     try:
-        for name, text in files.items():
+        for name, content in files.items():
             fd = os.open(tmps[name], os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                if isinstance(content, str):
+                    fh.write(content)
+                else:
+                    content(fh)
         for name in files:
             os.replace(tmps[name], out / name)
             del tmps[name]
@@ -123,10 +128,13 @@ def _evaluate(args):
 def cmd_compute(args) -> str:
     catalog, constants, results = _evaluate(args)
     ranked = rank(catalog, results, args.filter)
+    # The summary can refuse the constants, so it is built before any file
+    # is opened; the table is written row by row into its temporary file.
+    bounds_text = emit_bounds_summary(catalog, results, constants=constants,
+                                      which=args.filter)
     _write_outputs(args.out, {
-        "table.csv": emit_table(ranked, results),
-        "bounds.txt": emit_bounds_summary(catalog, results, constants=constants,
-                                          which=args.filter),
+        "table.csv": lambda fh: emit_table(ranked, results, fh),
+        "bounds.txt": bounds_text,
     })
     return f"wrote table.csv ({len(ranked)} rows) and bounds.txt to {args.out}\n"
 

@@ -2,18 +2,19 @@
 
 Every number is written in plain scientific notation with 3 significant
 figures ('2.98e-1', no exponent padding): format_sig() formats one value,
-and emit_table formats a row's six numbers in one pass with the same
-result.  Both spell exponents through one helper.  The formatter is
+and emit_table formats a row's six numbers with one '%' template with the
+same result.  Both spell exponents through one helper.  The formatter is
 idempotent: parsing an emitted cell and reformatting it reproduces the
-identical string.  Everything here is deterministic, so identical inputs
-yield byte-identical outputs.
+identical string.  emit_table can write each row into a file as it forms
+it, so a large table is never held in memory.  Everything here is
+deterministic, so identical inputs yield byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, TextIO
 
 from .bounds import (
     CAVENDISH_FOM,
@@ -60,36 +61,44 @@ def _bare_exponents(text: str) -> str:
 TABLE_HEADER = ("reference", "type", "element", "m", "N", "f0",
                 "sqrt_sf", "sqrt_sa", "fom")
 
+# A row's six numbers, each with format_sig()'s default 3 figures ('.2e'),
+# and the same without f0 for a record that has none.
+_NUMBERS = "%.2e,%.2e,%.2e,%.2e,%.2e,%.2e"
+_NUMBERS_NO_F0 = "%.2e,%.2e,,%.2e,%.2e,%.2e"
+
 
 def emit_table(
     ranked: Iterable[ExperimentRecord],
     results: Mapping[str, FomResult],
-) -> str:
+    file: TextIO | None = None,
+) -> str | None:
     """CSV of every record's inputs and derived values, one row per record
     in the order given; pass rank()'s list for best FOM first.  A number
     that is not finite raises ValueError, as format_sig() does.
 
-    Each row is written as it is built.  Its six numbers are formatted in
-    one f-string, each with format_sig()'s default 3 figures ('.2e'); only
-    the name can need quoting.
+    Each row is written to file as it is formed, and None is returned;
+    without a file the text is returned.  After a ValueError the header
+    and the rows before the refused one may already be in file.  Only the
+    name can need quoting.
     """
-    out = io.StringIO()
+    out = io.StringIO() if file is None else file
     write = out.write
     write(",".join(TABLE_HEADER) + "\n")
     for record in ranked:
         result = results[record.name]
         f0_hz = record.f0_hz
-        numbers = (
-            f"{record.mass_kg:.2e},{result.n_nuclei:.2e},"
-            f"{'' if f0_hz is None else f'{f0_hz:.2e}'},"
-            f"{result.sqrt_sf:.2e},{result.sqrt_sa:.2e},{result.fom:.2e}"
-        )
+        if f0_hz is None:
+            numbers = _NUMBERS_NO_F0 % (record.mass_kg, result.n_nuclei,
+                                        result.sqrt_sf, result.sqrt_sa, result.fom)
+        else:
+            numbers = _NUMBERS % (record.mass_kg, result.n_nuclei, f0_hz,
+                                  result.sqrt_sf, result.sqrt_sa, result.fom)
         if "n" in numbers:  # only 'inf', '-inf' and 'nan' hold an 'n'
             raise ValueError(
                 f"{record.name}: cannot format {numbers!r} in scientific notation")
         write(f"{_csv_cell(record.name)},{record.category},"
               f"{format_material(record.material)},{_bare_exponents(numbers)}\n")
-    return out.getvalue()
+    return out.getvalue() if file is None else None
 
 
 class FigurePoint(NamedTuple):

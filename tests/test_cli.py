@@ -467,6 +467,67 @@ def test_a_failed_write_replaces_neither_output(tmp_path, monkeypatch):
         assert (tmp_path / name).read_text(encoding="utf-8") == f"old {name}\n"
 
 
+class _FillsUp:
+    """An open text file on a device that is full after its first room writes."""
+
+    def __init__(self, file, room):
+        self._file, self._room, self.writes = file, room, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > self._room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._file.write(text)
+
+
+def test_a_device_that_fills_partway_through_the_table_replaces_neither_output(
+        tmp_path, capsys, monkeypatch):
+    for name in ("table.csv", "bounds.txt"):
+        (tmp_path / name).write_text(f"old {name}\n", encoding="utf-8")
+    opened = []
+
+    def fills_up(file, *args, **kwargs):
+        opened.append(_FillsUp(open(file, *args, **kwargs), room=5))
+        return opened[-1]
+
+    monkeypatch.setattr(stfom.cli, "open", fills_up, raising=False)
+    assert main(["compute", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"io error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    # Only table.csv's temporary file was opened, and its header and four
+    # rows were written before the fifth row failed.
+    assert [file.writes for file in opened] == [6]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds.txt", "table.csv"]
+    for name in ("table.csv", "bounds.txt"):
+        assert (tmp_path / name).read_text(encoding="utf-8") == f"old {name}\n"
+
+
+def test_compute_builds_the_bounds_summary_before_it_opens_a_file(
+        tmp_path, capsys, monkeypatch):
+    constants = tmp_path / "constants.txt"
+    constants.write_text("G 1e200\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    create = os.open
+    created = []
+
+    def record(path, *args, **kwargs):
+        created.append(path)
+        return create(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", record)
+    assert main(["compute", "--constants", str(constants), "--out", str(out)]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith("error: ultra-local-discrete: si_bound is ")
+    assert created == [] and list(out.iterdir()) == []
+
+
 _THERMAL_RECORDS = _TESTS / "golden" / "thermal_records.csv"
 
 
