@@ -103,84 +103,79 @@ class ExperimentRecord(_Checked, _RecordFields):
             raise CatalogError(tuple(problems))
 
 
+def _bad_number(row: int, column: str, value: float, message: str) -> Diagnostic:
+    """The BadNumber diagnostic of a value that fails its rule: message, or
+    the print limit's for a finite value above _PRINT_MAX."""
+    if _PRINT_MAX < value < math.inf:
+        message = (f"{column} must be at most {_PRINT_MAX!r}, "
+                   f"the largest number stfom prints, got {value!r}")
+    return Diagnostic(row, column, "BadNumber", message)
+
+
 def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
     """Every problem of one record's fields, given in ExperimentRecord
-    order; the material is not read, so it may be None.  Each chained
-    comparison also refuses NaN and the infinities, and those of the
-    numbers stfom prints refuse one above _PRINT_MAX."""
+    order, the acceleration density's after both densities'; the material
+    is not read, so it may be None.  Each rule is one comparison, which
+    also refuses NaN and the infinities, and those of the numbers stfom
+    prints refuse one above _PRINT_MAX; a message is built only when its
+    rule fails."""
     (name, _, _, category, _, mass_kg, n_override, f0_hz, sqrt_sf, sqrt_sa,
      temp_k, quality, mode, location, _, _) = fields
-    # A clean record passes this one test; the checks below run only to
-    # name the problems of one that does not.  mass_kg is checked before
-    # sqrt_sf is divided by it, and the square is a product, because
-    # float ** raises OverflowError where * gives inf.
-    if (_SMALLEST_NORMAL <= mass_kg <= _PRINT_MAX
-            and (n_override is None or 1.0 <= n_override <= _PRINT_MAX)
-            and (f0_hz is None or 0.0 < f0_hz <= _PRINT_MAX)
-            and (sqrt_sa is None or 0.0 < sqrt_sa <= _PRINT_MAX)
-            and (temp_k is None or 0.0 < temp_k < math.inf)
-            and (quality is None or 0.0 < quality < math.inf)
-            and (0.0 < sqrt_sf <= _PRINT_MAX if sqrt_sf is not None
-                 else sqrt_sa is not None)
-            and 0.0 < (accel := sqrt_sa if sqrt_sf is None
-                       else sqrt_sf / mass_kg) * accel < math.inf
-            and category in _CATEGORY_SET and mode in _MODES
-            and location in _LOCATIONS and name and _is_xml_text(name)):
-        return []
     problems: list[Diagnostic] = []
-
-    def bad(column: str, code: str, message: str) -> None:
-        problems.append(Diagnostic(row, column, code, message))
-
     if not name:
-        bad("name", "MissingRequired", "record name must not be empty")
+        problems.append(Diagnostic(row, "name", "MissingRequired",
+                                   "record name must not be empty"))
     elif not _is_xml_text(name):
-        bad("name", "BadName",
-            f"record name {name!r} holds a character XML 1.0 cannot represent")
+        problems.append(Diagnostic(row, "name", "BadName", f"record name {name!r} "
+                                   "holds a character XML 1.0 cannot represent"))
     if category not in _CATEGORY_SET:
-        bad("category", "BadCategory", f"unknown category {category!r}")
-    mass_ok = _SMALLEST_NORMAL <= mass_kg <= _PRINT_MAX
-    if not 0.0 < mass_kg < math.inf:
-        bad("mass_kg", "BadNumber", f"mass must be finite and > 0, got {mass_kg!r}")
-    elif mass_kg < _SMALLEST_NORMAL:
-        bad("mass_kg", "BadNumber",
-            f"mass must be at least {_SMALLEST_NORMAL!r}, got {mass_kg!r}")
-    if n_override is not None and not 1.0 <= n_override < math.inf:
-        bad("n_override", "BadNumber",
-            f"nucleus count must be finite and >= 1, got {n_override!r}")
-    if f0_hz is not None and not 0.0 < f0_hz < math.inf:
-        bad("f0_hz", "BadNumber", f"resonance frequency must be finite and > 0, got {f0_hz!r}")
-    sf_ok = sqrt_sf is not None and 0.0 < sqrt_sf <= _PRINT_MAX
-    sa_ok = sqrt_sa is not None and 0.0 < sqrt_sa <= _PRINT_MAX
-    if sqrt_sf is None and sqrt_sa is None:
-        bad("sqrt_sf", "MissingRequired", "need sqrt_sf or sqrt_sa")
-    if sqrt_sf is not None and not 0.0 < sqrt_sf < math.inf:
-        bad("sqrt_sf", "BadNumber", f"noise density must be finite and > 0, got {sqrt_sf!r}")
-    if sqrt_sa is not None and not 0.0 < sqrt_sa < math.inf:
-        bad("sqrt_sa", "BadNumber", f"noise density must be finite and > 0, got {sqrt_sa!r}")
-    for column, value in (("mass_kg", mass_kg), ("n_override", n_override),
-                          ("f0_hz", f0_hz), ("sqrt_sf", sqrt_sf),
-                          ("sqrt_sa", sqrt_sa)):
-        if value is not None and _PRINT_MAX < value < math.inf:
-            bad(column, "BadNumber", f"{column} must be at most {_PRINT_MAX!r}, "
-                f"the largest number stfom prints, got {value!r}")
-    # The FOM squares the authoritative acceleration density.
+        problems.append(Diagnostic(row, "category", "BadCategory",
+                                   f"unknown category {category!r}"))
+    if not (mass_ok := _SMALLEST_NORMAL <= mass_kg <= _PRINT_MAX):
+        problems.append(_bad_number(
+            row, "mass_kg", mass_kg, f"mass must be finite and > 0, got {mass_kg!r}"
+            if not 0.0 < mass_kg < math.inf else
+            f"mass must be at least {_SMALLEST_NORMAL!r}, got {mass_kg!r}"))
+    if n_override is not None and not 1.0 <= n_override <= _PRINT_MAX:
+        problems.append(_bad_number(row, "n_override", n_override, "nucleus count "
+                                    f"must be finite and >= 1, got {n_override!r}"))
+    if f0_hz is not None and not 0.0 < f0_hz <= _PRINT_MAX:
+        problems.append(_bad_number(row, "f0_hz", f0_hz, "resonance frequency "
+                                    f"must be finite and > 0, got {f0_hz!r}"))
+    # The FOM squares the authoritative acceleration density, taken from a
+    # mass and densities that pass their own rules.  The square is a
+    # product, because float ** raises OverflowError where * gives inf.
     accel = None
-    if sf_ok and mass_ok:
+    if sqrt_sf is None:
+        if sqrt_sa is None:
+            problems.append(Diagnostic(row, "sqrt_sf", "MissingRequired",
+                                       "need sqrt_sf or sqrt_sa"))
+    elif not 0.0 < sqrt_sf <= _PRINT_MAX:
+        problems.append(_bad_number(row, "sqrt_sf", sqrt_sf, "noise density "
+                                    f"must be finite and > 0, got {sqrt_sf!r}"))
+    elif mass_ok:
         column, accel = "sqrt_sf", sqrt_sf / mass_kg
-    elif sqrt_sf is None and sa_ok:
-        column, accel = "sqrt_sa", sqrt_sa
+    if sqrt_sa is not None:
+        if not 0.0 < sqrt_sa <= _PRINT_MAX:
+            problems.append(_bad_number(row, "sqrt_sa", sqrt_sa, "noise density "
+                                        f"must be finite and > 0, got {sqrt_sa!r}"))
+        elif sqrt_sf is None:
+            column, accel = "sqrt_sa", sqrt_sa
     if accel is not None and not 0.0 < accel * accel < math.inf:
-        bad(column, "BadNumber",
-            f"acceleration density {accel!r} squared is not a finite float > 0")
+        problems.append(Diagnostic(row, column, "BadNumber", f"acceleration density "
+                                   f"{accel!r} squared is not a finite float > 0"))
     if temp_k is not None and not 0.0 < temp_k < math.inf:
-        bad("temp_k", "BadNumber", f"temperature must be finite and > 0, got {temp_k!r}")
+        problems.append(Diagnostic(row, "temp_k", "BadNumber",
+                                   f"temperature must be finite and > 0, got {temp_k!r}"))
     if quality is not None and not 0.0 < quality < math.inf:
-        bad("quality", "BadNumber", f"quality factor must be finite and > 0, got {quality!r}")
+        problems.append(Diagnostic(row, "quality", "BadNumber",
+                                   f"quality factor must be finite and > 0, got {quality!r}"))
     if mode not in _MODES:
-        bad("mode", "BadMode", f"mode must be absolute or differential, got {mode!r}")
+        problems.append(Diagnostic(row, "mode", "BadMode",
+                                   f"mode must be absolute or differential, got {mode!r}"))
     if location not in _LOCATIONS:
-        bad("location", "BadLocation", f"location must be earth or space, got {location!r}")
+        problems.append(Diagnostic(row, "location", "BadLocation",
+                                   f"location must be earth or space, got {location!r}"))
     return problems
 
 

@@ -67,10 +67,14 @@ class _Checked:
 
 
 class Diagnostic(NamedTuple):
-    """One validation problem found in a records file.
+    """One validation problem found in a records file or record.
 
-    row is 1-based and counts data rows, so row 1 is the first line after
-    the header. column is the header name of the offending field.
+    row counts data rows from 1, so row 1 is the first row after the
+    header, or a hand-built Catalog's first record; row 0 holds the
+    problems of the header, of the file as a whole and of a hand-built
+    ExperimentRecord.  column is the header name of the offending field,
+    or "row", "header" or "file" for a problem of the row, the header or
+    the file as a whole.
     """
 
     row: int

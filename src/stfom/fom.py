@@ -112,14 +112,15 @@ def evaluate_record(
 
     fom = sqrt_sa * sqrt_sa * n_nuclei
     # Valid inputs can still overflow, for example the nucleus count of a
-    # 1e300 kg mass; validation cannot see it without the material.  A fom
-    # in range makes the nucleus count and the acceleration density finite
-    # and > 0, but not at most _PRINT_MAX, so all four are compared.
-    if not (0.0 < fom <= _PRINT_MAX and 0.0 < sqrt_sf <= _PRINT_MAX
-            and sqrt_sa <= _PRINT_MAX and n_nuclei <= _PRINT_MAX):
-        _raise_first_out_of_range(name, (
-            ("n_nuclei", n_nuclei), ("sqrt_sf", sqrt_sf),
-            ("sqrt_sa", sqrt_sa), ("fom", fom)))
+    # 1e300 kg mass; validation cannot see it without the material.
+    if not 0.0 < n_nuclei <= _PRINT_MAX:
+        raise OutOfRangeError("n_nuclei", n_nuclei, record=name)
+    if not 0.0 < sqrt_sf <= _PRINT_MAX:
+        raise OutOfRangeError("sqrt_sf", sqrt_sf, record=name)
+    if not 0.0 < sqrt_sa <= _PRINT_MAX:
+        raise OutOfRangeError("sqrt_sa", sqrt_sa, record=name)
+    if not 0.0 < fom <= _PRINT_MAX:
+        raise OutOfRangeError("fom", fom, record=name)
 
     thermal_sqrt_sf = None
     thermal_fom_value = None
@@ -137,11 +138,10 @@ def evaluate_record(
         denominator = mass_kg * quality
         thermal_fom_value = (4.0 * n_nuclei * k_b * temp_k * omega0 / denominator
                              if denominator else math.inf)
-        if not (0.0 < thermal_sqrt_sf <= _PRINT_MAX
-                and 0.0 < thermal_fom_value <= _PRINT_MAX):
-            _raise_first_out_of_range(name, (
-                ("thermal_sqrt_sf", thermal_sqrt_sf),
-                ("thermal_fom", thermal_fom_value)))
+        if not 0.0 < thermal_sqrt_sf <= _PRINT_MAX:
+            raise OutOfRangeError("thermal_sqrt_sf", thermal_sqrt_sf, record=name)
+        if not 0.0 < thermal_fom_value <= _PRINT_MAX:
+            raise OutOfRangeError("thermal_fom", thermal_fom_value, record=name)
         limited = thermal_sqrt_sf > sqrt_sf / _THERMAL_AMPLITUDE_FACTOR
         marker = sqrt_sf >= _THERMAL_AMPLITUDE_FACTOR * thermal_sqrt_sf
         if sqrt_sf < thermal_sqrt_sf:
@@ -153,14 +153,6 @@ def evaluate_record(
         n_nuclei, sqrt_sf, sqrt_sa, fom, thermal_sqrt_sf, thermal_fom_value,
         limited, marker, warnings,
     ))
-
-
-def _raise_first_out_of_range(record: str, values) -> None:
-    """Raise OutOfRangeError for the first (name, value) that is not a
-    float > 0 and at most _PRINT_MAX."""
-    for name, value in values:
-        if not 0.0 < value <= _PRINT_MAX:
-            raise OutOfRangeError(name, value, record=record)
 
 
 def evaluate_catalog(catalog, constants=_DEFAULT_CONSTANTS) -> dict[str, FomResult]:

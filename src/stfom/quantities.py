@@ -7,6 +7,7 @@ frequency 2 pi f0 its thermal formulas take.
 
 from __future__ import annotations
 
+import io
 import math
 from typing import NamedTuple
 
@@ -56,14 +57,16 @@ _CONSTANT_NAMES = frozenset(Constants._fields)
 def load_constants(text: str) -> Constants:
     """Parse a constants override file and merge it over the defaults.
 
-    The format is line oriented UTF-8: blank lines and '#' comments are
-    ignored, every other line is 'name value' separated by whitespace.
-    Only the five known constant names are accepted.  A later line for
-    the same name overrides an earlier one; Constants then refuses a
-    value that is not a finite float > 0, in field order.
+    The format is line oriented UTF-8, with lines ending only in "\\n",
+    "\\r\\n" or "\\r", not at every separator str.splitlines() knows:
+    blank lines and '#' comments are ignored, every other line is
+    'name value' separated by whitespace.  Only the five known constant
+    names are accepted.  A later line for the same name overrides an
+    earlier one; Constants then refuses a value that is not a finite
+    float > 0, in field order.
     """
     overrides: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -741,6 +741,11 @@ def _reference_validate_fields(row, fields):
     def bad(column, code, message):
         problems.append(Diagnostic(row, column, code, message))
 
+    def too_large(column, value):
+        if value is not None and _PRINT_MAX < value < math.inf:
+            bad(column, "BadNumber", f"{column} must be at most {_PRINT_MAX!r}, "
+                f"the largest number stfom prints, got {value!r}")
+
     if not name:
         bad("name", "MissingRequired", "record name must not be empty")
     elif not _is_xml_text(name):
@@ -755,12 +760,15 @@ def _reference_validate_fields(row, fields):
     elif mass_kg < smallest_normal:
         bad("mass_kg", "BadNumber",
             f"mass must be at least {smallest_normal!r}, got {mass_kg!r}")
+    too_large("mass_kg", mass_kg)
     if n_override is not None and not 1.0 <= n_override < math.inf:
         bad("n_override", "BadNumber",
             f"nucleus count must be finite and >= 1, got {n_override!r}")
+    too_large("n_override", n_override)
     if f0_hz is not None and not 0.0 < f0_hz < math.inf:
         bad("f0_hz", "BadNumber",
             f"resonance frequency must be finite and > 0, got {f0_hz!r}")
+    too_large("f0_hz", f0_hz)
     sf_ok = sqrt_sf is not None and 0.0 < sqrt_sf <= _PRINT_MAX
     sa_ok = sqrt_sa is not None and 0.0 < sqrt_sa <= _PRINT_MAX
     if sqrt_sf is None and sqrt_sa is None:
@@ -768,15 +776,11 @@ def _reference_validate_fields(row, fields):
     if sqrt_sf is not None and not 0.0 < sqrt_sf < math.inf:
         bad("sqrt_sf", "BadNumber",
             f"noise density must be finite and > 0, got {sqrt_sf!r}")
+    too_large("sqrt_sf", sqrt_sf)
     if sqrt_sa is not None and not 0.0 < sqrt_sa < math.inf:
         bad("sqrt_sa", "BadNumber",
             f"noise density must be finite and > 0, got {sqrt_sa!r}")
-    for column, value in (("mass_kg", mass_kg), ("n_override", n_override),
-                          ("f0_hz", f0_hz), ("sqrt_sf", sqrt_sf),
-                          ("sqrt_sa", sqrt_sa)):
-        if value is not None and _PRINT_MAX < value < math.inf:
-            bad(column, "BadNumber", f"{column} must be at most {_PRINT_MAX!r}, "
-                f"the largest number stfom prints, got {value!r}")
+    too_large("sqrt_sa", sqrt_sa)
     accel = None
     if sf_ok and mass_ok:
         column, accel = "sqrt_sf", sqrt_sf / mass_kg
@@ -929,6 +933,9 @@ def _hand_built_fields(cells):
 @example([_row(mass_kg="1.797e308", sqrt_sf="1e300", n_override="1.796e308")])
 @example([_row(f0_hz="1.797e308", sqrt_sf="1.797e308", sqrt_sa="1.796e308")])
 @example([_row(sqrt_sf="", sqrt_sa="1.797e308")])
+# A row's problems come in column order, a number too large to print too.
+@example([_row(mass_kg="1.797e308", f0_hz="nan")])
+@example([_row(n_override="1.797e308", sqrt_sf="nan")])
 def test_rows_convert_as_the_cell_by_cell_reference_does(rows):
     # Quoting every cell reads each row through the csv module; quoting only
     # the cells that need it leaves most rows plain.

@@ -81,6 +81,28 @@ def test_load_constants_malformed(line):
         load_constants(line)
 
 
+@pytest.mark.parametrize("text, message", [
+    # A form feed, or any other separator str.splitlines() splits at, does
+    # not end a line, so the bad line is the file's second.
+    ("G 6.674e-11\x0c\nbad line here\n",
+     "line 2: expected 'name value', got 'bad line here'"),
+    ("G 1e-10\x1c\x1d\x1e\x85\u2029\nbad line here\n",
+     "line 2: expected 'name value', got 'bad line here'"),
+    # A U+2028 inside a line leaves one line of four fields.
+    ("G 6.674e-11\u2028k_B 1e-23\n",
+     "line 1: expected 'name value', got 'G 6.674e-11\\u2028k_B 1e-23'"),
+])
+def test_load_constants_splits_lines_only_at_line_ends(text, message):
+    with pytest.raises(ConstantsError) as err:
+        load_constants(text)
+    assert str(err.value) == message
+
+
+def test_load_constants_reads_each_line_end():
+    c = load_constants("G 1e-10\r\nk_B 2e-23\rr_N 3e-15\nm_N 4e-27")
+    assert (c.G, c.k_B, c.r_N, c.m_N) == (1e-10, 2e-23, 3e-15, 4e-27)
+
+
 def test_constants_reject_non_positive_fields():
     with pytest.raises(OutOfRangeError,
                        match=r"^G must be a finite float > 0, got 0\.0$"):
