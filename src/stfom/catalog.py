@@ -15,6 +15,7 @@ import itertools
 import math
 import sys
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import (
@@ -213,8 +214,9 @@ def _lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
-def _rows(text: str) -> Iterator[list[str]]:
-    """The rows that csv.reader(_lines(text)) yields, and its csv.Error.
+def _rows(text: str | Iterable[str]) -> Iterator[list[str]]:
+    """The rows that csv.reader yields from the lines of text, or from an
+    iterable of lines, and its csv.Error.
 
     A plain line, one that ends in "\\n", is no longer than the csv field
     size limit and holds no '"', "\\r" or "\\0", is split at its commas.
@@ -223,7 +225,7 @@ def _rows(text: str) -> Iterator[list[str]]:
     empty row for a blank line and its field size check.
     """
     limit = csv.field_size_limit()
-    lines = _lines(text)
+    lines = _lines(text) if isinstance(text, str) else iter(text)
     for line in lines:
         if (1 < len(line) <= limit and line[-1] == "\n" and '"' not in line
                 and "\r" not in line and "\0" not in line):
@@ -232,14 +234,17 @@ def _rows(text: str) -> Iterator[list[str]]:
             yield next(csv.reader(itertools.chain((line,), lines)))
 
 
-def parse_records(text: str) -> Catalog:
-    """Parse CSV text into a Catalog, reporting every problem at once.
+def parse_records(text: str | Iterable[str]) -> Catalog:
+    """Parse CSV text, or its lines, into a Catalog, reporting every
+    problem at once.
 
-    Rows are parsed as they are read, so no copy of the text and no list
-    of rows is held.  A plain line is split at its commas; the csv module
-    reads only the lines that quote a cell, hold a "\\r" or "\\0", are
-    blank, overlong or last without a "\\n", so every line reads as
-    csv.reader reads it.
+    The lines of an iterable must be split only at "\\n" and keep it, as
+    binary lines decoded one by one, or a file opened with newline="\\n",
+    yield them.  Rows are parsed as they are read, so no copy of the text
+    and no list of rows is held.  A plain line is split at its commas;
+    the csv module reads only the lines that quote a cell, hold a "\\r"
+    or "\\0", are blank, overlong or last without a "\\n", so every line
+    reads as csv.reader reads it.
     """
     reader = _rows(text)
     problems: list[Diagnostic] = []
@@ -341,7 +346,12 @@ def _row_problems(row: int, cells: list[str],
         parse_material(material_text)
     except FormulaError as exc:
         bad("material", "BadMaterial", str(exc))
+    # A number cell that does not convert, and an empty mass cell, is named
+    # here and reaches the field rules as NaN: present, so no density is
+    # taken as missing, and failing its own rule, so no other rule reads
+    # it.  That rule's diagnostic is then left out.
     numbers: list[float | None] = []  # mass_kg through quality
+    unread: set[str] = set()
     for column, text in zip(_CSV_COLUMNS[5:12], cells[5:12]):
         number = None
         if text:
@@ -349,16 +359,19 @@ def _row_problems(row: int, cells: list[str],
                 number = float(text)
             except ValueError:
                 bad(column, "BadNumber", f"not a number: {text!r}")
+                number = math.nan
+                unread.add(column)
         elif column == "mass_kg":
             bad(column, "MissingRequired", "mass_kg must not be empty")
+            number = math.nan
+            unread.add(column)
         numbers.append(number)
     if cells[14] not in _FLAGS:
         bad("secondhand", "BadFlag",
             f"secondhand must be true or false, got {cells[14]!r}")
-    if numbers[0] is not None:
-        problems += _validate_fields(row, (
-            name, None, None, cells[3], None, *numbers, cells[12], cells[13],
-            None, None))
+    problems += [d for d in _validate_fields(row, (
+        name, None, None, cells[3], None, *numbers, cells[12], cells[13],
+        None, None)) if d.column not in unread]
     return problems
 
 
@@ -401,6 +414,9 @@ def _filtered(catalog: Catalog, which: RecordFilter) -> list[ExperimentRecord]:
     raise FilterError(f"unknown filter {which!r}")
 
 
+_NAME = attrgetter("name")
+
+
 def _fom_order(results: Mapping[str, FomResult]):
     """Sort key: figure of merit, then name, so the order is total."""
     return lambda r: (results[r.name].fom, r.name)
@@ -413,9 +429,14 @@ def rank(
 ) -> list[ExperimentRecord]:
     """Records passing the filter, best (lowest) figure of merit first.
 
-    Ties break on the record name so the order is total and repeatable.
+    Ties break on the record name so the order is total and repeatable:
+    the records are sorted by name, then stably by figure of merit, which
+    builds no key tuple per record.
     """
-    return sorted(_filtered(catalog, which), key=_fom_order(results))
+    records = _filtered(catalog, which)
+    records.sort(key=_NAME)
+    records.sort(key=lambda r: results[r.name].fom)
+    return records
 
 
 def best_record(

@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, TextIO, get_args
+from typing import Callable, Iterator, NamedTuple, TextIO, get_args
 
 from .catalog import RecordFilter, embedded_catalog, parse_records, rank
 from .errors import CatalogError, Diagnostic, StfomError
@@ -37,22 +37,50 @@ from .report import (
     format_sig,
 )
 
+_BOM = b"\xef\xbb\xbf"
 
-def _read_text(path: Path) -> str:
-    """Read an input file as UTF-8; a leading byte order mark is dropped.
 
-    Line endings are left as they are, so a "\\r" inside a quoted cell
-    reaches parse_records unchanged.
+def _decoded_lines(fh, path: Path) -> Iterator[str]:
+    """The lines of a file opened in binary, each decoded as UTF-8 as it is
+    read and kept with its "\\n".  Lines are split only at "\\n", as
+    catalog._lines splits text, so a "\\r" inside a quoted cell reaches
+    parse_records unchanged.  A leading byte order mark is dropped, and so
+    is a file that is only part of one, as the utf-8-sig codec drops them;
+    a byte that is not UTF-8 is a BadEncoding diagnostic whose offset, as
+    that codec's, counts the bytes after the mark.
     """
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise CatalogError((
-            Diagnostic(0, "file", "BadEncoding",
-                       f"{path} is not UTF-8 text: {exc.reason} "
-                       f"at byte offset {exc.start}"),
-        )) from None
+    offset = 0
+    for line in fh:
+        if not offset and _BOM.startswith(line[:3]):  # only the first line has offset 0
+            line = line[3:]
+            if not line:  # the file is a mark, or part of one
+                return
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CatalogError((
+                Diagnostic(0, "file", "BadEncoding",
+                           f"{path} is not UTF-8 text: {exc.reason} "
+                           f"at byte offset {offset + exc.start}"),
+            )) from None
+        offset += len(line)
+        yield text
+
+
+def _read(path: Path, parse: Callable[[Iterator[str]], object]):
+    """What parse returns for the decoded lines of the file at path, each
+    read when parse asks for it.  A CatalogError that stops parse before
+    the last line is raised once the rest is decoded, so a later byte that
+    is not UTF-8 is reported alone, as when the whole file is decoded
+    first."""
+    with open(path, "rb") as fh:
+        lines = _decoded_lines(fh, path)
+        try:
+            return parse(lines)
+        except CatalogError:
+            for _ in lines:
+                pass
+            raise
 
 
 def _write_outputs(out: Path, files: dict[str, str | Callable[[TextIO], object]]) -> None:
@@ -108,9 +136,9 @@ def _write(name: str, text: str) -> None:
 def _load(args):
     """The catalog and constants that args name, or the embedded defaults."""
     catalog = (embedded_catalog() if args.records is None
-               else parse_records(_read_text(args.records)))
+               else _read(args.records, parse_records))
     constants = (_DEFAULT_CONSTANTS if args.constants is None
-                 else load_constants(_read_text(args.constants)))
+                 else _read(args.constants, lambda lines: load_constants("".join(lines))))
     return catalog, constants
 
 

@@ -418,6 +418,23 @@ def test_rank_breaks_ties_by_name():
     assert [r.name for r in rank(tied, tied_results)] == ["aaa", "bbb", "ccc"]
 
 
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 45), st.integers(0, 4)), unique=True,
+                max_size=60),
+       st.sampled_from(("all", "absolute-on-earth")))
+@example([(24, 1), (24, 0), (23, 0), (24, 2)], "all")
+def test_rank_orders_by_fom_then_name(picks, which):
+    # Renamed copies of the embedded records, in any order, tie on their FOM.
+    embedded = tuple(embedded_catalog())
+    survey = Catalog(embedded[index]._replace(name=f"{embedded[index].name} #{copy}")
+                     for index, copy in picks)
+    results = evaluate_catalog(survey)
+    passing = [r for r in survey if which == "all"
+               or (r.mode == "absolute" and r.location == "earth")]
+    assert rank(survey, results, which) == sorted(
+        passing, key=lambda r: (results[r.name].fom, r.name))
+
+
 def test_rank_filter_absolute_on_earth(catalog, results):
     ranked = rank(catalog, results, "absolute-on-earth")
     names = {r.name for r in ranked}
@@ -501,6 +518,28 @@ def test_bad_material_still_reports_the_field_problems():
         (1, "category", "BadCategory"),
         (1, "sqrt_sf", "BadNumber"),
         (1, "mode", "BadMode"),
+    ]
+
+
+def test_a_mass_cell_that_does_not_convert_still_reports_the_field_problems():
+    with pytest.raises(CatalogError) as err:
+        parse_records(_records_text(
+            "P,2021,s,squishy,Si,x,,,1e-15,,,,sideways,moon,false,"))
+    assert [str(d) for d in err.value.diagnostics] == [
+        "row 1, column mass_kg: BadNumber: not a number: 'x'",
+        "row 1, column category: BadCategory: unknown category 'squishy'",
+        "row 1, column mode: BadMode: mode must be absolute or differential, "
+        "got 'sideways'",
+        "row 1, column location: BadLocation: location must be earth or space, "
+        "got 'moon'",
+    ]
+
+
+def test_a_density_cell_that_does_not_convert_is_not_missing():
+    with pytest.raises(CatalogError) as err:
+        parse_records(_records_text(GOOD_ROW.replace("1e-15", "x")))
+    assert [str(d) for d in err.value.diagnostics] == [
+        "row 1, column sqrt_sf: BadNumber: not a number: 'x'",
     ]
 
 
@@ -667,7 +706,9 @@ def _reference_parse_records(text):
     return Catalog(records)
 
 
-def _reference_optional_float(text, column, row, problems):
+def _reference_optional_float(text, column, row, problems, unread):
+    """The cell's number, or None; a cell that is not a number adds its
+    column to unread."""
     if not text:
         return None
     try:
@@ -675,6 +716,7 @@ def _reference_optional_float(text, column, row, problems):
     except ValueError:
         problems.append(Diagnostic(row, column, "BadNumber",
                                    f"not a number: {text!r}"))
+        unread.add(column)
         return None
 
 
@@ -704,17 +746,23 @@ def _reference_parse_row(row, cells, seen, problems):
         material = parse_material(material_text)
     except FormulaError as exc:
         row_problems.append(Diagnostic(row, "material", "BadMaterial", str(exc)))
-    mass_kg = _reference_optional_float(mass_text, "mass_kg", row, row_problems)
+    unread = set()  # the columns of number cells that give no number
+    mass_kg = _reference_optional_float(mass_text, "mass_kg", row, row_problems,
+                                        unread)
     if not mass_text:
         row_problems.append(Diagnostic(row, "mass_kg", "MissingRequired",
                                        "mass_kg must not be empty"))
+        unread.add("mass_kg")
     n_override = _reference_optional_float(n_override_text, "n_override", row,
-                                           row_problems)
-    f0_hz = _reference_optional_float(f0_text, "f0_hz", row, row_problems)
-    sqrt_sf = _reference_optional_float(sqrt_sf_text, "sqrt_sf", row, row_problems)
-    sqrt_sa = _reference_optional_float(sqrt_sa_text, "sqrt_sa", row, row_problems)
-    temp_k = _reference_optional_float(temp_text, "temp_k", row, row_problems)
-    quality = _reference_optional_float(quality_text, "quality", row, row_problems)
+                                           row_problems, unread)
+    f0_hz = _reference_optional_float(f0_text, "f0_hz", row, row_problems, unread)
+    sqrt_sf = _reference_optional_float(sqrt_sf_text, "sqrt_sf", row, row_problems,
+                                        unread)
+    sqrt_sa = _reference_optional_float(sqrt_sa_text, "sqrt_sa", row, row_problems,
+                                        unread)
+    temp_k = _reference_optional_float(temp_text, "temp_k", row, row_problems, unread)
+    quality = _reference_optional_float(quality_text, "quality", row, row_problems,
+                                        unread)
     secondhand = False
     if secondhand_text in ("true", "false"):
         secondhand = secondhand_text == "true"
@@ -725,15 +773,18 @@ def _reference_parse_row(row, cells, seen, problems):
     fields = (name, year, reference, category, material, mass_kg, n_override,
               f0_hz, sqrt_sf, sqrt_sa, temp_k, quality, mode, location,
               secondhand, notes)
-    if mass_kg is not None:
-        row_problems += _reference_validate_fields(row, fields)
+    # The field rules run whatever the number cells hold.
+    row_problems += _reference_validate_fields(row, fields, unread)
     if row_problems:
         problems.extend(row_problems)
         return None
     return ExperimentRecord(*fields)
 
 
-def _reference_validate_fields(row, fields):
+def _reference_validate_fields(row, fields, unread):
+    """The field rules; a column in unread had a cell that gave no number,
+    already named: its value is None, yet the cell is not absent, and no
+    rule reads it."""
     (name, _, _, category, _, mass_kg, n_override, f0_hz, sqrt_sf, sqrt_sa,
      temp_k, quality, mode, location, _, _) = fields
     problems = []
@@ -754,10 +805,10 @@ def _reference_validate_fields(row, fields):
     if category not in CATEGORIES:
         bad("category", "BadCategory", f"unknown category {category!r}")
     smallest_normal = sys.float_info.min
-    mass_ok = smallest_normal <= mass_kg <= _PRINT_MAX
-    if not 0.0 < mass_kg < math.inf:
+    mass_ok = mass_kg is not None and smallest_normal <= mass_kg <= _PRINT_MAX
+    if mass_kg is not None and not 0.0 < mass_kg < math.inf:
         bad("mass_kg", "BadNumber", f"mass must be finite and > 0, got {mass_kg!r}")
-    elif mass_kg < smallest_normal:
+    elif mass_kg is not None and mass_kg < smallest_normal:
         bad("mass_kg", "BadNumber",
             f"mass must be at least {smallest_normal!r}, got {mass_kg!r}")
     too_large("mass_kg", mass_kg)
@@ -771,7 +822,8 @@ def _reference_validate_fields(row, fields):
     too_large("f0_hz", f0_hz)
     sf_ok = sqrt_sf is not None and 0.0 < sqrt_sf <= _PRINT_MAX
     sa_ok = sqrt_sa is not None and 0.0 < sqrt_sa <= _PRINT_MAX
-    if sqrt_sf is None and sqrt_sa is None:
+    sf_given = sqrt_sf is not None or "sqrt_sf" in unread
+    if not sf_given and sqrt_sa is None and "sqrt_sa" not in unread:
         bad("sqrt_sf", "MissingRequired", "need sqrt_sf or sqrt_sa")
     if sqrt_sf is not None and not 0.0 < sqrt_sf < math.inf:
         bad("sqrt_sf", "BadNumber",
@@ -784,7 +836,7 @@ def _reference_validate_fields(row, fields):
     accel = None
     if sf_ok and mass_ok:
         column, accel = "sqrt_sf", sqrt_sf / mass_kg
-    elif sqrt_sf is None and sa_ok:
+    elif not sf_given and sa_ok:
         column, accel = "sqrt_sa", sqrt_sa
     if accel is not None and not 0.0 < accel * accel < math.inf:
         bad(column, "BadNumber",
@@ -936,6 +988,14 @@ def _hand_built_fields(cells):
 # A row's problems come in column order, a number too large to print too.
 @example([_row(mass_kg="1.797e308", f0_hz="nan")])
 @example([_row(n_override="1.797e308", sqrt_sf="nan")])
+# The field rules run when the mass cell does not convert, and a number
+# cell that does not convert is not absent.
+@example([_row(mass_kg="x", category="squishy", mode="sideways", location="moon")])
+@example([_row(mass_kg="", sqrt_sf="1e400", temp_k="0")])
+@example([_row(mass_kg="x", sqrt_sf="", sqrt_sa="1e-170")])
+@example([_row(sqrt_sf="x")])
+@example([_row(sqrt_sf="x", sqrt_sa="1e-170")])
+@example([_row(sqrt_sf="", sqrt_sa="x")])
 def test_rows_convert_as_the_cell_by_cell_reference_does(rows):
     # Quoting every cell reads each row through the csv module; quoting only
     # the cells that need it leaves most rows plain.

@@ -9,8 +9,10 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +27,7 @@ from stfom import (
     embedded_catalog,
     serialize_records,
 )
-from stfom.cli import _build_parser, _read_argv, _write_outputs, main
+from stfom.cli import _build_parser, _load, _read_argv, _write_outputs, main
 
 _TESTS = Path(__file__).resolve().parent
 
@@ -316,6 +318,173 @@ def test_byte_order_mark_is_accepted(tmp_path, capsys):
     assert main(["bounds", "--records", str(records),
                  "--constants", str(constants)]) == 0
     assert capsys.readouterr() == plain
+
+
+def _whole_file_decoding(path):
+    """The BadEncoding line of a file decoded whole, with a leading byte
+    order mark dropped, or None when it decodes."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            fh.read()
+    except UnicodeDecodeError as exc:
+        return (f"row 0, column file: BadEncoding: {path} is not UTF-8 text: "
+                f"{exc.reason} at byte offset {exc.start}\n")
+    return None
+
+
+_PLAIN_ROWS = serialize_records(embedded_catalog()).encode()
+_PAST_64_KIB = _PLAIN_ROWS * (65536 // len(_PLAIN_ROWS) + 1)
+
+
+@pytest.mark.parametrize("content, offset", [
+    pytest.param(b"name,ye\xffar\n" + _PLAIN_ROWS, 7, id="header line"),
+    pytest.param(_PAST_64_KIB + b"Bad\xc3(,2021\n", len(_PAST_64_KIB) + 3,
+                 id="past 64 KiB"),
+    pytest.param(_PLAIN_ROWS + b"M\xfcller", len(_PLAIN_ROWS) + 1,
+                 id="last line without a line feed"),
+    pytest.param(_PLAIN_ROWS + b"Delic\xc4", len(_PLAIN_ROWS) + 5,
+                 id="cut short at the end"),
+    pytest.param(b"\xef\xbb\xbf" + _PLAIN_ROWS + b"\xff\n", len(_PLAIN_ROWS),
+                 id="after a byte order mark"),
+    pytest.param(b"not,a,header\n" + _PLAIN_ROWS + b"\xff\n", 13 + len(_PLAIN_ROWS),
+                 id="after a bad header line"),
+    pytest.param(_PLAIN_ROWS + b"a,b\rc\n" + b"\xe2\x82\n", len(_PLAIN_ROWS) + 6,
+                 id="after a bare carriage return"),
+    pytest.param(_PLAIN_ROWS + b'"a\n\xff\n', len(_PLAIN_ROWS) + 3,
+                 id="inside a quoted cell"),
+])
+def test_a_byte_that_is_not_utf8_is_the_one_diagnostic(tmp_path, capsys, content,
+                                                       offset):
+    # The streamed reader names the byte a whole-file decode names, and no
+    # problem that parsing found before it.
+    records = tmp_path / "records.csv"
+    records.write_bytes(content)
+    assert main(["validate", "--records", str(records)]) == 1
+    err = capsys.readouterr().err
+    assert err == _whole_file_decoding(records)
+    assert err.endswith(f" at byte offset {offset}\n")
+
+
+@pytest.mark.parametrize("content", [b"", b"\xef", b"\xef\xbb", b"\xef\xbb\xbf",
+                                     b"\xef\xbb\xbf\n", b"\xef\xbb\xbf\xef\xbb\xbf\n"])
+def test_a_file_that_is_only_a_byte_order_mark_reads_as_decoded_whole(
+        tmp_path, capsys, content):
+    # The utf-8-sig codec drops a mark, and a file that is only part of one.
+    records = tmp_path / "records.csv"
+    records.write_bytes(content)
+    assert _whole_file_decoding(records) is None
+    assert main(["validate", "--records", str(records)]) == 1
+    text = records.read_text(encoding="utf-8-sig")
+    with pytest.raises(stfom.CatalogError) as err:
+        stfom.parse_records(text)
+    assert capsys.readouterr().err == "".join(f"{d}\n" for d in err.value.diagnostics)
+
+
+def _load_or_error(load, source):
+    try:
+        return repr(load(source))
+    except stfom.CatalogError as exc:
+        return exc.diagnostics
+
+
+_FIELD_LIMIT = csv.field_size_limit()
+_GOOD_ROW = ("Probe '21,2021,synthetic,membrane,Si3N4,1e-9,,1e3,1e-15,,300,1e4,"
+             "absolute,earth,false,")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("", f"{CSV_HEADER}\n", f"{CSV_HEADER}\n{_GOOD_ROW}\n",
+                        f"{CSV_HEADER}\r\n{_GOOD_ROW}\r\n")),
+       st.text(alphabet='a,"\r\n\0 é'), st.sampled_from(("", f"{_GOOD_ROW}\n")),
+       st.none() | st.integers(1, 6))
+@example(f"{CSV_HEADER}\r\n", f"{_GOOD_ROW}\r\n", "", None)
+@example(f"{CSV_HEADER}\n", "a,b\rc\n", "", None)  # a bare "\r" inside a cell
+@example(f"{CSV_HEADER}\n", '"a\n\n\nb",', f"{_GOOD_ROW}\n", None)  # quoted lines
+@example(f"{CSV_HEADER}\n", _GOOD_ROW.replace("synthetic", '"syn\nthe\rtic"') + "\n",
+         "", None)
+@example(f"{CSV_HEADER}\n", _GOOD_ROW.replace("Probe", "Pr\0be"), "", None)
+@example(f"{CSV_HEADER}\n", "\n\n", f"{_GOOD_ROW}\n", None)  # blank lines
+@example(f"{CSV_HEADER}\n", "a" * (_FIELD_LIMIT + 1) + "\n", f"{_GOOD_ROW}\n", None)
+@example(f"{CSV_HEADER}\n", "", f"{_GOOD_ROW}\n", 30)
+@example(f"{CSV_HEADER}\n", _GOOD_ROW, "", None)  # a last line with no "\n"
+def test_a_records_file_loads_as_its_text_parses(head, body, tail, limit):
+    text = head + body + tail
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        path.write_bytes(text.encode())
+        args = SimpleNamespace(records=path, constants=None)
+        if limit is not None:
+            csv.field_size_limit(limit)
+        try:
+            loaded = _load_or_error(lambda args: _load(args)[0], args)
+            parsed = _load_or_error(stfom.parse_records, text)
+        finally:
+            csv.field_size_limit(_FIELD_LIMIT)
+    assert loaded == parsed
+
+
+def _transient_memory(function):
+    """What function() returns, and the most memory it held at once beyond
+    what it returns, in bytes, as tracemalloc counts them."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        value = function()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return value, peak - retained
+
+
+def test_loading_holds_no_copy_of_the_records_file(tmp_path):
+    survey = Catalog(tuple(
+        record._replace(name=f"{record.name} #{copy}")
+        for copy in range(44) for record in embedded_catalog()
+    )[:2000])
+    text = serialize_records(survey)
+    assert "\u0107" in text  # "Delić": the decoded text takes 2 bytes a character
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode())
+    args = SimpleNamespace(records=path, constants=None)
+    _load(args)  # fill the material cache first
+    parsed, parsing = _transient_memory(lambda: stfom.parse_records(text))
+    (loaded, _), loading = _transient_memory(lambda: _load(args))
+    assert parsed == loaded == survey
+    # parse_records holds its set of names, which is about half the text's
+    # length here; loading the file adds less than a quarter of it to that.
+    assert loading - parsing < len(text) / 4
+
+
+@pytest.mark.parametrize("records, constants", [
+    pytest.param(b"not,a,header\n" + _PLAIN_ROWS, None, id="bad header"),
+    pytest.param(_PLAIN_ROWS + b"a,b\rc\n" + _PLAIN_ROWS, None, id="bare carriage return"),
+    pytest.param(_PLAIN_ROWS + b"\xff\n" + _PLAIN_ROWS, None, id="not UTF-8"),
+    pytest.param(_PLAIN_ROWS + b"x,2021\n", None, id="bad row"),
+    pytest.param(_PLAIN_ROWS, b"G 1\nbad\n", id="bad constants"),
+    pytest.param(_PLAIN_ROWS, b"G \xff\n", id="constants not UTF-8"),
+])
+def test_a_failed_load_leaves_no_file_open(tmp_path, capsys, monkeypatch, records,
+                                           constants):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(stfom.cli, "open", recording_open, raising=False)
+    argv = ["validate", "--records", str(tmp_path / "records.csv")]
+    (tmp_path / "records.csv").write_bytes(records)
+    if constants is not None:
+        (tmp_path / "constants.txt").write_bytes(constants)
+        argv += ["--constants", str(tmp_path / "constants.txt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err
+    assert len(opened) == 1 + (constants is not None)
+    assert all(fh.closed for fh in opened)
+
 
 def test_missing_records_file_is_io_error(tmp_path, capsys):
     assert main(["validate", "--records", str(tmp_path / "absent.csv")]) == 2
