@@ -244,12 +244,15 @@ def parse_records(text: str | Iterable[str]) -> Catalog:
     and no list of rows is held.  A plain line is split at its commas;
     the csv module reads only the lines that quote a cell, hold a "\\r"
     or "\\0", are blank, overlong or last without a "\\n", so every line
-    reads as csv.reader reads it.
+    reads as csv.reader reads it.  Names are tracked in the one dict the
+    catalog is built from, and equal year cells share one int.
     """
     reader = _rows(text)
     problems: list[Diagnostic] = []
-    records: list[ExperimentRecord] = []
-    seen: set[str] = set()
+    # Each name read, mapped to its record, or to None when its row has
+    # problems; the values become the catalog.
+    records: dict[str, ExperimentRecord | None] = {}
+    years: dict[str, int] = {}
     row_number = -1  # the last row read; the header is row 0
     try:
         header = next(reader, None)
@@ -260,9 +263,7 @@ def parse_records(text: str | Iterable[str]) -> Catalog:
                            f"header must be exactly {CSV_HEADER!r}"),
             ))
         for row_number, cells in enumerate(reader, start=1):
-            record = _parse_row(row_number, cells, seen, problems)
-            if record is not None:
-                records.append(record)
+            _parse_row(row_number, cells, records, years, problems)
     except csv.Error as exc:
         message = str(exc)
         # Lines are split only at "\n", so this is a bare "\r"; the csv
@@ -280,29 +281,34 @@ def parse_records(text: str | Iterable[str]) -> Catalog:
     if problems:
         raise CatalogError(tuple(problems))
     # Names were checked row by row above, so the catalog skips its own check.
-    return tuple.__new__(Catalog, records)
+    return tuple.__new__(Catalog, records.values())
 
 
-def _parse_row(row: int, cells: list[str], seen: set[str],
-               problems: list[Diagnostic]) -> ExperimentRecord | None:
-    """One data row's record, or None after adding its problems."""
+def _parse_row(row: int, cells: list[str],
+               records: dict[str, ExperimentRecord | None],
+               years: dict[str, int], problems: list[Diagnostic]) -> None:
+    """Add one data row's record to records under its name, or its
+    problems to problems."""
     if len(cells) != len(_CSV_COLUMNS):
         problems.append(Diagnostic(row, "row", "BadHeader",
                                    f"expected {len(_CSV_COLUMNS)} cells, "
                                    f"got {len(cells)}"))
-        return None
+        return
     (name, year_text, reference, category, material_text, mass_text,
      n_override_text, f0_text, sqrt_sf_text, sqrt_sa_text, temp_text,
      quality_text, mode, location, secondhand_text, notes) = cells
-    # Every cell is converted once; the vocabulary cells and the
-    # per-source reference repeat across rows, so equal cells share one
-    # string.  A row whose cells do not all convert, whose name is taken
-    # or whose fields fail their check is walked again, cell by cell, to
-    # name every problem.
+    # Every cell is converted once; the vocabulary cells, the per-source
+    # reference and the year repeat across rows, so equal cells share one
+    # string or int.  A row whose cells do not all convert, whose name is
+    # taken or whose fields fail their check is walked again, cell by
+    # cell, to name every problem.
     intern = sys.intern
     try:
+        year = years.get(year_text)
+        if year is None:
+            year = years[year_text] = int(year_text)
         fields = (
-            name, int(year_text), intern(reference), intern(category),
+            name, year, intern(reference), intern(category),
             parse_material(material_text), float(mass_text),
             float(n_override_text) if n_override_text else None,
             float(f0_text) if f0_text else None,
@@ -315,29 +321,28 @@ def _parse_row(row: int, cells: list[str], seen: set[str],
     except (ValueError, KeyError, FormulaError):
         pass
     else:
-        if name not in seen and not _validate_fields(row, fields):
-            seen.add(name)
+        if name not in records and not _validate_fields(row, fields):
             # The fields were checked above, so the record skips its own check.
-            return tuple.__new__(ExperimentRecord, fields)
-    problems += _row_problems(row, cells, seen)
-    return None
+            records[name] = tuple.__new__(ExperimentRecord, fields)
+            return
+    problems += _row_problems(row, cells, records)
 
 
 def _row_problems(row: int, cells: list[str],
-                  seen: set[str]) -> list[Diagnostic]:
+                  records: dict[str, ExperimentRecord | None]) -> list[Diagnostic]:
     """Every problem of one row of len(_CSV_COLUMNS) cells, cell by cell
-    in column order, then its field problems; a name not yet in seen is
-    claimed even if the row has other problems."""
+    in column order, then its field problems; a name not yet in records
+    is claimed, mapped to None, even if the row has other problems."""
     name, year_text, material_text = cells[0], cells[1], cells[4]
     problems: list[Diagnostic] = []
 
     def bad(column: str, code: str, message: str) -> None:
         problems.append(Diagnostic(row, column, code, message))
 
-    if name in seen:
+    if name in records:
         bad("name", "DuplicateName", f"duplicate record name {name!r}")
     elif name:
-        seen.add(name)
+        records[name] = None
     try:
         int(year_text)
     except ValueError:

@@ -108,12 +108,13 @@ _MAX_NUCLEI = int(sys.float_info.max)
 _MAX_COUNT_DIGITS = len(str(_MAX_NUCLEI))
 _TOO_MANY_NUCLEI = "element counts exceed the largest float"
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def parse_formula(text: str, /) -> Formula:
     """Parse formula text, validating every symbol against the standard
     atomic weights.
 
-    Equal texts return the same Formula.  Raises FormulaError, its
+    Equal texts return the same Formula while the cache holds the text:
+    it keeps the 256 texts last read.  Raises FormulaError, its
     message prefixed "position N: " with the offending character position
     for a grammar violation, or naming the symbol for a syntactically valid
     one missing from STANDARD_ATOMIC_WEIGHTS.
@@ -198,11 +199,15 @@ _COMPONENT_SPLIT_RE = re.compile(r"\+(?=[0-9.])")
 _WHITESPACE_RE = re.compile(r"\s")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def parse_material(text: str, /) -> MaterialSpec:
     """Parse a bare formula or a 'frac*Formula+frac*Formula' mixture.
 
-    Equal texts return the same MaterialSpec.
+    Equal texts return the same MaterialSpec while the cache holds the
+    text.  It keeps the 256 texts last read: the embedded catalog and
+    surveys of its rows read 17 distinct texts, and a sweep whose
+    mixtures all differ reads no text twice, so a larger cache would only
+    hold texts that no later row reads.
     """
     if not text:
         raise FormulaError("empty material expression")

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -613,25 +614,65 @@ def test_rows_read_as_the_csv_module_reads_them(text, limit):
         csv.field_size_limit(_FIELD_LIMIT)
 
 
-def test_parse_holds_no_copy_of_the_text(catalog):
-    survey = Catalog(tuple(
+def _renamed_copies(catalog):
+    """2,000 records: renamed copies of catalog's, in its order."""
+    return Catalog(tuple(
         record._replace(name=f"{record.name} #{copy}")
-        for copy in range(44) for record in catalog
+        for copy in range(2000 // len(catalog) + 1) for record in catalog
     )[:2000])
-    text = serialize_records(survey)
-    parse_records(text)  # fill the material cache first
+
+
+@contextlib.contextmanager
+def _tracing():
+    """Trace allocations with tracemalloc inside the block."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        parsed = parse_records(text)
-        retained, peak = tracemalloc.get_traced_memory()
+        yield
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_parse_holds_no_copy_of_the_text(catalog):
+    survey = _renamed_copies(catalog)
+    text = serialize_records(survey)
+    parse_records(text)  # fill the material cache first
+    with _tracing():
+        tracemalloc.reset_peak()
+        parsed = parse_records(text)
+        retained, peak = tracemalloc.get_traced_memory()
     assert parsed == survey
-    assert peak - retained < len(text)
+    # The names are held once, in the dict the catalog is built from; a
+    # set of them beside the records took about half the text's length.
+    assert peak - retained < len(text) / 3
+
+
+def test_a_parse_holds_one_int_per_distinct_year(catalog):
+    parsed = parse_records(serialize_records(_renamed_copies(catalog)))
+    assert len({id(r.year) for r in parsed}) == len({r.year for r in parsed})
+
+
+def test_a_distinct_mixture_parse_keeps_only_the_cache_bound():
+    # Every row's mixture fractions differ, as in a parameter sweep, so no
+    # material text is read twice.
+    text = _records_text(*(
+        GOOD_ROW.replace("Probe '21", f"Probe {i}").replace(
+            "Si3N4", f"{(i + 1) / 2001!r}*Si3N4+{1.0 - (i + 1) / 2001!r}*SiO2")
+        for i in range(2000)))
+    parse_material.cache_clear()
+    with _tracing():
+        parsed = parse_records(text)
+        info = parse_material.cache_info()
+        before = tracemalloc.get_traced_memory()[0]
+        parse_material.cache_clear()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    assert len(parsed) == 2000 and info.misses == 2000
+    assert info.currsize <= 256
+    # The catalog keeps every MaterialSpec, so clearing frees only what
+    # the cache holds for itself: its texts and their entries.
+    assert freed < 64 * 1024
 
 
 def test_equal_repeated_cells_share_one_string():

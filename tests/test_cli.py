@@ -453,8 +453,8 @@ def test_loading_holds_no_copy_of_the_records_file(tmp_path):
     parsed, parsing = _transient_memory(lambda: stfom.parse_records(text))
     (loaded, _), loading = _transient_memory(lambda: _load(args))
     assert parsed == loaded == survey
-    # parse_records holds its set of names, which is about half the text's
-    # length here; loading the file adds less than a quarter of it to that.
+    # Loading the file adds less than a quarter of the text's length to
+    # what parse_records holds while it parses.
     assert loading - parsing < len(text) / 4
 
 

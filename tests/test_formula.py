@@ -481,7 +481,7 @@ def test_bad_formula_text_raises_on_every_call(text):
 
 
 def test_formula_cache_stays_bounded_and_correct():
-    limit = 4096
+    limit = 256
     for parse in (parse_formula, parse_material):
         assert parse.cache_info().maxsize == limit
         for count in range(2, limit + 100):
