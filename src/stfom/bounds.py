@@ -23,6 +23,11 @@ from typing import NamedTuple
 from .errors import _PRINT_MAX, OutOfRangeError, _Checked
 from .quantities import _DEFAULT_CONSTANTS, Constants
 
+__all__ = [
+    "ModelId", "BoundAnchor", "DEFAULT_ANCHORS", "CAVENDISH_FOM",
+    "anchored_bound", "fom_threshold", "si_bound", "orders_of_improvement",
+]
+
 # Figure of merit of the classic Cavendish torsion balance, the baseline
 # against which orders of improvement are counted.
 CAVENDISH_FOM = 1.0e14

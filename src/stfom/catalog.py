@@ -29,6 +29,12 @@ from .errors import (
 from .fom import FomResult
 from .formula import MaterialSpec, format_material, parse_material
 
+__all__ = [
+    "ExperimentRecord", "Catalog", "QuotedValues", "CATEGORIES", "CSV_HEADER",
+    "parse_records", "serialize_records", "embedded_catalog",
+    "embedded_reference_values", "rank", "select_for_figure",
+]
+
 # Closed taxonomy, ordered from lightest to heaviest typical test mass.
 CATEGORIES: tuple[str, ...] = (
     "trapped-ion",
@@ -422,11 +428,6 @@ def _filtered(catalog: Catalog, which: RecordFilter) -> list[ExperimentRecord]:
 _NAME = attrgetter("name")
 
 
-def _fom_order(results: Mapping[str, FomResult]):
-    """Sort key: figure of merit, then name, so the order is total."""
-    return lambda r: (results[r.name].fom, r.name)
-
-
 def rank(
     catalog: Catalog,
     results: Mapping[str, FomResult],
@@ -451,7 +452,8 @@ def best_record(
 ) -> ExperimentRecord | None:
     """The first record of rank(catalog, results, which), found without
     sorting; None when no record passes the filter."""
-    return min(_filtered(catalog, which), key=_fom_order(results), default=None)
+    return min(_filtered(catalog, which),
+               key=lambda r: (results[r.name].fom, r.name), default=None)
 
 
 def select_for_figure(

@@ -48,6 +48,11 @@ def _decoded_lines(fh, path: Path) -> Iterator[str]:
     is a file that is only part of one, as the utf-8-sig codec drops them;
     a byte that is not UTF-8 is a BadEncoding diagnostic whose offset, as
     that codec's, counts the bytes after the mark.
+
+    The bytes are counted here, not left to a text-mode file: reading lines
+    from one, a UnicodeDecodeError gives the position within the 8 KiB
+    chunk being decoded (3616 for a bad byte at offset 20000), and a pipe
+    cannot be read a second time to find the true offset.
     """
     offset = 0
     for line in fh:

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+__all__ = [
+    "Diagnostic", "StfomError", "FormulaError", "FilterError",
+    "ConstantsError", "OutOfRangeError", "CatalogError",
+]
+
 # The largest number stfom prints.  At 3 significant figures any larger
 # float is written 1.80e308, which float() reads back as inf.
 _PRINT_MAX = 1.795e308

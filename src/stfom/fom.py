@@ -34,6 +34,8 @@ from .quantities import _DEFAULT_CONSTANTS, Constants
 if TYPE_CHECKING:
     from .catalog import ExperimentRecord
 
+__all__ = ["FomResult", "evaluate_record", "evaluate_catalog"]
+
 # Measured and thermal amplitudes within a factor of two of each other
 # are treated as thermally limited; beyond that the thermal floor gets
 # its own marker.  The two rules share one constant so they partition

@@ -31,6 +31,12 @@ from typing import Mapping, NamedTuple
 from .errors import FormulaError, OutOfRangeError, _Checked
 from .quantities import _DEFAULT_CONSTANTS
 
+__all__ = [
+    "Formula", "MaterialSpec", "STANDARD_ATOMIC_WEIGHTS", "parse_formula",
+    "parse_material", "format_material", "molar_mass", "nuclei_per_formula",
+    "nuclei_count",
+]
+
 # Standard atomic weights in kg/mol (CIAAW abridged values; conventional
 # values for elements whose weight is published as an interval).
 STANDARD_ATOMIC_WEIGHTS: Mapping[str, float] = MappingProxyType({

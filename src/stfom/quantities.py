@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 from .errors import ConstantsError, OutOfRangeError, _Checked
 
+__all__ = ["Constants", "DEFAULT_CONSTANTS_TEXT", "load_constants"]
+
 
 class _ConstantsFields(NamedTuple):
     # The default values, SI.  CODATA 2018 for N_A and k_B; the

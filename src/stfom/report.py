@@ -38,6 +38,11 @@ from .fom import FomResult
 from .formula import _WHITESPACE_RE, format_material
 from .quantities import _DEFAULT_CONSTANTS, Constants
 
+__all__ = [
+    "FigurePoint", "format_sig", "emit_table", "build_figure_points",
+    "emit_figure", "emit_bounds_summary",
+]
+
 
 def format_sig(x: float, sig: int = 3) -> str:
     """Scientific notation with sig significant figures.

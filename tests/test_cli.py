@@ -10,7 +10,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -717,6 +717,49 @@ def test_each_stream_gets_these_bytes_and_exit_code(tmp_path, capsys, monkeypatc
     (tmp_path / "bad.csv").write_text(_TWO_PROBLEMS, encoding="utf-8")
     assert main(argv) == code
     assert capsys.readouterr() == (out, err)
+
+
+@contextmanager
+def _pipe(data):
+    """The /dev/fd path of a pipe, which cannot seek, that a thread fills
+    with data and then closes."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        feeder.join(timeout=60)
+    assert not feeder.is_alive()
+
+
+_NEEDS_DEV_FD = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+@_NEEDS_DEV_FD
+def test_records_read_from_a_pipe_give_the_golden_outputs(tmp_path, capsys):
+    golden = _TESTS / "golden" / "thermal-records"
+    out = tmp_path / "out"
+    with _pipe(_THERMAL_RECORDS.read_bytes()) as path:
+        assert main(["compute", "--records", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == _read(golden / "compute.stderr")
+    for name in ("table.csv", "bounds.txt"):
+        assert (out / name).read_bytes() == (golden / name).read_bytes()
+
+
+@_NEEDS_DEV_FD
+def test_a_bad_byte_read_from_a_pipe_is_reported_at_its_offset(capsys):
+    with _pipe(b"name,year\nM\xfcller,2021\n") as path:
+        assert main(["validate", "--records", path]) == 1
+    assert capsys.readouterr() == ("", (
+        f"row 0, column file: BadEncoding: {path} is not UTF-8 text: "
+        "invalid start byte at byte offset 11\n"))
 
 
 @pytest.mark.parametrize("argv", [["compute"], ["figure"], ["bounds"],
