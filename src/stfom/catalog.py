@@ -246,18 +246,29 @@ def parse_records(text: str | Iterable[str]) -> Catalog:
 
     The lines of an iterable must be split only at "\\n" and keep it, as
     binary lines decoded one by one, or a file opened with newline="\\n",
-    yield them.  Rows are parsed as they are read, so no copy of the text
-    and no list of rows is held.  A plain line is split at its commas;
-    the csv module reads only the lines that quote a cell, hold a "\\r"
-    or "\\0", are blank, overlong or last without a "\\n", so every line
-    reads as csv.reader reads it.  Names are tracked in the one dict the
-    catalog is built from, and equal year cells share one int.
+    yield them.  The catalog is built from _checked_records, the one
+    streaming pass the command line folds over too.
+    """
+    # Names were checked row by row, so the catalog skips its own check.
+    return tuple.__new__(Catalog, _checked_records(text))
+
+
+def _checked_records(text: str | Iterable[str]) -> Iterator[ExperimentRecord]:
+    """Each record of CSV text, or of its lines, checked and yielded as its
+    row is read, until a row has a problem; after the last row the
+    CatalogError naming every problem is raised, if there was one.
+
+    Rows are parsed as they are read, so no copy of the text and no list
+    of rows is held.  A plain line is split at its commas; the csv module
+    reads only the lines that quote a cell, hold a "\\r" or "\\0", are
+    blank, overlong or last without a "\\n", so every line reads as
+    csv.reader reads it.  Names are tracked in a dict that keeps only its
+    keys, and equal year cells share one int.
     """
     reader = _rows(text)
     problems: list[Diagnostic] = []
-    # Each name read, mapped to its record, or to None when its row has
-    # problems; the values become the catalog.
-    records: dict[str, ExperimentRecord | None] = {}
+    # Each name read, a name claimed by a row with problems included.
+    names: dict[str, None] = {}
     years: dict[str, int] = {}
     row_number = -1  # the last row read; the header is row 0
     try:
@@ -269,7 +280,9 @@ def parse_records(text: str | Iterable[str]) -> Catalog:
                            f"header must be exactly {CSV_HEADER!r}"),
             ))
         for row_number, cells in enumerate(reader, start=1):
-            _parse_row(row_number, cells, records, years, problems)
+            record = _parse_row(row_number, cells, names, years, problems)
+            if not problems:
+                yield record
     except csv.Error as exc:
         message = str(exc)
         # Lines are split only at "\n", so this is a bare "\r"; the csv
@@ -286,20 +299,18 @@ def parse_records(text: str | Iterable[str]) -> Catalog:
         ))
     if problems:
         raise CatalogError(tuple(problems))
-    # Names were checked row by row above, so the catalog skips its own check.
-    return tuple.__new__(Catalog, records.values())
 
 
-def _parse_row(row: int, cells: list[str],
-               records: dict[str, ExperimentRecord | None],
-               years: dict[str, int], problems: list[Diagnostic]) -> None:
-    """Add one data row's record to records under its name, or its
-    problems to problems."""
+def _parse_row(row: int, cells: list[str], names: dict[str, None],
+               years: dict[str, int],
+               problems: list[Diagnostic]) -> ExperimentRecord | None:
+    """One data row's record, its name added to names; or None, with its
+    problems added to problems."""
     if len(cells) != len(_CSV_COLUMNS):
         problems.append(Diagnostic(row, "row", "BadHeader",
                                    f"expected {len(_CSV_COLUMNS)} cells, "
                                    f"got {len(cells)}"))
-        return
+        return None
     (name, year_text, reference, category, material_text, mass_text,
      n_override_text, f0_text, sqrt_sf_text, sqrt_sa_text, temp_text,
      quality_text, mode, location, secondhand_text, notes) = cells
@@ -327,28 +338,29 @@ def _parse_row(row: int, cells: list[str],
     except (ValueError, KeyError, FormulaError):
         pass
     else:
-        if name not in records and not _validate_fields(row, fields):
+        if name not in names and not _validate_fields(row, fields):
+            names[name] = None
             # The fields were checked above, so the record skips its own check.
-            records[name] = tuple.__new__(ExperimentRecord, fields)
-            return
-    problems += _row_problems(row, cells, records)
+            return tuple.__new__(ExperimentRecord, fields)
+    problems += _row_problems(row, cells, names)
+    return None
 
 
 def _row_problems(row: int, cells: list[str],
-                  records: dict[str, ExperimentRecord | None]) -> list[Diagnostic]:
+                  names: dict[str, None]) -> list[Diagnostic]:
     """Every problem of one row of len(_CSV_COLUMNS) cells, cell by cell
-    in column order, then its field problems; a name not yet in records
-    is claimed, mapped to None, even if the row has other problems."""
+    in column order, then its field problems; a name not yet in names is
+    claimed, even if the row has other problems."""
     name, year_text, material_text = cells[0], cells[1], cells[4]
     problems: list[Diagnostic] = []
 
     def bad(column: str, code: str, message: str) -> None:
         problems.append(Diagnostic(row, column, code, message))
 
-    if name in records:
+    if name in names:
         bad("name", "DuplicateName", f"duplicate record name {name!r}")
     elif name:
-        records[name] = None
+        names[name] = None
     try:
         int(year_text)
     except ValueError:
@@ -417,11 +429,16 @@ def serialize_records(catalog: Catalog) -> str:
     return out.getvalue()
 
 
+def _on_earth(record: ExperimentRecord) -> bool:
+    """Whether the absolute-on-earth filter keeps record."""
+    return record.mode == "absolute" and record.location == "earth"
+
+
 def _filtered(catalog: Catalog, which: RecordFilter) -> list[ExperimentRecord]:
     if which == "all":
         return list(catalog)
     if which == "absolute-on-earth":
-        return [r for r in catalog if r.mode == "absolute" and r.location == "earth"]
+        return [r for r in catalog if _on_earth(r)]
     raise FilterError(f"unknown filter {which!r}")
 
 

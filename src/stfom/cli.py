@@ -7,6 +7,11 @@ usage error from argparse (unknown command or option, bad value).  Every
 output file is written before any is renamed into place, so a failed write
 replaces none; a failed rename can leave an earlier one replaced.
 
+Each record command is one pass over the records, and no command holds
+the catalog or a result per record: validate parses and counts them, and
+_evaluate parses, checks and evaluates each in turn for the others,
+hands it to what the command keeps for its output, and drops it.
+
 _COMMANDS and _ARGUMENTS state the grammar of the command line once.
 _build_parser builds the argparse parser from them, and _read_argv reads a
 plain command line from them without importing argparse: the command, its
@@ -20,16 +25,29 @@ from __future__ import annotations
 
 import os
 import sys
+from bisect import insort
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, TextIO, get_args
 
-from .catalog import RecordFilter, embedded_catalog, parse_records, rank
-from .errors import CatalogError, Diagnostic, StfomError
-from .fom import evaluate_catalog
+# bench/tracing.py wraps nine of these names on stfom.cli, used here or not.
+from .catalog import (
+    ExperimentRecord,
+    RecordFilter,
+    _checked_records,
+    _on_earth,
+    embedded_catalog,
+    parse_records,
+    rank,
+)
+from .errors import CatalogError, Diagnostic, OutOfRangeError, StfomError
+from .fom import FomResult, evaluate_catalog, evaluate_record
 from .formula import molar_mass, nuclei_per_formula, parse_formula
-from .quantities import _DEFAULT_CONSTANTS, load_constants
+from .quantities import _DEFAULT_CONSTANTS, Constants, load_constants
 from .report import (
+    _TABLE_HEADER_LINE,
+    _bounds_summary,
+    _table_row,
     build_figure_points,
     emit_bounds_summary,
     emit_figure,
@@ -44,7 +62,7 @@ def _decoded_lines(fh, path: Path) -> Iterator[str]:
     """The lines of a file opened in binary, each decoded as UTF-8 as it is
     read and kept with its "\\n".  Lines are split only at "\\n", as
     catalog._lines splits text, so a "\\r" inside a quoted cell reaches
-    parse_records unchanged.  A leading byte order mark is dropped, and so
+    the parser unchanged.  A leading byte order mark is dropped, and so
     is a file that is only part of one, as the utf-8-sig codec drops them;
     a byte that is not UTF-8 is a BadEncoding diagnostic whose offset, as
     that codec's, counts the bytes after the mark.
@@ -70,22 +88,6 @@ def _decoded_lines(fh, path: Path) -> Iterator[str]:
             )) from None
         offset += len(line)
         yield text
-
-
-def _read(path: Path, parse: Callable[[Iterator[str]], object]):
-    """What parse returns for the decoded lines of the file at path, each
-    read when parse asks for it.  A CatalogError that stops parse before
-    the last line is raised once the rest is decoded, so a later byte that
-    is not UTF-8 is reported alone, as when the whole file is decoded
-    first."""
-    with open(path, "rb") as fh:
-        lines = _decoded_lines(fh, path)
-        try:
-            return parse(lines)
-        except CatalogError:
-            for _ in lines:
-                pass
-            raise
 
 
 def _write_outputs(out: Path, files: dict[str, str | Callable[[TextIO], object]]) -> None:
@@ -138,51 +140,148 @@ def _write(name: str, text: str) -> None:
             raise
 
 
-def _load(args):
-    """The catalog and constants that args name, or the embedded defaults."""
-    catalog = (embedded_catalog() if args.records is None
-               else _read(args.records, parse_records))
-    constants = (_DEFAULT_CONSTANTS if args.constants is None
-                 else _read(args.constants, lambda lines: load_constants("".join(lines))))
-    return catalog, constants
+def _records(args) -> Iterator[ExperimentRecord]:
+    """Each record of the records file args names, its line read, decoded,
+    parsed and checked as it is asked for; or of the embedded catalog.  A
+    CatalogError that stops the parse before the last line is raised once
+    the rest is decoded, so a later byte that is not UTF-8 is reported
+    alone, as when the whole file is decoded first."""
+    if args.records is None:
+        yield from embedded_catalog()
+        return
+    with open(args.records, "rb") as fh:
+        lines = _decoded_lines(fh, args.records)
+        try:
+            yield from _checked_records(lines)
+        except CatalogError:
+            for _ in lines:
+                pass
+            raise
 
 
-def _evaluate(args):
-    """_load's inputs and their results, each warning written to stderr."""
-    catalog, constants = _load(args)
-    results = evaluate_catalog(catalog, constants=constants)
+def _constants(args) -> Constants:
+    """The constants args names, or the defaults.  When they cannot be
+    read, the records are read through before the error is raised, so a
+    problem of the records file is still the one reported."""
+    if args.constants is None:
+        return _DEFAULT_CONSTANTS
+    try:
+        with open(args.constants, "rb") as fh:
+            return load_constants("".join(_decoded_lines(fh, args.constants)))
+    except (StfomError, OSError):
+        for _ in _records(args):
+            pass
+        raise
+
+
+def _evaluate(args, keep: Callable[[ExperimentRecord, FomResult], object]) -> Constants:
+    """Evaluate each record of args in file order, hand it and its result
+    to keep, and drop it; then write every warning to stderr in one write
+    and return the constants.
+
+    The first record that cannot be evaluated stops the evaluation, but
+    its error is raised only once the rest of the records is read and
+    checked, so a later problem of the file is the one reported.
+    """
+    constants = _constants(args)
+    warnings: list[str] = []
+    error = None
+    for record in _records(args):
+        if error is None:
+            try:
+                result = evaluate_record(record, constants)
+            except OutOfRangeError as exc:
+                error = exc
+                continue
+            keep(record, result)
+            warnings += result.warnings
+    if error is not None:
+        raise error
     # One write: on an unbuffered stderr each print is two syscalls.
-    _write("stderr", "".join([f"warning: {warning}\n"
-                              for result in results.values()
-                              for warning in result.warnings]))
-    return catalog, constants, results
+    _write("stderr", "".join([f"warning: {warning}\n" for warning in warnings]))
+    return constants
+
+
+class _Tally:
+    """What the bounds summary reads of the records: how many there are,
+    the FOM of Cavendish 1798, and the least (fom, name) of all records
+    and of those measured absolutely on Earth."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.baseline: float | None = None
+        self.best: tuple[float, str] | None = None
+        self.best_on_earth: tuple[float, str] | None = None
+
+    def add(self, record: ExperimentRecord, result: FomResult) -> None:
+        self.count += 1
+        entry = (result.fom, record.name)
+        if self.best is None or entry < self.best:
+            self.best = entry
+        if _on_earth(record) and (self.best_on_earth is None
+                                  or entry < self.best_on_earth):
+            self.best_on_earth = entry
+        if record.name == "Cavendish 1798":
+            self.baseline = result.fom
+
+    def summary(self, constants: Constants, which: RecordFilter) -> str:
+        return _bounds_summary(
+            self.count, self.baseline, self.best_on_earth,
+            self.best_on_earth if which == "absolute-on-earth" else self.best,
+            constants, which)
 
 
 def cmd_compute(args) -> str:
-    catalog, constants, results = _evaluate(args)
-    ranked = rank(catalog, results, args.filter)
+    tally = _Tally()
+    every = args.filter == "all"
+    rows: list[tuple[float, str, str]] = []  # (fom, name, line) of each shown
+
+    def keep(record, result):
+        tally.add(record, result)
+        if every or _on_earth(record):
+            rows.append((result.fom, record.name, _table_row(record, result)))
+
+    constants = _evaluate(args, keep)
     # The summary can refuse the constants, so it is built before any file
-    # is opened; the table is written row by row into its temporary file.
-    bounds_text = emit_bounds_summary(catalog, results, constants=constants,
-                                      which=args.filter)
-    _write_outputs(args.out, {
-        "table.csv": lambda fh: emit_table(ranked, results, fh),
-        "bounds.txt": bounds_text,
-    })
-    return f"wrote table.csv ({len(ranked)} rows) and bounds.txt to {args.out}\n"
+    # is opened.  Names are unique, so no two rows compare their lines.
+    bounds_text = tally.summary(constants, args.filter)
+    rows.sort()
+
+    def write_table(fh):
+        fh.write(_TABLE_HEADER_LINE)
+        for _, _, line in rows:
+            fh.write(line)
+
+    _write_outputs(args.out, {"table.csv": write_table, "bounds.txt": bounds_text})
+    return f"wrote table.csv ({len(rows)} rows) and bounds.txt to {args.out}\n"
 
 
 def cmd_figure(args) -> str:
-    catalog, _, results = _evaluate(args)
-    points = build_figure_points(rank(catalog, results, args.filter), results, args.k)
+    k, every = args.k, args.filter == "all"
+    # The k least (fom, name, record, result) of each category, in order.
+    kept: dict[str, list[tuple[float, str, ExperimentRecord, FomResult]]] = {}
+
+    def keep(record, result):
+        if every or _on_earth(record):
+            best = kept.setdefault(record.category, [])
+            entry = (result.fom, record.name, record, result)
+            if len(best) < k or entry < best[-1]:
+                insort(best, entry)
+                del best[k:]
+
+    _evaluate(args, keep)
+    chosen = sorted(entry for best in kept.values() for entry in best)
+    points = build_figure_points([entry[2] for entry in chosen],
+                                 {entry[1]: entry[3] for entry in chosen}, k)
     svg_text, data_text = emit_figure(points)
     _write_outputs(args.out, {"figure.svg": svg_text, "figure.dat": data_text})
     return f"wrote figure.svg and figure.dat ({len(points)} points) to {args.out}\n"
 
 
 def cmd_bounds(args) -> str:
-    catalog, constants, results = _evaluate(args)
-    return emit_bounds_summary(catalog, results, constants=constants, which=args.filter)
+    tally = _Tally()
+    constants = _evaluate(args, tally.add)
+    return tally.summary(constants, args.filter)
 
 
 def cmd_formula(args) -> str:
@@ -195,8 +294,8 @@ def cmd_formula(args) -> str:
 
 
 def cmd_validate(args) -> str:
-    catalog, _ = _load(args)
-    return f"ok: {len(catalog)} records\n"
+    _constants(args)
+    return f"ok: {sum(1 for _ in _records(args))} records\n"
 
 
 def _positive_int(text: str) -> int:

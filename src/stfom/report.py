@@ -5,9 +5,10 @@ figures ('2.98e-1', no exponent padding): format_sig() formats one value,
 and emit_table formats a row's six numbers with one '%' template with the
 same result.  Both spell exponents through one helper.  The formatter is
 idempotent: parsing an emitted cell and reformatting it reproduces the
-identical string.  emit_table can write each row into a file as it forms
-it, so a large table is never held in memory.  Everything here is
-deterministic, so identical inputs yield byte-identical outputs.
+identical string.  emit_table and the command line form each row of
+table.csv through one private formatter, and emit_bounds_summary and the
+command line build the summary through one private core.  Everything
+here is deterministic, so identical inputs yield byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def _bare_exponents(text: str) -> str:
 
 TABLE_HEADER = ("reference", "type", "element", "m", "N", "f0",
                 "sqrt_sf", "sqrt_sa", "fom")
+_TABLE_HEADER_LINE = ",".join(TABLE_HEADER) + "\n"
 
 # A row's six numbers, each with format_sig()'s default 3 figures ('.2e'),
 # and the same without f0 for a record that has none.
@@ -83,27 +85,31 @@ def emit_table(
 
     Each row is written to file as it is formed, and None is returned;
     without a file the text is returned.  After a ValueError the header
-    and the rows before the refused one may already be in file.  Only the
-    name can need quoting.
+    and the rows before the refused one may already be in file.
     """
     out = io.StringIO() if file is None else file
     write = out.write
-    write(",".join(TABLE_HEADER) + "\n")
+    write(_TABLE_HEADER_LINE)
     for record in ranked:
-        result = results[record.name]
-        f0_hz = record.f0_hz
-        if f0_hz is None:
-            numbers = _NUMBERS_NO_F0 % (record.mass_kg, result.n_nuclei,
-                                        result.sqrt_sf, result.sqrt_sa, result.fom)
-        else:
-            numbers = _NUMBERS % (record.mass_kg, result.n_nuclei, f0_hz,
-                                  result.sqrt_sf, result.sqrt_sa, result.fom)
-        if "n" in numbers:  # only 'inf', '-inf' and 'nan' hold an 'n'
-            raise ValueError(
-                f"{record.name}: cannot format {numbers!r} in scientific notation")
-        write(f"{_csv_cell(record.name)},{record.category},"
-              f"{format_material(record.material)},{_bare_exponents(numbers)}\n")
+        write(_table_row(record, results[record.name]))
     return out.getvalue() if file is None else None
+
+
+def _table_row(record: ExperimentRecord, result: FomResult) -> str:
+    """One record's line of table.csv, its "\\n" included.  Only the name
+    can need quoting."""
+    f0_hz = record.f0_hz
+    if f0_hz is None:
+        numbers = _NUMBERS_NO_F0 % (record.mass_kg, result.n_nuclei,
+                                    result.sqrt_sf, result.sqrt_sa, result.fom)
+    else:
+        numbers = _NUMBERS % (record.mass_kg, result.n_nuclei, f0_hz,
+                              result.sqrt_sf, result.sqrt_sa, result.fom)
+    if "n" in numbers:  # only 'inf', '-inf' and 'nan' hold an 'n'
+        raise ValueError(
+            f"{record.name}: cannot format {numbers!r} in scientific notation")
+    return (f"{_csv_cell(record.name)},{record.category},"
+            f"{format_material(record.material)},{_bare_exponents(numbers)}\n")
 
 
 class FigurePoint(NamedTuple):
@@ -347,33 +353,54 @@ def emit_bounds_summary(
     The conservative entries always come from the best absolute
     measurement on Earth; the best entries honour the requested filter.
     When no record passes, the entry's record line reads '-' and its other
-    lines are left out.  Bounds are computed from the table-precision
-    (3 significant figure) figures of merit so every printed line is
-    consistent with the others at the precision shown.
+    lines are left out.  The baseline and every bound are computed from
+    the table-precision (3 significant figure) figures of merit, so every
+    printed line is consistent with the others at the precision shown.
     """
     baseline = results.get("Cavendish 1798")
-    baseline_name = "-" if baseline is None else "Cavendish 1798"
-    baseline_fom = CAVENDISH_FOM if baseline is None else baseline.fom
+    conservative = best_record(catalog, results, "absolute-on-earth")
+    best = (conservative if which == "absolute-on-earth"
+            else best_record(catalog, results, which))
+
+    def entry(record):
+        return None if record is None else (results[record.name].fom, record.name)
+
+    return _bounds_summary(len(catalog), None if baseline is None else baseline.fom,
+                           entry(conservative), entry(best), constants, which)
+
+
+def _bounds_summary(
+    count: int,
+    baseline_fom: float | None,
+    conservative: tuple[float, str] | None,
+    best: tuple[float, str] | None,
+    constants: Constants,
+    which: RecordFilter,
+) -> str:
+    """emit_bounds_summary's text, from the number of records, the FOM of
+    Cavendish 1798 (None without that record) and the (fom, name) of the
+    best record absolutely measured on Earth and of the best that passes
+    which (None when no record passes)."""
+    baseline_name = "-" if baseline_fom is None else "Cavendish 1798"
+    baseline_fom = float(format_sig(
+        CAVENDISH_FOM if baseline_fom is None else baseline_fom))
 
     lines = [
-        f"records: {len(catalog)}",
+        f"records: {count}",
         f"filter: {which}",
         f"baseline_record: {baseline_name}",
         f"baseline_fom: {format_sig(baseline_fom)}",
     ]
     # (label, table-precision fom) of each entry that has a record.
     entries = []
-    conservative = best_record(catalog, results, "absolute-on-earth")
-    best = (conservative if which == "absolute-on-earth"
-            else best_record(catalog, results, which))
-    for label, record in (("conservative", conservative), ("best", best)):
-        if record is None:
+    for label, entry in (("conservative", conservative), ("best", best)):
+        if entry is None:
             lines.append(f"{label}_record: -")
             continue
-        fom = float(format_sig(results[record.name].fom))
+        fom = float(format_sig(entry[0]))
         entries.append((label, fom))
         lines += [
-            f"{label}_record: {record.name}",
+            f"{label}_record: {entry[1]}",
             f"{label}_fom: {format_sig(fom)}",
             f"{label}_orders_vs_baseline: "
             f"{orders_of_improvement(fom, baseline_fom):.1f}",

@@ -27,7 +27,7 @@ from stfom import (
     embedded_catalog,
     serialize_records,
 )
-from stfom.cli import _build_parser, _load, _read_argv, _write_outputs, main
+from stfom.cli import _build_parser, _read_argv, _records, _write_outputs, main
 
 _TESTS = Path(__file__).resolve().parent
 
@@ -416,27 +416,29 @@ def test_a_records_file_loads_as_its_text_parses(head, body, tail, limit):
         if limit is not None:
             csv.field_size_limit(limit)
         try:
-            loaded = _load_or_error(lambda args: _load(args)[0], args)
+            loaded = _load_or_error(lambda args: Catalog(_records(args)), args)
             parsed = _load_or_error(stfom.parse_records, text)
         finally:
             csv.field_size_limit(_FIELD_LIMIT)
     assert loaded == parsed
 
 
-def _transient_memory(function):
-    """What function() returns, and the most memory it held at once beyond
-    what it returns, in bytes, as tracemalloc counts them."""
+def _memory(function):
+    """What function() returns, the most memory it held at once and what it
+    left held, both beyond what was held before it ran, in bytes, as
+    tracemalloc counts them."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
+        start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         value = function()
-        retained, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
             tracemalloc.stop()
-    return value, peak - retained
+    return value, peak - start, held - start
 
 
 def test_loading_holds_no_copy_of_the_records_file(tmp_path):
@@ -449,13 +451,13 @@ def test_loading_holds_no_copy_of_the_records_file(tmp_path):
     path = tmp_path / "records.csv"
     path.write_bytes(text.encode())
     args = SimpleNamespace(records=path, constants=None)
-    _load(args)  # fill the material cache first
-    parsed, parsing = _transient_memory(lambda: stfom.parse_records(text))
-    (loaded, _), loading = _transient_memory(lambda: _load(args))
+    tuple(_records(args))  # fill the material cache first
+    parsed, parse_peak, parse_held = _memory(lambda: stfom.parse_records(text))
+    loaded, load_peak, load_held = _memory(lambda: tuple(_records(args)))
     assert parsed == loaded == survey
     # Loading the file adds less than a quarter of the text's length to
     # what parse_records holds while it parses.
-    assert loading - parsing < len(text) / 4
+    assert (load_peak - load_held) - (parse_peak - parse_held) < len(text) / 4
 
 
 @pytest.mark.parametrize("records, constants", [
@@ -1250,3 +1252,188 @@ def test_what_validate_accepts_every_command_runs(tmp_path, monkeypatch, row,
     failed = [command for command in ("compute", "figure", "bounds")
               if _run([command, *inputs])[0] != 0]
     assert not accepted or not failed, failed
+
+
+# ------------------------------------------- the CLI route, the library route
+
+# Rows the random records files are made of: the embedded and thermal
+# records, a row whose nucleus count overflows, and rows that do not parse.
+_ROUTE_RECORDS = (*embedded_catalog(),
+                  *stfom.parse_records(_read(_THERMAL_RECORDS)))
+_RANGE_ROW = _OUT_OF_RANGE_ROWS["overflow"][0]
+_BAD_ROWS = ("Probe,2021,src,squishy,Si3N4,1e-9,,,1e-15,,,,absolute,earth,false,",
+             "x,2021")
+
+
+def _record_line(record):
+    return serialize_records((record,))[len(CSV_HEADER) + 1:]
+
+
+@st.composite
+def _route_files(draw):
+    """The bytes of a records file: records and renamed copies of them
+    (their FOMs tie), then perhaps a repeated name, a row that does not
+    parse or a row that cannot be evaluated, each in a random place, and
+    perhaps a byte that is not UTF-8 at the end."""
+    shown = []
+    for i in range(draw(st.integers(0, 8))):
+        if shown and draw(st.booleans()):
+            copy = draw(st.sampled_from(shown))
+            shown.append(copy._replace(name=f"{copy.name} #{i}"))
+        else:
+            shown.append(draw(st.sampled_from(_ROUTE_RECORDS)))
+    lines = [_record_line(record) for record in shown]
+    for i, problem in enumerate(draw(st.lists(
+            st.sampled_from(("again", "bad", "range")), max_size=2))):
+        if problem == "range":
+            line = _RANGE_ROW.replace("Huge", f"Huge {i}", 1) + "\n"
+        elif problem == "bad":
+            line = draw(st.sampled_from(_BAD_ROWS)) + "\n"
+        else:  # a name already taken
+            line = draw(st.sampled_from(lines)) if lines else ""
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    tail = draw(st.sampled_from((b"", b"\xff\n")))
+    return (CSV_HEADER + "\n" + "".join(lines)).encode() + tail
+
+
+def _library_route(command, records, constants_text, which, k, out):
+    """The exit code, stdout, stderr and output files of a command, built
+    from parse_records, evaluate_catalog, rank and the emit_* functions."""
+    decoding = _whole_file_decoding(records)
+    if decoding is not None:
+        return 1, "", decoding, {}
+    text = records.read_bytes().decode("utf-8-sig")
+    warnings = ""
+    try:
+        catalog = stfom.parse_records(text)
+        constants = (Constants() if constants_text is None
+                     else stfom.load_constants(constants_text))
+        if command == "validate":
+            return 0, f"ok: {len(catalog)} records\n", "", {}
+        results = stfom.evaluate_catalog(catalog, constants)
+        warnings = "".join(f"warning: {warning}\n" for result in results.values()
+                           for warning in result.warnings)
+        ranked = stfom.rank(catalog, results, which)
+        if command == "figure":
+            points = stfom.build_figure_points(ranked, results, k)
+            svg, dat = stfom.emit_figure(points)
+            return 0, (f"wrote figure.svg and figure.dat ({len(points)} points) "
+                       f"to {out}\n"), warnings, {"figure.svg": svg, "figure.dat": dat}
+        summary = stfom.emit_bounds_summary(catalog, results, constants, which)
+        if command == "bounds":
+            return 0, summary, warnings, {}
+        table = stfom.emit_table(ranked, results)
+        return (0, f"wrote table.csv ({len(ranked)} rows) and bounds.txt to {out}\n",
+                warnings, {"table.csv": table, "bounds.txt": summary})
+    except stfom.CatalogError as exc:
+        return 1, "", "".join(f"{d}\n" for d in exc.diagnostics), {}
+    except stfom.StfomError as exc:
+        return 1, "", f"{warnings}error: {exc}\n", {}
+
+
+_LINES = {record.name: _record_line(record) for record in _ROUTE_RECORDS}
+_ASENBAUM, _CAVENDISH = _LINES["Asenbaum '17"], _LINES["Cavendish 1798"]
+_TIED = _ASENBAUM.replace("Asenbaum '17", "Asenbaum #1")
+_HUGE = _RANGE_ROW + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_route_files(), st.sampled_from((None, "G 1e200\n")), st.integers(1, 4))
+# Tied FOMs, with and without the baseline record; the worse category first.
+@example(f"{CSV_HEADER}\n{_CAVENDISH}{_ASENBAUM}{_TIED}".encode(), None, 1)
+@example(f"{CSV_HEADER}\n{_TIED}{_ASENBAUM}".encode(), None, 1)
+# Bad rows after good ones; a duplicate name.
+@example(f"{CSV_HEADER}\n{_CAVENDISH}{_BAD_ROWS[0]}\n{_ASENBAUM}{_ASENBAUM}"
+         .encode(), None, 3)
+# A row that cannot be evaluated: after a record that warns, before a row
+# that does not parse, and before a byte that is not UTF-8.
+@example(f"{CSV_HEADER}\n{_LINES['Cold Beam']}{_HUGE}".encode(), None, 3)
+@example(f"{CSV_HEADER}\n{_ASENBAUM}{_HUGE}{_BAD_ROWS[1]}\n".encode(), None, 3)
+@example(f"{CSV_HEADER}\n{_HUGE}{_ASENBAUM}".encode() + b"\xff\n", None, 3)
+# No record is absolutely measured on Earth.
+@example(f"{CSV_HEADER}\n{_ASENBAUM}".encode(), "G 1e200\n", 2)
+def test_each_command_gives_what_the_library_gives(data, constants, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        records = tmp / "records.csv"
+        records.write_bytes(data)
+        inputs = ["--records", str(records)]
+        if constants is not None:
+            (tmp / "constants.txt").write_text(constants, encoding="utf-8")
+            inputs += ["--constants", str(tmp / "constants.txt")]
+        for which in ("all", "absolute-on-earth"):
+            for command in RECORD_COMMANDS:
+                out = tmp / f"{command}-{which}"
+                argv = [command, *inputs]
+                if command != "validate":
+                    argv += ["--filter", which]
+                if command in ("compute", "figure"):
+                    argv += ["--out", str(out)]
+                if command == "figure":
+                    argv += ["--k", str(k)]
+                code, stdout, stderr, files = _library_route(
+                    command, records, constants, which, k, out)
+                assert _run(argv) == (code, stdout, stderr), argv
+                written = ({path.name: path.read_bytes() for path in out.iterdir()}
+                           if out.exists() else {})
+                assert written == {name: text.encode()
+                                   for name, text in files.items()}, argv
+
+
+def _sweep_like(rows):
+    """A records file of rows whose masses, materials and densities all
+    differ, with thermal inputs, as a parameter sweep writes them; one row
+    in ten quotes a force noise below its thermal floor, which warns."""
+    lines = [CSV_HEADER]
+    for i in range(rows):
+        fraction = (i + 1) / (rows + 1)
+        mass, f0, temp, quality = (10.0 ** (-20 + i % 997 / 50), 10.0 ** (1 + i % 89 / 18),
+                                   0.01 + i % 307, 10.0 ** (2 + i % 61 / 10))
+        floor = math.sqrt(4 * 1.380649e-23 * temp * mass * 2 * math.pi * f0 / quality)
+        lines.append(
+            f"sweep {i:05d},{1990 + i % 36},Sweep et al. ({1990 + i % 36}),"
+            f"{CATEGORIES[i % len(CATEGORIES)]},"
+            f"{fraction!r}*SiO2+{1.0 - fraction!r}*B2O3,{mass!r},,{f0!r},"
+            f"{floor * (0.5 if i % 10 == 3 else 3.0 + i % 7)!r},,{temp!r},{quality!r},"
+            f"{'differential' if i % 10 == 0 else 'absolute'},"
+            f"{'space' if i % 20 == 1 else 'earth'},false,")
+    return "".join(f"{line}\n" for line in lines)
+
+
+def test_record_commands_hold_no_catalog(tmp_path, monkeypatch):
+    text = _sweep_like(2000)
+    records = tmp_path / "records.csv"
+    records.write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    stfom.parse_material.cache_clear()
+    stfom.parse_formula.cache_clear()
+
+    def library_route():
+        catalog = stfom.parse_records(text)
+        return catalog, stfom.evaluate_catalog(catalog)
+
+    # What the library route keeps alive: the catalog and its results.
+    (catalog, results), _, library = _memory(library_route)
+    table = stfom.emit_table(stfom.rank(catalog, results), results)
+    del catalog, results
+    # Every name is held until the last row is checked for a duplicate.
+    name_list = [f"sweep {i:05d}" for i in range(2000)]
+    names = sys.getsizeof(dict.fromkeys(name_list)) + sum(map(sys.getsizeof, name_list))
+    # Parsing interns each reference cell.  Before Python 3.12 an interned
+    # string leaves the interpreter's table when it dies and is added again
+    # by the next row that quotes it, which can grow the table in the
+    # middle of a command; held here, they leave only what a command keeps.
+    references = [sys.intern(f"Sweep et al. ({year})") for year in range(1990, 2026)]
+    # validate, bounds and figure keep a few records at most; compute keeps
+    # each shown row's line of table.csv and its sort key.
+    for command, bound in (("validate", library / 4), ("bounds", library / 4),
+                           ("figure", library / 4),
+                           ("compute", library / 4 + len(table) + names)):
+        stfom.parse_material.cache_clear()
+        stfom.parse_formula.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            _, peak, _ = _memory(lambda: main([command, "--records", str(records)]))
+        assert err.getvalue().count("warning: ") == (command != "validate") * 200
+        assert peak < bound, (command, peak, bound)
+    del references

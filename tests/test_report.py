@@ -614,6 +614,26 @@ def test_summary_baseline_only_catalog(catalog):
     assert entries["conservative_orders_vs_baseline"] == "0.0"
 
 
+def test_orders_vs_baseline_agree_with_the_printed_foms():
+    # The baseline FOM 2.81838e14 prints as 2.82e14, and log10(2.82e14 / 1)
+    # rounds to 14.5; from the unrounded FOM it rounds to 14.4.
+    def record(name, n_override, sqrt_sa):
+        return ExperimentRecord(
+            name=name, year=2021, reference="synthetic", category="massive",
+            material=parse_material("Pb"), mass_kg=1.0, n_override=n_override,
+            sqrt_sa=sqrt_sa,
+        )
+
+    catalog = Catalog((record("Cavendish 1798", 1e26, math.sqrt(2.81838e14 / 1e26)),
+                       record("Best", 1.0, 1.0)))
+    entries = _summary_map(emit_bounds_summary(catalog, evaluate_catalog(catalog)))
+    assert (entries["baseline_fom"], entries["best_fom"]) == ("2.82e14", "1.00e0")
+    for label in ("conservative", "best"):
+        printed = math.log10(float(entries["baseline_fom"])
+                             / float(entries[f"{label}_fom"]))
+        assert entries[f"{label}_orders_vs_baseline"] == f"{printed:.1f}" == "14.5"
+
+
 def test_summary_without_any_absolute_earth_record(catalog):
     differential = Catalog(tuple(
         r for r in catalog if r.mode == "differential"))
