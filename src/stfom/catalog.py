@@ -263,13 +263,15 @@ def _checked_records(text: str | Iterable[str]) -> Iterator[ExperimentRecord]:
     reads only the lines that quote a cell, hold a "\\r" or "\\0", are
     blank, overlong or last without a "\\n", so every line reads as
     csv.reader reads it.  Names are tracked in a dict that keeps only its
-    keys, and equal year cells share one int.
+    keys; equal year cells share one int, and equal reference, category,
+    mode and location cells one string.
     """
     reader = _rows(text)
     problems: list[Diagnostic] = []
     # Each name read, a name claimed by a row with problems included.
     names: dict[str, None] = {}
     years: dict[str, int] = {}
+    texts: dict[str, str] = {}
     row_number = -1  # the last row read; the header is row 0
     try:
         header = next(reader, None)
@@ -280,7 +282,7 @@ def _checked_records(text: str | Iterable[str]) -> Iterator[ExperimentRecord]:
                            f"header must be exactly {CSV_HEADER!r}"),
             ))
         for row_number, cells in enumerate(reader, start=1):
-            record = _parse_row(row_number, cells, names, years, problems)
+            record = _parse_row(row_number, cells, names, years, texts, problems)
             if not problems:
                 yield record
     except csv.Error as exc:
@@ -302,7 +304,7 @@ def _checked_records(text: str | Iterable[str]) -> Iterator[ExperimentRecord]:
 
 
 def _parse_row(row: int, cells: list[str], names: dict[str, None],
-               years: dict[str, int],
+               years: dict[str, int], texts: dict[str, str],
                problems: list[Diagnostic]) -> ExperimentRecord | None:
     """One data row's record, its name added to names; or None, with its
     problems added to problems."""
@@ -316,16 +318,20 @@ def _parse_row(row: int, cells: list[str], names: dict[str, None],
      quality_text, mode, location, secondhand_text, notes) = cells
     # Every cell is converted once; the vocabulary cells, the per-source
     # reference and the year repeat across rows, so equal cells share one
-    # string or int.  A row whose cells do not all convert, whose name is
-    # taken or whose fields fail their check is walked again, cell by
-    # cell, to name every problem.
-    intern = sys.intern
+    # string or int through the parse's own dicts.  Not sys.intern: an
+    # interned string leaves the interpreter's table when it dies (except
+    # on Python 3.12), so a command that drops each record would add the
+    # cells to the table again row after row, and can grow it for good.
+    # A row whose cells do not all convert, whose name is taken or whose
+    # fields fail their check is walked again, cell by cell, to name every
+    # problem.
+    share = texts.setdefault
     try:
         year = years.get(year_text)
         if year is None:
             year = years[year_text] = int(year_text)
         fields = (
-            name, year, intern(reference), intern(category),
+            name, year, share(reference, reference), share(category, category),
             parse_material(material_text), float(mass_text),
             float(n_override_text) if n_override_text else None,
             float(f0_text) if f0_text else None,
@@ -333,7 +339,8 @@ def _parse_row(row: int, cells: list[str], names: dict[str, None],
             float(sqrt_sa_text) if sqrt_sa_text else None,
             float(temp_text) if temp_text else None,
             float(quality_text) if quality_text else None,
-            intern(mode), intern(location), _FLAGS[secondhand_text], notes,
+            share(mode, mode), share(location, location), _FLAGS[secondhand_text],
+            notes,
         )
     except (ValueError, KeyError, FormulaError):
         pass

@@ -24,6 +24,7 @@ argparse's own.
 from __future__ import annotations
 
 import os
+import struct
 import sys
 from bisect import insort
 from pathlib import Path
@@ -56,6 +57,7 @@ from .report import (
 )
 
 _BOM = b"\xef\xbb\xbf"
+_pack_fom = struct.Struct(">d").pack
 
 
 def _decoded_lines(fh, path: Path) -> Iterator[str]:
@@ -234,23 +236,31 @@ class _Tally:
 def cmd_compute(args) -> str:
     tally = _Tally()
     every = args.filter == "all"
-    rows: list[tuple[float, str, str]] = []  # (fom, name, line) of each shown
+    # Each shown row as one bytes object: its FOM as a big-endian double,
+    # then its name, a NUL and its line of table.csv in UTF-8.
+    rows: list[bytes] = []
 
     def keep(record, result):
         tally.add(record, result)
         if every or _on_earth(record):
-            rows.append((result.fom, record.name, _table_row(record, result)))
+            rows.append(_pack_fom(result.fom) + f"{record.name}\0"
+                        f"{_table_row(record, result)}".encode())
 
     constants = _evaluate(args, keep)
     # The summary can refuse the constants, so it is built before any file
-    # is opened.  Names are unique, so no two rows compare their lines.
+    # is opened.
     bounds_text = tally.summary(constants, args.filter)
+    # Sorting the bytes sorts the rows by (fom, name), as rank does:
+    # evaluate_record makes every FOM a finite double > 0, and those order
+    # as their big-endian bytes; a name holds no NUL (_is_xml_text refuses
+    # it) and UTF-8 keeps code-point order, so a name sorts before every
+    # longer name it begins; and names are unique, so no line is compared.
     rows.sort()
 
     def write_table(fh):
         fh.write(_TABLE_HEADER_LINE)
-        for _, _, line in rows:
-            fh.write(line)
+        for row in rows:
+            fh.write(row[row.index(0, 8) + 1:].decode())
 
     _write_outputs(args.out, {"table.csv": write_table, "bounds.txt": bounds_text})
     return f"wrote table.csv ({len(rows)} rows) and bounds.txt to {args.out}\n"
