@@ -441,14 +441,6 @@ def _on_earth(record: ExperimentRecord) -> bool:
     return record.mode == "absolute" and record.location == "earth"
 
 
-def _filtered(catalog: Catalog, which: RecordFilter) -> list[ExperimentRecord]:
-    if which == "all":
-        return list(catalog)
-    if which == "absolute-on-earth":
-        return [r for r in catalog if _on_earth(r)]
-    raise FilterError(f"unknown filter {which!r}")
-
-
 _NAME = attrgetter("name")
 
 
@@ -463,21 +455,15 @@ def rank(
     the records are sorted by name, then stably by figure of merit, which
     builds no key tuple per record.
     """
-    records = _filtered(catalog, which)
+    if which == "all":
+        records = list(catalog)
+    elif which == "absolute-on-earth":
+        records = [r for r in catalog if _on_earth(r)]
+    else:
+        raise FilterError(f"unknown filter {which!r}")
     records.sort(key=_NAME)
     records.sort(key=lambda r: results[r.name].fom)
     return records
-
-
-def best_record(
-    catalog: Catalog,
-    results: Mapping[str, FomResult],
-    which: RecordFilter = "all",
-) -> ExperimentRecord | None:
-    """The first record of rank(catalog, results, which), found without
-    sorting; None when no record passes the filter."""
-    return min(_filtered(catalog, which),
-               key=lambda r: (results[r.name].fom, r.name), default=None)
 
 
 def select_for_figure(

@@ -47,7 +47,7 @@ from .formula import molar_mass, nuclei_per_formula, parse_formula
 from .quantities import _DEFAULT_CONSTANTS, Constants, load_constants
 from .report import (
     _TABLE_HEADER_LINE,
-    _bounds_summary,
+    _Tally,
     _table_row,
     build_figure_points,
     emit_bounds_summary,
@@ -202,35 +202,6 @@ def _evaluate(args, keep: Callable[[ExperimentRecord, FomResult], object]) -> Co
     # One write: on an unbuffered stderr each print is two syscalls.
     _write("stderr", "".join([f"warning: {warning}\n" for warning in warnings]))
     return constants
-
-
-class _Tally:
-    """What the bounds summary reads of the records: how many there are,
-    the FOM of Cavendish 1798, and the least (fom, name) of all records
-    and of those measured absolutely on Earth."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.baseline: float | None = None
-        self.best: tuple[float, str] | None = None
-        self.best_on_earth: tuple[float, str] | None = None
-
-    def add(self, record: ExperimentRecord, result: FomResult) -> None:
-        self.count += 1
-        entry = (result.fom, record.name)
-        if self.best is None or entry < self.best:
-            self.best = entry
-        if _on_earth(record) and (self.best_on_earth is None
-                                  or entry < self.best_on_earth):
-            self.best_on_earth = entry
-        if record.name == "Cavendish 1798":
-            self.baseline = result.fom
-
-    def summary(self, constants: Constants, which: RecordFilter) -> str:
-        return _bounds_summary(
-            self.count, self.baseline, self.best_on_earth,
-            self.best_on_earth if which == "absolute-on-earth" else self.best,
-            constants, which)
 
 
 def cmd_compute(args) -> str:

@@ -7,8 +7,9 @@ same result.  Both spell exponents through one helper.  The formatter is
 idempotent: parsing an emitted cell and reformatting it reproduces the
 identical string.  emit_table and the command line form each row of
 table.csv through one private formatter, and emit_bounds_summary and the
-command line build the summary through one private core.  Everything
-here is deterministic, so identical inputs yield byte-identical outputs.
+command line fold their records through one private tally, whose summary
+is the bounds text.  Everything here is deterministic, so identical
+inputs yield byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from .catalog import (
     ExperimentRecord,
     RecordFilter,
     _csv_cell,
-    best_record,
+    _on_earth,
     select_for_figure,
 )
+from .errors import FilterError
 from .fom import FomResult
 from .formula import _WHITESPACE_RE, format_material
 from .quantities import _DEFAULT_CONSTANTS, Constants
@@ -353,71 +355,85 @@ def emit_bounds_summary(
     The conservative entries always come from the best absolute
     measurement on Earth; the best entries honour the requested filter.
     When no record passes, the entry's record line reads '-' and its other
-    lines are left out.  The baseline and every bound are computed from
+    lines are left out.  The baseline is the catalog's own Cavendish 1798
+    record ('-' without one), and results is read only for the catalog's
+    records, each once.  The baseline and every bound are computed from
     the table-precision (3 significant figure) figures of merit, so every
     printed line is consistent with the others at the precision shown.
     """
-    baseline = results.get("Cavendish 1798")
-    conservative = best_record(catalog, results, "absolute-on-earth")
-    best = (conservative if which == "absolute-on-earth"
-            else best_record(catalog, results, which))
-
-    def entry(record):
-        return None if record is None else (results[record.name].fom, record.name)
-
-    return _bounds_summary(len(catalog), None if baseline is None else baseline.fom,
-                           entry(conservative), entry(best), constants, which)
+    tally = _Tally()
+    for record in catalog:
+        tally.add(record, results[record.name])
+    return tally.summary(constants, which)
 
 
-def _bounds_summary(
-    count: int,
-    baseline_fom: float | None,
-    conservative: tuple[float, str] | None,
-    best: tuple[float, str] | None,
-    constants: Constants,
-    which: RecordFilter,
-) -> str:
-    """emit_bounds_summary's text, from the number of records, the FOM of
-    Cavendish 1798 (None without that record) and the (fom, name) of the
-    best record absolutely measured on Earth and of the best that passes
-    which (None when no record passes)."""
-    baseline_name = "-" if baseline_fom is None else "Cavendish 1798"
-    baseline_fom = float(format_sig(
-        CAVENDISH_FOM if baseline_fom is None else baseline_fom))
+class _Tally:
+    """What the bounds summary reads of the records: how many there are,
+    the FOM of Cavendish 1798 and the least (fom, name) of all records and
+    of those measured absolutely on Earth."""
 
-    lines = [
-        f"records: {count}",
-        f"filter: {which}",
-        f"baseline_record: {baseline_name}",
-        f"baseline_fom: {format_sig(baseline_fom)}",
-    ]
-    # (label, table-precision fom) of each entry that has a record.
-    entries = []
-    for label, entry in (("conservative", conservative), ("best", best)):
-        if entry is None:
-            lines.append(f"{label}_record: -")
-            continue
-        fom = float(format_sig(entry[0]))
-        entries.append((label, fom))
-        lines += [
-            f"{label}_record: {entry[1]}",
-            f"{label}_fom: {format_sig(fom)}",
-            f"{label}_orders_vs_baseline: "
-            f"{orders_of_improvement(fom, baseline_fom):.1f}",
+    def __init__(self) -> None:
+        self.count = 0
+        self.baseline: float | None = None
+        self.best: tuple[float, str] | None = None
+        self.best_on_earth: tuple[float, str] | None = None
+
+    def add(self, record: ExperimentRecord, result: FomResult) -> None:
+        self.count += 1
+        entry = (result.fom, record.name)
+        if self.best is None or entry < self.best:
+            self.best = entry
+        if _on_earth(record) and (self.best_on_earth is None
+                                  or entry < self.best_on_earth):
+            self.best_on_earth = entry
+        if record.name == "Cavendish 1798":
+            self.baseline = result.fom
+
+    def summary(self, constants: Constants, which: RecordFilter) -> str:
+        """emit_bounds_summary's text for the records added so far."""
+        if which == "all":
+            best = self.best
+        elif which == "absolute-on-earth":
+            best = self.best_on_earth
+        else:
+            raise FilterError(f"unknown filter {which!r}")
+        baseline_name = "-" if self.baseline is None else "Cavendish 1798"
+        baseline_fom = float(format_sig(
+            CAVENDISH_FOM if self.baseline is None else self.baseline))
+
+        lines = [
+            f"records: {self.count}",
+            f"filter: {which}",
+            f"baseline_record: {baseline_name}",
+            f"baseline_fom: {format_sig(baseline_fom)}",
         ]
-
-    for model in ModelId:
-        anchor = DEFAULT_ANCHORS[model]
-        key = model.value
-        lines.append(f"{key}.lower_bound: {format_sig(anchor.lower_bound)}")
-        for label, fom in entries:
-            bound = anchored_bound(fom, anchor)
+        # (label, table-precision fom) of each entry that has a record.
+        entries = []
+        for label, entry in (("conservative", self.best_on_earth), ("best", best)):
+            if entry is None:
+                lines.append(f"{label}_record: -")
+                continue
+            fom = float(format_sig(entry[0]))
+            entries.append((label, fom))
             lines += [
-                f"{key}.{label}_bound: {format_sig(bound)}",
-                f"{key}.{label}_si_bound: "
-                f"{format_sig(si_bound(model, fom, constants))}",
+                f"{label}_record: {entry[1]}",
+                f"{label}_fom: {format_sig(fom)}",
+                f"{label}_orders_vs_baseline: "
+                f"{orders_of_improvement(fom, baseline_fom):.1f}",
             ]
-            if label == "best":
-                lines.append(f"{key}.best_below_lower_bound: "
-                             f"{'true' if bound < anchor.lower_bound else 'false'}")
-    return "\n".join(lines) + "\n"
+
+        for model in ModelId:
+            anchor = DEFAULT_ANCHORS[model]
+            key = model.value
+            lines.append(f"{key}.lower_bound: {format_sig(anchor.lower_bound)}")
+            for label, fom in entries:
+                bound = anchored_bound(fom, anchor)
+                lines += [
+                    f"{key}.{label}_bound: {format_sig(bound)}",
+                    f"{key}.{label}_si_bound: "
+                    f"{format_sig(si_bound(model, fom, constants))}",
+                ]
+                if label == "best":
+                    lines.append(f"{key}.best_below_lower_bound: "
+                                 f"{'true' if bound < anchor.lower_bound else 'false'}")
+        return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ from stfom import (
     StfomError,
     embedded_catalog,
     embedded_reference_values,
+    emit_bounds_summary,
     emit_table,
     evaluate_catalog,
     format_material,
@@ -32,7 +33,7 @@ from stfom import (
     select_for_figure,
     serialize_records,
 )
-from stfom.catalog import _is_xml_text, _lines, _rows, best_record
+from stfom.catalog import _is_xml_text, _lines, _rows
 from stfom.errors import _PRINT_MAX
 from stfom.report import TABLE_HEADER
 
@@ -548,21 +549,12 @@ def test_filter_and_selection_errors_are_stfom_errors(catalog, results, ranked):
     with pytest.raises(FilterError) as err:
         rank(catalog, results, "best-only")
     assert isinstance(err.value, StfomError)
-    with pytest.raises(StfomError):
-        best_record(catalog, results, "best-only")
+    with pytest.raises(FilterError) as err:
+        emit_bounds_summary(catalog, results, which="best-only")
+    assert str(err.value) == "unknown filter 'best-only'"
     with pytest.raises(FilterError) as err:
         select_for_figure(ranked, k=0)
     assert isinstance(err.value, StfomError)
-
-
-@pytest.mark.parametrize("which", ["all", "absolute-on-earth"])
-def test_best_record_is_the_first_ranked(catalog, results, which):
-    assert best_record(catalog, results, which) is rank(catalog, results, which)[0]
-
-
-def test_best_record_of_an_empty_selection_is_none(catalog, results):
-    differential = Catalog(tuple(r for r in catalog if r.mode == "differential"))
-    assert best_record(differential, results, "absolute-on-earth") is None
 
 
 # ------------------------------------------------------------ streaming parse

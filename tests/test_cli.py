@@ -1,5 +1,6 @@
 import csv
 import errno
+import importlib
 import importlib.util
 import io
 import math
@@ -133,6 +134,21 @@ def test_bounds_honours_filter(capsys):
     entries = _summary_map(capsys.readouterr().out)
     assert entries["filter"] == "absolute-on-earth"
     assert entries["best_record"] == "Gisler '22"
+
+
+@pytest.mark.parametrize("which", ["all", "absolute-on-earth"])
+def test_bounds_summary_reads_the_baseline_of_its_own_catalog(tmp_path, capsys, which):
+    # Results for all 46 records, a catalog of the 45 without Cavendish 1798:
+    # the library and the command line both print no baseline record.
+    full = embedded_catalog()
+    catalog = Catalog(tuple(r for r in full if r.name != "Cavendish 1798"))
+    summary = stfom.emit_bounds_summary(catalog, stfom.evaluate_catalog(full),
+                                        which=which)
+    assert _summary_map(summary)["baseline_record"] == "-"
+    records = tmp_path / "records.csv"
+    records.write_text(serialize_records(catalog), encoding="utf-8")
+    assert main(["bounds", "--records", str(records), "--filter", which]) == 0
+    assert capsys.readouterr() == (summary, "")
 
 
 def test_records_file_roundtrips_through_cli(tmp_path, capsys):
@@ -1114,6 +1130,22 @@ def test_the_benchmark_command_lines_are_read_without_argparse(tmp_path, monkeyp
             read = _read_argv(argv)
             assert read is not None, argv
             assert vars(read) == _parse_args(argv)
+
+
+def test_every_name_the_bench_tracer_wraps_resolves():
+    # bench/tracing.py imports only the standard library; loading it runs
+    # no stfom code and writes nothing.
+    spec = importlib.util.spec_from_file_location(
+        "stfom_bench_tracing", _TESTS.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPPED
+    for module, attribute, _ in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attribute)), (
+            module, attribute)
+    # bench/run.py's direct_timings calls these two through stfom.cli.
+    assert callable(stfom.cli.parse_records)
+    assert callable(stfom.cli.load_constants)
 
 
 # ------------------------------------------------ the CLI contract, fuzzed

@@ -3,6 +3,8 @@ import io
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -15,6 +17,7 @@ from stfom import (
     FigurePoint,
     FomResult,
     build_figure_points,
+    embedded_catalog,
     emit_bounds_summary,
     emit_figure,
     emit_table,
@@ -24,7 +27,6 @@ from stfom import (
     rank,
     select_for_figure,
 )
-from stfom.catalog import best_record
 from stfom.errors import _PRINT_MAX
 from stfom.report import TABLE_HEADER
 
@@ -668,17 +670,54 @@ def test_table_keeps_both_spellings_of_zero_noise():
     assert rows["Minus"][6:8] == ["-0.00e0", "-0.00e0"]
 
 
+_EMBEDDED = embedded_catalog()
+_EMBEDDED_RESULTS = evaluate_catalog(_EMBEDDED)
 
-@pytest.mark.parametrize("which, calls", [("absolute-on-earth", 1), ("all", 2)])
-def test_bounds_summary_finds_each_best_record_once(monkeypatch, catalog,
-                                                    results, which, calls):
-    expected = emit_bounds_summary(catalog, results, which=which)
-    seen = []
 
-    def counted(*args):
-        seen.append(args[2])
-        return best_record(*args)
+@st.composite
+def _summarised_catalogs(draw):
+    """A catalog and its results: some of the embedded records in any
+    order, with the results of all 46, or a catalog whose FOMs tie."""
+    if draw(st.booleans()):
+        return draw(_tied_catalogs())
+    picked = draw(st.lists(st.sampled_from(_EMBEDDED), unique_by=lambda r: r.name))
+    return Catalog(tuple(picked)), _EMBEDDED_RESULTS
 
-    monkeypatch.setattr("stfom.report.best_record", counted)
-    assert emit_bounds_summary(catalog, results, which=which) == expected
-    assert len(seen) == calls
+
+@given(_summarised_catalogs())
+def test_bounds_summary_names_the_first_ranked_records(generated):
+    catalog, results = generated
+
+    def first(which):
+        ranked = rank(catalog, results, which)
+        return ranked[0].name if ranked else "-"
+
+    for which in ("all", "absolute-on-earth"):
+        entries = _summary_map(emit_bounds_summary(catalog, results, which=which))
+        assert entries["conservative_record"] == first("absolute-on-earth")
+        assert entries["best_record"] == first(which)
+
+
+class _CountedResults(Mapping):
+    def __init__(self, results):
+        self.results, self.reads = results, Counter()
+
+    def __getitem__(self, name):
+        self.reads[name] += 1
+        return self.results[name]
+
+    def __iter__(self):
+        return iter(self.results)
+
+    def __len__(self):
+        return len(self.results)
+
+
+@pytest.mark.parametrize("which", ["all", "absolute-on-earth"])
+def test_bounds_summary_reads_each_result_of_its_catalog_once(catalog, results, which):
+    # Results for all 46 records, a catalog of the 45 without Cavendish 1798.
+    without = Catalog(tuple(r for r in catalog if r.name != "Cavendish 1798"))
+    counted = _CountedResults(results)
+    expected = emit_bounds_summary(without, dict(results), which=which)
+    assert emit_bounds_summary(without, counted, which=which) == expected
+    assert counted.reads == Counter(r.name for r in without)
