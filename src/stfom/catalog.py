@@ -16,7 +16,7 @@ import math
 import sys
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import (
     _PRINT_MAX,
@@ -26,8 +26,10 @@ from .errors import (
     FormulaError,
     _Checked,
 )
-from .fom import FomResult
 from .formula import MaterialSpec, format_material, parse_material
+
+if TYPE_CHECKING:
+    from .fom import FomResult
 
 __all__ = [
     "ExperimentRecord", "Catalog", "QuotedValues", "CATEGORIES", "CSV_HEADER",

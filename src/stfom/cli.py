@@ -29,7 +29,8 @@ import sys
 from bisect import insort
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterator, NamedTuple, TextIO, get_args
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, get_args
 
 # bench/tracing.py wraps nine of these names on stfom.cli, used here or not.
 from .catalog import (
@@ -92,26 +93,26 @@ def _decoded_lines(fh, path: Path) -> Iterator[str]:
         yield text
 
 
-def _write_outputs(out: Path, files: dict[str, str | Callable[[TextIO], object]]) -> None:
+def _write_outputs(out: Path, files: dict[str, Iterable[bytes]]) -> None:
     """Write every file to a temporary file in out, then rename each into place.
 
-    A file's value is its text, or a function that writes the text into
-    the open temporary file, so a large file need not be held in memory.
-    The temporary names are unique to the call, so concurrent runs on one
-    --out never share one; those not yet renamed are removed on failure.
-    Their mode is 0o666 less the umask, as for an ordinary file (not 0o600).
+    A file's value is its bytes, as chunks each written as it is taken, so
+    a large file need not be held in memory as one object.  The files are
+    opened in binary, so every byte reaches the file as given: no "\n"
+    becomes os.linesep.  The temporary names are unique to the call, so
+    concurrent runs on one --out never share one; those not yet renamed
+    are removed on failure, also when taking a chunk fails.  Their mode is
+    0o666 less the umask, as for an ordinary file (not 0o600).
     """
     out.mkdir(parents=True, exist_ok=True)
     tag = f"{os.getpid()}.{os.urandom(6).hex()}"
     tmps = {name: out / f".{name}.{tag}.tmp" for name in files}
     try:
-        for name, content in files.items():
+        for name, chunks in files.items():
             fd = os.open(tmps[name], os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            with open(fd, "w", encoding="utf-8") as fh:
-                if isinstance(content, str):
-                    fh.write(content)
-                else:
-                    content(fh)
+            with open(fd, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
         for name in files:
             os.replace(tmps[name], out / name)
             del tmps[name]
@@ -227,13 +228,8 @@ def cmd_compute(args) -> str:
     # it) and UTF-8 keeps code-point order, so a name sorts before every
     # longer name it begins; and names are unique, so no line is compared.
     rows.sort()
-
-    def write_table(fh):
-        fh.write(_TABLE_HEADER_LINE)
-        for row in rows:
-            fh.write(row[row.index(0, 8) + 1:].decode())
-
-    _write_outputs(args.out, {"table.csv": write_table, "bounds.txt": bounds_text})
+    table = chain((_TABLE_HEADER_LINE.encode(),), (row[row.index(0, 8) + 1:] for row in rows))
+    _write_outputs(args.out, {"table.csv": table, "bounds.txt": (bounds_text.encode(),)})
     return f"wrote table.csv ({len(rows)} rows) and bounds.txt to {args.out}\n"
 
 
@@ -255,7 +251,8 @@ def cmd_figure(args) -> str:
     points = build_figure_points([entry[2] for entry in chosen],
                                  {entry[1]: entry[3] for entry in chosen}, k)
     svg_text, data_text = emit_figure(points)
-    _write_outputs(args.out, {"figure.svg": svg_text, "figure.dat": data_text})
+    _write_outputs(args.out, {"figure.svg": (svg_text.encode(),),
+                              "figure.dat": (data_text.encode(),)})
     return f"wrote figure.svg and figure.dat ({len(points)} points) to {args.out}\n"
 
 

@@ -14,9 +14,8 @@ inputs yield byte-identical outputs.
 
 from __future__ import annotations
 
-import io
 import math
-from typing import Iterable, Mapping, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .bounds import (
     CAVENDISH_FOM,
@@ -37,9 +36,11 @@ from .catalog import (
     select_for_figure,
 )
 from .errors import FilterError
-from .fom import FomResult
 from .formula import _WHITESPACE_RE, format_material
 from .quantities import _DEFAULT_CONSTANTS, Constants
+
+if TYPE_CHECKING:
+    from .fom import FomResult
 
 __all__ = [
     "FigurePoint", "format_sig", "emit_table", "build_figure_points",
@@ -79,22 +80,12 @@ _NUMBERS_NO_F0 = "%.2e,%.2e,,%.2e,%.2e,%.2e"
 def emit_table(
     ranked: Iterable[ExperimentRecord],
     results: Mapping[str, FomResult],
-    file: TextIO | None = None,
-) -> str | None:
-    """CSV of every record's inputs and derived values, one row per record
-    in the order given; pass rank()'s list for best FOM first.  A number
-    that is not finite raises ValueError, as format_sig() does.
-
-    Each row is written to file as it is formed, and None is returned;
-    without a file the text is returned.  After a ValueError the header
-    and the rows before the refused one may already be in file.
-    """
-    out = io.StringIO() if file is None else file
-    write = out.write
-    write(_TABLE_HEADER_LINE)
-    for record in ranked:
-        write(_table_row(record, results[record.name]))
-    return out.getvalue() if file is None else None
+) -> str:
+    """CSV text of every record's inputs and derived values, one row per
+    record in the order given; pass rank()'s list for best FOM first.  A
+    number that is not finite raises ValueError, as format_sig() does."""
+    return _TABLE_HEADER_LINE + "".join(
+        [_table_row(record, results[record.name]) for record in ranked])
 
 
 def _table_row(record: ExperimentRecord, result: FomResult) -> str:

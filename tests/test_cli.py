@@ -655,7 +655,7 @@ def test_a_failed_write_replaces_neither_output(tmp_path, monkeypatch):
 
 
 class _FillsUp:
-    """An open text file on a device that is full after its first room writes."""
+    """An open binary file on a device that is full after its first room writes."""
 
     def __init__(self, file, room):
         self._file, self._room, self.writes = file, room, 0
@@ -666,11 +666,11 @@ class _FillsUp:
     def __exit__(self, *exc_info):
         self._file.close()
 
-    def write(self, text):
+    def write(self, data):
         self.writes += 1
         if self.writes > self._room:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return self._file.write(text)
+        return self._file.write(data)
 
 
 def test_a_device_that_fills_partway_through_the_table_replaces_neither_output(
@@ -915,17 +915,17 @@ def test_warnings_with_a_closed_stderr_exit_2(tmp_path, capsys, monkeypatch):
 
 def test_concurrent_writers_never_share_a_temporary_file(tmp_path):
     target = tmp_path / "table.csv"
-    texts = [f"writer {i}\n" * 1000 for i in range(4)]
+    chunks = [[f"writer {i}\n".encode()] * 1000 for i in range(4)]
     errors = []
 
-    def write(text):
+    def write(parts):
         try:
             for _ in range(25):
-                _write_outputs(tmp_path, {"table.csv": text})
+                _write_outputs(tmp_path, {"table.csv": parts})
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
-    threads = [threading.Thread(target=write, args=(text,)) for text in texts]
+    threads = [threading.Thread(target=write, args=(c,)) for c in chunks]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -933,7 +933,25 @@ def test_concurrent_writers_never_share_a_temporary_file(tmp_path):
         assert not thread.is_alive()
     assert errors == []
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
-    assert target.read_text(encoding="utf-8") in texts
+    assert target.read_bytes() in [b"".join(c) for c in chunks]
+
+
+def test_written_chunks_reach_the_file_verbatim(tmp_path):
+    chunks = [b"a,b\r\n", b"", b"\n\r", "M\u00fcller \u2013 \r\n".encode(),
+              b"\xef\xbb\xbf"]
+    _write_outputs(tmp_path, {"table.csv": iter(chunks), "bounds.txt": (b"x\n",)})
+    assert (tmp_path / "table.csv").read_bytes() == b"".join(chunks)
+    assert (tmp_path / "bounds.txt").read_bytes() == b"x\n"
+
+
+def test_chunks_that_fail_partway_leave_no_file(tmp_path):
+    def chunks():
+        yield b"header\n"
+        raise ValueError("row refused")
+
+    with pytest.raises(ValueError, match="row refused"):
+        _write_outputs(tmp_path, {"bounds.txt": (b"x\n",), "table.csv": chunks()})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():
@@ -955,6 +973,13 @@ def test_import_leaves_network_and_mail_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == ""
+
+
+def test_catalog_and_report_name_fom_result_only_in_annotations():
+    # Both read FomResult only in annotations, so catalog needs no fom at
+    # run time.
+    assert not hasattr(stfom.catalog, "FomResult")
+    assert not hasattr(stfom.report, "FomResult")
 
 
 def test_plain_command_lines_leave_argparse_unloaded(tmp_path):
