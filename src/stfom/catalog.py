@@ -222,24 +222,37 @@ def _lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
-def _rows(text: str | Iterable[str]) -> Iterator[list[str]]:
-    """The rows that csv.reader yields from the lines of text, or from an
-    iterable of lines, and its csv.Error.
+_BOM = b"\xef\xbb\xbf"
 
-    A plain line, one that ends in "\\n", is no longer than the csv field
-    size limit and holds no '"', "\\r" or "\\0", is split at its commas.
-    The csv module reads every other line, with the lines that a quoted
-    cell spans, so it keeps its quoting, its "\\r\\n" ends, its errors, its
-    empty row for a blank line and its field size check.
+
+def _decoded_lines(lines: Iterable[bytes], path: object) -> Iterator[str]:
+    """The binary lines of the file at path, each decoded as UTF-8 as it is
+    read and kept with its "\\n".  A leading byte order mark is dropped,
+    and so is a file that is only part of one, as the utf-8-sig codec
+    drops them; a byte that is not UTF-8 is a BadEncoding diagnostic whose
+    offset, as that codec's, counts the bytes after the mark.
+
+    The bytes are counted here, not left to a text-mode file: reading lines
+    from one, a UnicodeDecodeError gives the position within the 8 KiB
+    chunk being decoded (3616 for a bad byte at offset 20000), and a pipe
+    cannot be read a second time to find the true offset.
     """
-    limit = csv.field_size_limit()
-    lines = _lines(text) if isinstance(text, str) else iter(text)
+    offset = 0
     for line in lines:
-        if (1 < len(line) <= limit and line[-1] == "\n" and '"' not in line
-                and "\r" not in line and "\0" not in line):
-            yield line[:-1].split(",")
-        else:
-            yield next(csv.reader(itertools.chain((line,), lines)))
+        if not offset and _BOM.startswith(line[:3]):  # only the first line has offset 0
+            line = line[3:]
+            if not line:  # the file is a mark, or part of one
+                return
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CatalogError((
+                Diagnostic(0, "file", "BadEncoding",
+                           f"{path} is not UTF-8 text: {exc.reason} "
+                           f"at byte offset {offset + exc.start}"),
+            )) from None
+        offset += len(line)
+        yield text
 
 
 def parse_records(text: str | Iterable[str]) -> Catalog:
@@ -247,28 +260,44 @@ def parse_records(text: str | Iterable[str]) -> Catalog:
     problem at once.
 
     The lines of an iterable must be split only at "\\n" and keep it, as
-    binary lines decoded one by one, or a file opened with newline="\\n",
-    yield them.  The catalog is built from _checked_records, the one
-    streaming pass the command line folds over too.
+    a file opened with newline="\\n" yields them.  The catalog is built
+    from _checked_records, the one reader the command line folds over too.
     """
     # Names were checked row by row, so the catalog skips its own check.
     return tuple.__new__(Catalog, _checked_records(text))
 
 
-def _checked_records(text: str | Iterable[str]) -> Iterator[ExperimentRecord]:
-    """Each record of CSV text, or of its lines, checked and yielded as its
-    row is read, until a row has a problem; after the last row the
-    CatalogError naming every problem is raised, if there was one.
+def _checked_records(source: str | Iterable[str] | Iterable[bytes],
+                     path: object = None) -> Iterator[ExperimentRecord]:
+    """Each record of a records source, checked and yielded as its row is
+    read, until a row has a problem; after the last row the CatalogError
+    naming every problem is raised, if there was one.
 
-    Rows are parsed as they are read, so no copy of the text and no list
-    of rows is held.  A plain line is split at its commas; the csv module
-    reads only the lines that quote a cell, hold a "\\r" or "\\0", are
-    blank, overlong or last without a "\\n", so every line reads as
-    csv.reader reads it.  Names are tracked in a dict that keeps only its
-    keys; equal year cells share one int, and equal reference, category,
-    mode and location cells one string.
+    The source is CSV text, an iterable of its lines, or, with the path of
+    the file, the binary lines of a file, which are decoded here.  Lines
+    are split only at "\\n", so a "\\r" inside a quoted cell reaches the
+    csv module unchanged.  A plain line, one that ends in "\\n", is no
+    longer than the csv field size limit and holds no '"', "\\r" or "\\0",
+    is split at its commas.  The csv module reads the header and every
+    other line, with the lines that a quoted cell spans, so every row reads
+    as csv.reader reads it: its quoting, its "\\r\\n" ends, its errors,
+    its empty row for a blank line and its field size check.
+
+    A bad header or a csv.Error stops the reading; the rest of a binary
+    source is still decoded before the CatalogError is raised, so a later
+    byte that is not UTF-8 is the one problem reported, as when the whole
+    file is decoded first.  No copy of the text and no list of rows is
+    held.  Names are tracked in a dict that keeps only its keys; equal year
+    cells share one int, and equal reference, category, mode and location
+    cells one string.
     """
-    reader = _rows(text)
+    if path is not None:
+        lines = _decoded_lines(source, path)
+    elif isinstance(source, str):
+        lines = _lines(source)
+    else:
+        lines = iter(source)
+    limit = csv.field_size_limit()
     problems: list[Diagnostic] = []
     # Each name read, a name claimed by a row with problems included.
     names: dict[str, None] = {}
@@ -276,17 +305,24 @@ def _checked_records(text: str | Iterable[str]) -> Iterator[ExperimentRecord]:
     texts: dict[str, str] = {}
     row_number = -1  # the last row read; the header is row 0
     try:
-        header = next(reader, None)
-        row_number = 0
-        if header != list(_CSV_COLUMNS):
-            raise CatalogError((
-                Diagnostic(0, "header", "BadHeader",
-                           f"header must be exactly {CSV_HEADER!r}"),
-            ))
-        for row_number, cells in enumerate(reader, start=1):
-            record = _parse_row(row_number, cells, names, years, texts, problems)
-            if not problems:
-                yield record
+        if next(csv.reader(lines), None) != list(_CSV_COLUMNS):
+            problems.append(Diagnostic(0, "header", "BadHeader",
+                                       f"header must be exactly {CSV_HEADER!r}"))
+        else:
+            row_number = 0
+            for line in lines:
+                if (1 < len(line) <= limit and line[-1] == "\n" and '"' not in line
+                        and "\r" not in line and "\0" not in line):
+                    cells = line[:-1].split(",")
+                else:
+                    cells = next(csv.reader(itertools.chain((line,), lines)))
+                row_number += 1
+                record = _parse_row(row_number, cells, names, years, texts, problems)
+                if not problems:
+                    yield record
+            if row_number == 0:
+                problems.append(Diagnostic(0, "file", "NoRecords",
+                                           "records file holds no records"))
     except csv.Error as exc:
         message = str(exc)
         # Lines are split only at "\n", so this is a bare "\r"; the csv
@@ -296,12 +332,10 @@ def _checked_records(text: str | Iterable[str]) -> Iterator[ExperimentRecord]:
             message = ("carriage return inside an unquoted cell; quote the "
                        "cell or end lines with \\n or \\r\\n")
         problems.append(Diagnostic(row_number + 1, "row", "BadCsv", message))
-        raise CatalogError(tuple(problems)) from None
-    if row_number == 0:
-        raise CatalogError((
-            Diagnostic(0, "file", "NoRecords", "records file holds no records"),
-        ))
     if problems:
+        if path is not None:
+            for _ in lines:
+                pass
         raise CatalogError(tuple(problems))
 
 

@@ -10,7 +10,9 @@ replaces none; a failed rename can leave an earlier one replaced.
 Each record command is one pass over the records, and no command holds
 the catalog or a result per record: validate parses and counts them, and
 _evaluate parses, checks and evaluates each in turn for the others,
-hands it to what the command keeps for its output, and drops it.
+hands it to what the command keeps for its output, and drops it.  This
+module only opens a records file: catalog._checked_records decodes,
+splits, parses and checks its binary lines in one loop.
 
 _COMMANDS and _ARGUMENTS state the grammar of the command line once.
 _build_parser builds the argparse parser from them, and _read_argv reads a
@@ -37,12 +39,13 @@ from .catalog import (
     ExperimentRecord,
     RecordFilter,
     _checked_records,
+    _decoded_lines,
     _on_earth,
     embedded_catalog,
     parse_records,
     rank,
 )
-from .errors import CatalogError, Diagnostic, OutOfRangeError, StfomError
+from .errors import CatalogError, OutOfRangeError, StfomError
 from .fom import FomResult, evaluate_catalog, evaluate_record
 from .formula import molar_mass, nuclei_per_formula, parse_formula
 from .quantities import _DEFAULT_CONSTANTS, Constants, load_constants
@@ -57,40 +60,7 @@ from .report import (
     format_sig,
 )
 
-_BOM = b"\xef\xbb\xbf"
 _pack_fom = struct.Struct(">d").pack
-
-
-def _decoded_lines(fh, path: Path) -> Iterator[str]:
-    """The lines of a file opened in binary, each decoded as UTF-8 as it is
-    read and kept with its "\\n".  Lines are split only at "\\n", as
-    catalog._lines splits text, so a "\\r" inside a quoted cell reaches
-    the parser unchanged.  A leading byte order mark is dropped, and so
-    is a file that is only part of one, as the utf-8-sig codec drops them;
-    a byte that is not UTF-8 is a BadEncoding diagnostic whose offset, as
-    that codec's, counts the bytes after the mark.
-
-    The bytes are counted here, not left to a text-mode file: reading lines
-    from one, a UnicodeDecodeError gives the position within the 8 KiB
-    chunk being decoded (3616 for a bad byte at offset 20000), and a pipe
-    cannot be read a second time to find the true offset.
-    """
-    offset = 0
-    for line in fh:
-        if not offset and _BOM.startswith(line[:3]):  # only the first line has offset 0
-            line = line[3:]
-            if not line:  # the file is a mark, or part of one
-                return
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CatalogError((
-                Diagnostic(0, "file", "BadEncoding",
-                           f"{path} is not UTF-8 text: {exc.reason} "
-                           f"at byte offset {offset + exc.start}"),
-            )) from None
-        offset += len(line)
-        yield text
 
 
 def _write_outputs(out: Path, files: dict[str, Iterable[bytes]]) -> None:
@@ -144,22 +114,14 @@ def _write(name: str, text: str) -> None:
 
 
 def _records(args) -> Iterator[ExperimentRecord]:
-    """Each record of the records file args names, its line read, decoded,
-    parsed and checked as it is asked for; or of the embedded catalog.  A
-    CatalogError that stops the parse before the last line is raised once
-    the rest is decoded, so a later byte that is not UTF-8 is reported
-    alone, as when the whole file is decoded first."""
+    """Each record of the records file args names, read, decoded, parsed
+    and checked by _checked_records as it is asked for; or of the embedded
+    catalog."""
     if args.records is None:
         yield from embedded_catalog()
         return
     with open(args.records, "rb") as fh:
-        lines = _decoded_lines(fh, args.records)
-        try:
-            yield from _checked_records(lines)
-        except CatalogError:
-            for _ in lines:
-                pass
-            raise
+        yield from _checked_records(fh, args.records)
 
 
 def _constants(args) -> Constants:

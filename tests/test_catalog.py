@@ -33,7 +33,7 @@ from stfom import (
     select_for_figure,
     serialize_records,
 )
-from stfom.catalog import _is_xml_text, _lines, _rows
+from stfom.catalog import _checked_records, _is_xml_text, _lines
 from stfom.errors import _PRINT_MAX
 from stfom.report import TABLE_HEADER
 
@@ -568,23 +568,27 @@ def test_lines_split_as_a_string_buffer_does(text):
     assert list(_lines(text)) == list(io.StringIO(text))
 
 
-def _read(rows):
-    """The rows an iterable yields, then the message of the csv.Error that
-    stops it, or None."""
-    read = []
-    try:
-        for row in rows:
-            read.append(row)
-    except csv.Error as exc:
-        return read, str(exc)
-    return read, None
-
-
 _FIELD_LIMIT = csv.field_size_limit()
+_LONGEST_COLUMN = max(len(column) for column in CSV_HEADER.split(","))
+
+
+def _read_as_csv(text):
+    """_reference_parse_records' outcome for text, which reads every row
+    through csv.reader, with its BadCsv message for a bare "\\r" in
+    stfom's wording."""
+    outcome = _outcome(_reference_parse_records, text)
+    if isinstance(outcome, str):
+        return outcome
+    return tuple(
+        d._replace(message="carriage return inside an unquoted cell; quote the "
+                           "cell or end lines with \\n or \\r\\n")
+        if d.code == "BadCsv" and d.message.startswith("new-line character seen")
+        else d for d in outcome)
 
 
 @settings(max_examples=500)
-@given(st.text(alphabet='a,"\r\n\0 é'), st.none() | st.integers(1, 6))
+@given(st.text(alphabet='a,"\r\n\0 é'),
+       st.none() | st.integers(_LONGEST_COLUMN, _LONGEST_COLUMN + 5))
 @example("a,b\n\nc\n", None)  # a blank line
 @example("a,b\nc,d", None)  # a last line with no "\n"
 @example("a,b\r\nc\r\n", None)
@@ -593,15 +597,20 @@ _FIELD_LIMIT = csv.field_size_limit()
 @example('a,"b\nc,\n\nd"\ne,f\ng\n', None)  # a quoted cell spans lines
 @example("a" * _FIELD_LIMIT + "\nb\n", None)
 @example("a" * (_FIELD_LIMIT + 1) + "\nb\n", None)
-@example("ab,abcd\nabcde\n", 4)
+# A line longer than the limit whose cells fit it, then a cell that does not.
+@example("ab," + "a" * _LONGEST_COLUMN + "\n" + "a" * (_LONGEST_COLUMN + 1) + "\n",
+         _LONGEST_COLUMN)
 def test_rows_read_as_the_csv_module_reads_them(text, limit):
-    # The same rows, then the same error, under the field size limit in effect.
-    if limit is None:
-        assert _read(_rows(text)) == _read(csv.reader(_lines(text)))
-        return
-    csv.field_size_limit(limit)
+    # The same catalog, or the same problems, under the field size limit in
+    # effect, from the text and from its UTF-8 bytes read as a file's lines.
+    text = CSV_HEADER + "\n" + text
+    if limit is not None:
+        csv.field_size_limit(limit)
     try:
-        assert _read(_rows(text)) == _read(csv.reader(_lines(text)))
+        expected = _read_as_csv(text)
+        assert _outcome(parse_records, text) == expected
+        assert _outcome(lambda text: Catalog(_checked_records(
+            io.BytesIO(text.encode()), "records.csv")), text) == expected
     finally:
         csv.field_size_limit(_FIELD_LIMIT)
 

@@ -761,10 +761,11 @@ _NEEDS_DEV_FD = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /
 
 
 @_NEEDS_DEV_FD
-def test_records_read_from_a_pipe_give_the_golden_outputs(tmp_path, capsys):
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+def test_records_read_from_a_pipe_give_the_golden_outputs(tmp_path, capsys, mark):
     golden = _TESTS / "golden" / "thermal-records"
     out = tmp_path / "out"
-    with _pipe(_THERMAL_RECORDS.read_bytes()) as path:
+    with _pipe(mark + _THERMAL_RECORDS.read_bytes()) as path:
         assert main(["compute", "--records", path, "--out", str(out)]) == 0
     assert capsys.readouterr().err == _read(golden / "compute.stderr")
     for name in ("table.csv", "bounds.txt"):
