@@ -102,7 +102,8 @@ def test_embedded_overrides(catalog):
 
 def test_embedded_reference_values_cover_all_records(catalog):
     quoted = embedded_reference_values()
-    assert set(quoted) == {r.name for r in catalog}
+    assert list(quoted) == [r.name for r in catalog]
+    assert all(type(value) is float for values in quoted.values() for value in values)
     assert quoted["Gisler '22"].fom == 2.98e-1
     assert quoted["Cavendish 1798"].n_nuclei == 1.0e26
 
@@ -592,6 +593,9 @@ def _read_as_csv(text):
 @example("a,b\n\nc\n", None)  # a blank line
 @example("a,b\nc,d", None)  # a last line with no "\n"
 @example("a,b\r\nc\r\n", None)
+@example("\r\n", None)  # a blank "\r\n" line
+@example("a,b\r\r\n", None)  # a "\r" before the "\r\n" end
+@example("a,b\r\nc", None)
 @example("a,b\rc\n", None)  # a bare "\r" inside a cell
 @example("a,\0b\n", None)
 @example('a,"b\nc,\n\nd"\ne,f\ng\n', None)  # a quoted cell spans lines
