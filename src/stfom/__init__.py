@@ -7,19 +7,58 @@ thermal noise floors, and maps the best figures of merit onto the
 dimensionless coupling bounds of two diffusion models.  It ships with a
 reference catalog of 46 published experiments and a CLI that regenerates
 the ranked table, the mass-versus-FOM figure, and the bounds summary.
+
+A public name loads its defining module on first use, so ``import stfom``
+loads none of them; ``stfom.catalog`` and the other modules load the same
+way.
 """
 
-from .bounds import *
-from .catalog import *
-from .errors import *
-from .fom import *
-from .formula import *
-from .quantities import *
-from .report import *
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *bounds.__all__, *catalog.__all__, *errors.__all__, *fom.__all__,
-    *formula.__all__, *quantities.__all__, *report.__all__,
-]
+# The public names by defining module: each tuple is that module's __all__.
+_EXPORTS = {
+    "bounds": (
+        "ModelId", "BoundAnchor", "DEFAULT_ANCHORS", "CAVENDISH_FOM",
+        "anchored_bound", "fom_threshold", "si_bound", "orders_of_improvement",
+    ),
+    "catalog": (
+        "ExperimentRecord", "Catalog", "CATEGORIES", "CSV_HEADER", "parse_records",
+        "embedded_catalog", "rank", "select_for_figure",
+    ),
+    "errors": (
+        "Diagnostic", "StfomError", "FormulaError", "FilterError",
+        "ConstantsError", "OutOfRangeError", "CatalogError",
+    ),
+    "export": ("QuotedValues", "serialize_records", "embedded_reference_values"),
+    "fom": ("FomResult", "evaluate_record", "evaluate_catalog"),
+    "formula": (
+        "Formula", "MaterialSpec", "STANDARD_ATOMIC_WEIGHTS", "parse_formula",
+        "parse_material", "format_material", "molar_mass", "nuclei_per_formula",
+        "nuclei_count",
+    ),
+    "quantities": ("Constants", "DEFAULT_CONSTANTS_TEXT", "load_constants"),
+    "report": (
+        "FigurePoint", "format_sig", "emit_table", "build_figure_points",
+        "emit_figure", "emit_bounds_summary",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """A public name, read from its module and kept here; or a module."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        if name in _EXPORTS:
+            return import_module(f"{__name__}.{name}")
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

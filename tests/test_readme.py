@@ -1,5 +1,5 @@
 """The README's library example runs against the current API, and its
-export lists are the modules' `__all__`, which the package joins."""
+export lists are the modules' `__all__`, which the package exports."""
 
 import importlib
 import re
