@@ -17,7 +17,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The public names by defining module: each tuple is that module's __all__.
+# The public names by defining module.  Each module reads its __all__
+# from here, which is safe because this file imports no submodule.
 _EXPORTS = {
     "bounds": (
         "ModelId", "BoundAnchor", "DEFAULT_ANCHORS", "CAVENDISH_FOM",

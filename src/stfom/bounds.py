@@ -20,13 +20,11 @@ import math
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .errors import _PRINT_MAX, OutOfRangeError, _Checked
 from .quantities import _DEFAULT_CONSTANTS, Constants
 
-__all__ = [
-    "ModelId", "BoundAnchor", "DEFAULT_ANCHORS", "CAVENDISH_FOM",
-    "anchored_bound", "fom_threshold", "si_bound", "orders_of_improvement",
-]
+__all__ = list(_EXPORTS["bounds"])
 
 # Figure of merit of the classic Cavendish torsion balance, the baseline
 # against which orders of improvement are counted.

@@ -19,6 +19,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, NamedTuple
 
+from . import _EXPORTS
 from .errors import (
     _PRINT_MAX,
     CatalogError,
@@ -32,10 +33,7 @@ from .formula import MaterialSpec, parse_material
 if TYPE_CHECKING:
     from .fom import FomResult
 
-__all__ = [
-    "ExperimentRecord", "Catalog", "CATEGORIES", "CSV_HEADER", "parse_records",
-    "embedded_catalog", "rank", "select_for_figure",
-]
+__all__ = list(_EXPORTS["catalog"])
 
 # Closed taxonomy, ordered from lightest to heaviest typical test mass.
 CATEGORIES: tuple[str, ...] = (

@@ -81,8 +81,7 @@ def _write_outputs(out: Path, files: dict[str, Iterable[bytes]]) -> None:
         for name, chunks in files.items():
             fd = os.open(tmps[name], os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             with open(fd, "wb") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
+                fh.writelines(chunks)
         for name in files:
             os.replace(tmps[name], out / name)
             del tmps[name]

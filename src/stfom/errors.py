@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-__all__ = [
-    "Diagnostic", "StfomError", "FormulaError", "FilterError",
-    "ConstantsError", "OutOfRangeError", "CatalogError",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 # The largest number stfom prints.  At 3 significant figures any larger
 # float is written 1.80e308, which float() reads back as inf.

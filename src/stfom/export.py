@@ -15,10 +15,11 @@ from __future__ import annotations
 import io
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .catalog import CSV_HEADER, Catalog, _csv_cell
 from .formula import format_material
 
-__all__ = ["QuotedValues", "serialize_records", "embedded_reference_values"]
+__all__ = list(_EXPORTS["export"])
 
 
 class QuotedValues(NamedTuple):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import _EXPORTS
 from .errors import _PRINT_MAX, OutOfRangeError
 from .formula import nuclei_count
 from .quantities import _DEFAULT_CONSTANTS, Constants
@@ -34,7 +35,7 @@ from .quantities import _DEFAULT_CONSTANTS, Constants
 if TYPE_CHECKING:
     from .catalog import ExperimentRecord
 
-__all__ = ["FomResult", "evaluate_record", "evaluate_catalog"]
+__all__ = list(_EXPORTS["fom"])
 
 # Measured and thermal amplitudes within a factor of two of each other
 # are treated as thermally limited; beyond that the thermal floor gets

@@ -28,14 +28,11 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+from . import _EXPORTS
 from .errors import FormulaError, OutOfRangeError, _Checked
 from .quantities import _DEFAULT_CONSTANTS
 
-__all__ = [
-    "Formula", "MaterialSpec", "STANDARD_ATOMIC_WEIGHTS", "parse_formula",
-    "parse_material", "format_material", "molar_mass", "nuclei_per_formula",
-    "nuclei_count",
-]
+__all__ = list(_EXPORTS["formula"])
 
 # Standard atomic weights in kg/mol (CIAAW abridged values; conventional
 # values for elements whose weight is published as an interval).

@@ -11,9 +11,10 @@ import io
 import math
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .errors import ConstantsError, OutOfRangeError, _Checked
 
-__all__ = ["Constants", "DEFAULT_CONSTANTS_TEXT", "load_constants"]
+__all__ = list(_EXPORTS["quantities"])
 
 
 class _ConstantsFields(NamedTuple):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
+from . import _EXPORTS
 from .bounds import (
     CAVENDISH_FOM,
     DEFAULT_ANCHORS,
@@ -42,10 +43,7 @@ from .quantities import _DEFAULT_CONSTANTS, Constants
 if TYPE_CHECKING:
     from .fom import FomResult
 
-__all__ = [
-    "FigurePoint", "format_sig", "emit_table", "build_figure_points",
-    "emit_figure", "emit_bounds_summary",
-]
+__all__ = list(_EXPORTS["report"])
 
 
 def format_sig(x: float, sig: int = 3) -> str:
@@ -192,8 +190,9 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
     """Render the points in the order given; returns (svg_text, data_text).
 
     The data text lists one 'name category mass fom marker' line per
-    rendered marker, every whitespace character in names replaced by an
-    underscore so each line has exactly five whitespace-separated fields.
+    rendered marker, every whitespace character and '#' in names replaced
+    by an underscore, so each line has exactly five whitespace-separated
+    fields and only the header line, which starts with '#', holds a '#'.
     Shaded bands mark the FOM ranges that would probe each model below its
     current lower bound; each band rect carries its threshold in a data
     attribute.  No points give the default frame, with its bands and grid,
@@ -299,8 +298,8 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
             f'cx="{x:.2f}" cy="{y:.2f}" r="5" {paint}>'
             f'<title>{_escape(p.name)}: {format_sig(p.fom)}</title></circle>'
         )
-        data_fields = (f"{_WHITESPACE_RE.sub('_', p.name)} {p.category} "
-                       f"{format_sig(p.mass_kg)}")
+        data_name = _WHITESPACE_RE.sub("_", p.name).replace("#", "_")
+        data_fields = f"{data_name} {p.category} {format_sig(p.mass_kg)}"
         data_lines.append(f"{data_fields} {format_sig(p.fom)} {p.marker}")
         if p.thermal_fom is not None:
             ty = py(p.thermal_fom)

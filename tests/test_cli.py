@@ -672,6 +672,11 @@ class _FillsUp:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return self._file.write(data)
 
+    def writelines(self, lines):
+        # As io.IOBase.writelines: one write per item.
+        for line in lines:
+            self.write(line)
+
 
 def test_a_device_that_fills_partway_through_the_table_replaces_neither_output(
         tmp_path, capsys, monkeypatch):

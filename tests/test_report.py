@@ -340,7 +340,9 @@ def test_figure_single_point_is_valid():
 
 
 def test_figure_data_names_never_split_a_line():
-    names = ["tab\there", "line\nbreak", "crlf\r\nname", "wide\u3000space"]
+    # A '#' would end the line for readers such as numpy.loadtxt.
+    names = ["tab\there", "line\nbreak", "crlf\r\nname", "wide\u3000space",
+             "#1 best", "X #2"]
     points = tuple(
         FigurePoint(name=name, category="membrane", mass_kg=1e-9, fom=1.0,
                     marker="circle", thermal_fom=0.5)
@@ -349,9 +351,9 @@ def test_figure_data_names_never_split_a_line():
     _, dat = emit_figure(points)
     lines = dat.splitlines()[1:]
     assert len(lines) == 2 * len(names)
-    assert all(len(line.split()) == 5 for line in lines)
+    assert all(len(line.split()) == 5 and "#" not in line for line in lines)
     assert [line.split()[0] for line in lines[::2]] == [
-        "tab_here", "line_break", "crlf__name", "wide_space"]
+        "tab_here", "line_break", "crlf__name", "wide_space", "_1_best", "X__2"]
 
 
 @given(st.text(st.characters(exclude_categories=()), min_size=1))
