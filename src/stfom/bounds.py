@@ -83,7 +83,7 @@ def si_bound(model: ModelId, fom: float,
     """Dimensionless bound from the raw SI constant combination; a bound
     that is not a float > 0 and at most _PRINT_MAX, the largest number
     stfom prints, raises OutOfRangeError."""
-    if fom < 0.0:
+    if not 0.0 <= fom < math.inf:
         raise OutOfRangeError("fom", fom, ">= 0")
     # Products overflow to inf and underflow to 0 where ** and / raise.
     r_squared = constants.r_N * constants.r_N

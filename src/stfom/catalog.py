@@ -220,39 +220,6 @@ def _lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
-_BOM = b"\xef\xbb\xbf"
-
-
-def _decoded_lines(lines: Iterable[bytes], path: object) -> Iterator[str]:
-    """The binary lines of the file at path, each decoded as UTF-8 as it is
-    read and kept with its "\\n".  A leading byte order mark is dropped,
-    and so is a file that is only part of one, as the utf-8-sig codec
-    drops them; a byte that is not UTF-8 is a BadEncoding diagnostic whose
-    offset, as that codec's, counts the bytes after the mark.
-
-    The bytes are counted here, not left to a text-mode file: reading lines
-    from one, a UnicodeDecodeError gives the position within the 8 KiB
-    chunk being decoded (3616 for a bad byte at offset 20000), and a pipe
-    cannot be read a second time to find the true offset.
-    """
-    offset = 0
-    for line in lines:
-        if not offset and _BOM.startswith(line[:3]):  # only the first line has offset 0
-            line = line[3:]
-            if not line:  # the file is a mark, or part of one
-                return
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CatalogError((
-                Diagnostic(0, "file", "BadEncoding",
-                           f"{path} is not UTF-8 text: {exc.reason} "
-                           f"at byte offset {offset + exc.start}"),
-            )) from None
-        offset += len(line)
-        yield text
-
-
 def parse_records(text: str | Iterable[str]) -> Catalog:
     """Parse CSV text, or its lines, into a Catalog, reporting every
     problem at once.
@@ -265,36 +232,27 @@ def parse_records(text: str | Iterable[str]) -> Catalog:
     return tuple.__new__(Catalog, _checked_records(text))
 
 
-def _checked_records(source: str | Iterable[str] | Iterable[bytes],
-                     path: object = None) -> Iterator[ExperimentRecord]:
+def _checked_records(source: str | Iterable[str]) -> Iterator[ExperimentRecord]:
     """Each record of a records source, checked and yielded as its row is
     read, until a row has a problem; after the last row the CatalogError
     naming every problem is raised, if there was one.
 
-    The source is CSV text, an iterable of its lines, or, with the path of
-    the file, the binary lines of a file, which are decoded here.  Lines
-    are split only at "\\n", so a "\\r" inside a quoted cell reaches the
-    csv module unchanged.  A plain line, one that ends in "\\n", is no
-    longer than the csv field size limit and holds no '"', "\\r" or "\\0",
-    is split at its commas.  The csv module reads the header and every
-    other line, with the lines that a quoted cell spans, so every row reads
-    as csv.reader reads it: its quoting, its "\\r\\n" ends, its errors,
-    its empty row for a blank line and its field size check.
+    The source is CSV text or an iterable of its lines.  Lines are split
+    only at "\\n", so a "\\r" inside a quoted cell reaches the csv module
+    unchanged.  A plain line, one that ends in "\\n", is no longer than the
+    csv field size limit and holds no '"', "\\r" or "\\0", is split at its
+    commas.  The csv module reads the header and every other line, with
+    the lines that a quoted cell spans, so every row reads as csv.reader
+    reads it: its quoting, its "\\r\\n" ends, its errors, its empty row
+    for a blank line and its field size check.
 
-    A bad header or a csv.Error stops the reading; the rest of a binary
-    source is still decoded before the CatalogError is raised, so a later
-    byte that is not UTF-8 is the one problem reported, as when the whole
-    file is decoded first.  No copy of the text and no list of rows is
+    A bad header or a csv.Error stops the reading, and the rest of the
+    source is left unread.  No copy of the text and no list of rows is
     held.  Names are tracked in a dict that keeps only its keys; equal year
     cells share one int, and equal reference, category, mode and location
     cells one string.
     """
-    if path is not None:
-        lines = _decoded_lines(source, path)
-    elif isinstance(source, str):
-        lines = _lines(source)
-    else:
-        lines = iter(source)
+    lines = _lines(source) if isinstance(source, str) else iter(source)
     limit = csv.field_size_limit()
     problems: list[Diagnostic] = []
     # Each name read, a name claimed by a row with problems included.
@@ -331,9 +289,6 @@ def _checked_records(source: str | Iterable[str] | Iterable[bytes],
                        "cell or end lines with \\n or \\r\\n")
         problems.append(Diagnostic(row_number + 1, "row", "BadCsv", message))
     if problems:
-        if path is not None:
-            for _ in lines:
-                pass
         raise CatalogError(tuple(problems))
 
 

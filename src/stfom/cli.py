@@ -11,8 +11,12 @@ Each record command is one pass over the records, and no command holds
 the catalog or a result per record: validate parses and counts them, and
 _evaluate parses, checks and evaluates each in turn for the others,
 hands it to what the command keeps for its output, and drops it.  This
-module only opens a records file: catalog._checked_records decodes,
-splits, parses and checks its binary lines in one loop.
+module opens and decodes a records file, and catalog._checked_records
+splits, parses and checks its lines in the same loop.  A problem of the
+records file is reported ahead of any other error: _records decodes the
+rest of the file after a problem stops the reading, so a later byte that
+is not UTF-8 is the one diagnostic, and _evaluate and validate read every
+record before they raise an error of the constants or of an evaluation.
 
 _COMMANDS and _ARGUMENTS state the grammar of the command line once.
 _build_parser builds the argparse parser from them, and _read_argv reads a
@@ -39,13 +43,12 @@ from .catalog import (
     ExperimentRecord,
     RecordFilter,
     _checked_records,
-    _decoded_lines,
     _on_earth,
     embedded_catalog,
     parse_records,
     rank,
 )
-from .errors import CatalogError, OutOfRangeError, StfomError
+from .errors import CatalogError, Diagnostic, OutOfRangeError, StfomError
 from .fom import FomResult, evaluate_catalog, evaluate_record
 from .formula import molar_mass, nuclei_per_formula, parse_formula
 from .quantities import _DEFAULT_CONSTANTS, Constants, load_constants
@@ -112,30 +115,62 @@ def _write(name: str, text: str) -> None:
             raise
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+def _decoded_lines(lines: Iterable[bytes], path: object) -> Iterator[str]:
+    """The binary lines of the file at path, each decoded as UTF-8 as it is
+    read and kept with its "\\n".  A leading byte order mark is dropped,
+    and so is a file that is only part of one, as the utf-8-sig codec
+    drops them; a byte that is not UTF-8 is a BadEncoding diagnostic whose
+    offset, as that codec's, counts the bytes after the mark.
+
+    The bytes are counted here, not left to a text-mode file: reading lines
+    from one, a UnicodeDecodeError gives the position within the 8 KiB
+    chunk being decoded (3616 for a bad byte at offset 20000), and a pipe
+    cannot be read a second time to find the true offset.
+    """
+    offset = 0
+    for line in lines:
+        if not offset and _BOM.startswith(line[:3]):  # only the first line has offset 0
+            line = line[3:]
+            if not line:  # the file is a mark, or part of one
+                return
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CatalogError((
+                Diagnostic(0, "file", "BadEncoding",
+                           f"{path} is not UTF-8 text: {exc.reason} "
+                           f"at byte offset {offset + exc.start}"),
+            )) from None
+        offset += len(line)
+        yield text
+
+
 def _records(args) -> Iterator[ExperimentRecord]:
     """Each record of the records file args names, read, decoded, parsed
-    and checked by _checked_records as it is asked for; or of the embedded
-    catalog."""
+    and checked as it is asked for; or of the embedded catalog.  A problem
+    that stops the reading is raised once the rest of the file is decoded."""
     if args.records is None:
         yield from embedded_catalog()
         return
     with open(args.records, "rb") as fh:
-        yield from _checked_records(fh, args.records)
+        lines = _decoded_lines(fh, args.records)
+        try:
+            yield from _checked_records(lines)
+        except CatalogError:
+            for _ in lines:
+                pass
+            raise
 
 
 def _constants(args) -> Constants:
-    """The constants args names, or the defaults.  When they cannot be
-    read, the records are read through before the error is raised, so a
-    problem of the records file is still the one reported."""
+    """The constants args names, or the defaults."""
     if args.constants is None:
         return _DEFAULT_CONSTANTS
-    try:
-        with open(args.constants, "rb") as fh:
-            return load_constants("".join(_decoded_lines(fh, args.constants)))
-    except (StfomError, OSError):
-        for _ in _records(args):
-            pass
-        raise
+    with open(args.constants, "rb") as fh:
+        return load_constants("".join(_decoded_lines(fh, args.constants)))
 
 
 def _evaluate(args, keep: Callable[[ExperimentRecord, FomResult], object]) -> Constants:
@@ -143,13 +178,16 @@ def _evaluate(args, keep: Callable[[ExperimentRecord, FomResult], object]) -> Co
     to keep, and drop it; then write every warning to stderr in one write
     and return the constants.
 
-    The first record that cannot be evaluated stops the evaluation, but
-    its error is raised only once the rest of the records is read and
-    checked, so a later problem of the file is the one reported.
+    Constants that fail to load, or the first record that cannot be
+    evaluated, stop the evaluation; the error is raised once every record
+    is read and checked.
     """
-    constants = _constants(args)
     warnings: list[str] = []
     error = None
+    try:
+        constants = _constants(args)
+    except (StfomError, OSError) as exc:
+        error = exc
     for record in _records(args):
         if error is None:
             try:
@@ -233,8 +271,9 @@ def cmd_formula(args) -> str:
 
 
 def cmd_validate(args) -> str:
+    count = sum(1 for _ in _records(args))
     _constants(args)
-    return f"ok: {sum(1 for _ in _records(args))} records\n"
+    return f"ok: {count} records\n"
 
 
 def _positive_int(text: str) -> int:

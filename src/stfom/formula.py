@@ -104,7 +104,7 @@ class Formula(_FormulaFields):
 
 
 _TERM_RE = re.compile(r"([A-Z][a-z]?)([0-9]*)")
-_CHARGE_RE = re.compile(r"([0-9]*)([+-])$")
+_CHARGE_RE = re.compile(r"([0-9]*)([+-])\Z")
 # The nuclei of one formula unit must convert to a finite float; the
 # largest float has 309 digits.
 _MAX_NUCLEI = int(sys.float_info.max)

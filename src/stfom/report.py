@@ -177,13 +177,17 @@ def _axis(log_value: float, lo: int, hi: int, start: float, end: float) -> float
 
 
 def _escape(text: str) -> str:
-    """XML character data; '&' goes first so no entity is escaped twice."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """XML character data; '&' goes first so no entity is escaped twice.  A
+    "\\r" is a reference, as a parser reads a literal one as "\\n"."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace("\r", "&#13;"))
 
 
 def _attr(text: str) -> str:
-    """A double-quoted XML attribute value.  "'" stays as it is."""
-    return _escape(text).replace('"', "&quot;")
+    """A double-quoted XML attribute value.  "'" stays as it is; a tab and
+    a "\\n" are references, as a parser reads a literal one as a space."""
+    return (_escape(text).replace('"', "&quot;").replace("\t", "&#9;")
+            .replace("\n", "&#10;"))
 
 
 def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:

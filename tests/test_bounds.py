@@ -167,10 +167,15 @@ def test_orders_of_improvement():
 _NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
-@pytest.mark.parametrize("value", _NON_FINITE)
-def test_anchored_bound_refuses_a_non_finite_fom(value):
+@pytest.mark.parametrize("bound,value", [
+    *[pytest.param(lambda fom: anchored_bound(fom, DEFAULT_ANCHORS[DISCRETE]), value,
+                   id=repr(value)) for value in _NON_FINITE],
+    *[pytest.param(lambda fom: si_bound(DISCRETE, fom), value,
+                   id=f"si_bound-{value!r}") for value in _NON_FINITE],
+])
+def test_anchored_bound_refuses_a_non_finite_fom(bound, value):
     with pytest.raises(OutOfRangeError) as err:
-        anchored_bound(value, DEFAULT_ANCHORS[DISCRETE])
+        bound(value)
     assert str(err.value) == f"fom must be a finite float >= 0, got {value!r}"
 
 

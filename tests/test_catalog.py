@@ -34,6 +34,7 @@ from stfom import (
     serialize_records,
 )
 from stfom.catalog import _checked_records, _is_xml_text, _lines
+from stfom.cli import _decoded_lines
 from stfom.errors import _PRINT_MAX
 from stfom.report import TABLE_HEADER
 
@@ -613,8 +614,8 @@ def test_rows_read_as_the_csv_module_reads_them(text, limit):
     try:
         expected = _read_as_csv(text)
         assert _outcome(parse_records, text) == expected
-        assert _outcome(lambda text: Catalog(_checked_records(
-            io.BytesIO(text.encode()), "records.csv")), text) == expected
+        assert _outcome(lambda text: Catalog(_checked_records(_decoded_lines(
+            io.BytesIO(text.encode()), "records.csv"))), text) == expected
     finally:
         csv.field_size_limit(_FIELD_LIMIT)
 

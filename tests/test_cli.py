@@ -1426,7 +1426,7 @@ _EXTREME_FOMS = (
 
 
 @settings(max_examples=60, deadline=None)
-@given(_route_files(), st.sampled_from((None, "G 1e200\n")), st.integers(1, 4))
+@given(_route_files(), st.sampled_from((None, "G 1e200\n", "G 0\n")), st.integers(1, 4))
 # Tied FOMs, with and without the baseline record; the worse category first.
 @example(f"{CSV_HEADER}\n{_CAVENDISH}{_ASENBAUM}{_TIED}".encode(), None, 1)
 @example(f"{CSV_HEADER}\n{_TIED}{_ASENBAUM}".encode(), None, 1)
@@ -1442,6 +1442,9 @@ _EXTREME_FOMS = (
 @example(f"{CSV_HEADER}\n{_ASENBAUM}".encode(), "G 1e200\n", 2)
 @example(f"{CSV_HEADER}\n{_TIED_NAMES}".encode(), None, 3)
 @example(f"{CSV_HEADER}\n{_EXTREME_FOMS}{_CAVENDISH}{_ASENBAUM}".encode(), None, 3)
+# Constants that fail to load hide no problem of the records file.
+@example(b"not,a,header\n\xff\n", "G 0\n", 3)
+@example(f"{CSV_HEADER}\n{_CAVENDISH}{_BAD_ROWS[0]}\n".encode(), "G 0\n", 3)
 def test_each_command_gives_what_the_library_gives(data, constants, k):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

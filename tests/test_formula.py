@@ -74,6 +74,9 @@ def test_charge_token_with_magnitude():
     ("", 0),
     ("+", 0),
     ("Si O2", 2),
+    # A line feed after a charge token is not part of the token.
+    ("Mg+\n", 2),
+    ("Yb2+\n", 3),
     # Counts past what int() reads or a float holds, alone or summed;
     # leading zeros count toward a count's length.
     pytest.param("C" + "9" * 5000, 1, id="5000-digits"),

@@ -368,7 +368,12 @@ def test_figure_svg_parses_for_every_name_a_record_accepts(name):
                         mass_kg=record.mass_kg, fom=1.0, marker="circle",
                         thermal_fom=0.5)
     svg, _ = emit_figure((point,))
-    ET.fromstring(svg)
+    # Each marker reads back the name, its tabs and line breaks included.
+    marked = [e for e in ET.fromstring(svg).iter() if "data-name" in e.attrib]
+    assert [e.get("data-name") for e in marked] == [name, name]
+    titles = {e.get("class"): e[0].text for e in marked}
+    assert titles["point"].startswith(f"{name}: ")
+    assert titles["thermal-point"].startswith(f"{name} thermal floor: ")
 
 
 def test_figure_of_an_empty_selection_is_the_default_frame():
