@@ -59,13 +59,15 @@ RecordFilter = Literal["all", "absolute-on-earth"]
 _SMALLEST_NORMAL = sys.float_info.min
 
 
-def _is_xml_text(text: str) -> bool:
-    """Whether XML 1.0 can hold text, as figure.svg must hold each name: no
-    escape represents a C0 control other than tab, LF and CR, a surrogate,
-    U+FFFE or U+FFFF.  Printable text always can."""
-    return text.isprintable() or all(
-        c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
-        or c >= "\U00010000" for c in text)
+def _name_fault(name: str) -> str:
+    """Why a record name that is not printable is refused, or "": bounds.txt,
+    stfom bounds and each warning hold a name on one line, and figure.svg as
+    XML 1.0 text, which has no C0 control but tab, surrogate, U+FFFE or U+FFFF."""
+    if any(c in "\n\r\x85\u2028\u2029" for c in name):  # str.splitlines' breaks
+        return "holds a line break"
+    xml = all(c == "\t" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
+              or c >= "\U00010000" for c in name)
+    return "" if xml else "holds a character XML 1.0 cannot represent"
 
 
 class _RecordFields(NamedTuple):
@@ -132,9 +134,9 @@ def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
     if not name:
         problems.append(Diagnostic(row, "name", "MissingRequired",
                                    "record name must not be empty"))
-    elif not _is_xml_text(name):
-        problems.append(Diagnostic(row, "name", "BadName", f"record name {name!r} "
-                                   "holds a character XML 1.0 cannot represent"))
+    elif not name.isprintable() and (fault := _name_fault(name)):
+        problems.append(Diagnostic(row, "name", "BadName",
+                                   f"record name {name!r} {fault}"))
     if category not in _CATEGORY_SET:
         problems.append(Diagnostic(row, "category", "BadCategory",
                                    f"unknown category {category!r}"))

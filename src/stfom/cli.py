@@ -223,7 +223,7 @@ def cmd_compute(args) -> str:
     bounds_text = tally.summary(constants, args.filter)
     # Sorting the bytes sorts the rows by (fom, name), as rank does:
     # evaluate_record makes every FOM a finite double > 0, and those order
-    # as their big-endian bytes; a name holds no NUL (_is_xml_text refuses
+    # as their big-endian bytes; a name holds no NUL (_name_fault refuses
     # it) and UTF-8 keeps code-point order, so a name sorts before every
     # longer name it begins; and names are unique, so no line is compared.
     rows.sort()

@@ -177,26 +177,24 @@ def _axis(log_value: float, lo: int, hi: int, start: float, end: float) -> float
 
 
 def _escape(text: str) -> str:
-    """XML character data; '&' goes first so no entity is escaped twice.  A
-    "\\r" is a reference, as a parser reads a literal one as "\\n"."""
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-            .replace("\r", "&#13;"))
+    """XML character data; '&' goes first so no entity is escaped twice."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _attr(text: str) -> str:
-    """A double-quoted XML attribute value.  "'" stays as it is; a tab and
-    a "\\n" are references, as a parser reads a literal one as a space."""
-    return (_escape(text).replace('"', "&quot;").replace("\t", "&#9;")
-            .replace("\n", "&#10;"))
+    """A double-quoted XML attribute value.  "'" stays as it is; a tab is a
+    reference, as a parser reads a literal one as a space."""
+    return _escape(text).replace('"', "&quot;").replace("\t", "&#9;")
 
 
 def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
     """Render the points in the order given; returns (svg_text, data_text).
 
-    The data text lists one 'name category mass fom marker' line per
-    rendered marker, every whitespace character and '#' in names replaced
-    by an underscore, so each line has exactly five whitespace-separated
-    fields and only the header line, which starts with '#', holds a '#'.
+    Names are as a record accepts them, and each reads back from its
+    markers' data-name; a line break in a hand-built point's name does not.
+    The data text has a 'name category mass fom marker' line per marker,
+    each whitespace character and '#' in a name as '_', so every line has
+    five fields and only the header, which starts with '#', holds one.
     Shaded bands mark the FOM ranges that would probe each model below its
     current lower bound; each band rect carries its threshold in a data
     attribute.  No points give the default frame, with its bands and grid,

@@ -11,7 +11,8 @@ import sys
 import tempfile
 import threading
 import tracemalloc
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+import xml.etree.ElementTree as ET
+from contextlib import contextmanager, redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -232,15 +233,31 @@ def test_overlong_cell_is_a_diagnostic(tmp_path, capsys, monkeypatch, command):
     assert list(tmp_path.iterdir()) == [records]
 
 
-def test_carriage_return_in_a_quoted_name_survives_the_cli(tmp_path, capsys):
-    record = embedded_catalog()[0]._replace(name="a\rb")
+def _best_renamed(name):
+    """The embedded catalog's records file, its best record, the first row,
+    renamed to name in a quoted cell."""
+    return serialize_records(embedded_catalog()).replace(
+        "\nAsenbaum '17,", '\n"' + name.replace('"', '""') + '",', 1)
+
+
+# The characters str.splitlines breaks at that XML 1.0 can represent.
+_LINE_BREAKS = {"LF": "\n", "CR": "\r", "NEL": "\x85", "LS": "\u2028", "PS": "\u2029"}
+
+
+@pytest.mark.parametrize("command", RECORD_COMMANDS)
+@pytest.mark.parametrize("line_break", _LINE_BREAKS.values(), ids=list(_LINE_BREAKS))
+def test_a_name_holding_a_line_break_is_refused_by_every_record_command(
+        tmp_path, capsys, monkeypatch, command, line_break):
+    # Accepted, "Best\nrecord: x" made bounds print "best_record: Best" and
+    # then a line "record: x".
+    name = f"Best{line_break}record: x"
+    monkeypatch.chdir(tmp_path)
     records = tmp_path / "records.csv"
-    records.write_bytes(serialize_records(Catalog((record,))).encode())
-    assert main(["compute", "--records", str(records),
-                 "--out", str(tmp_path)]) == 0
-    table = (tmp_path / "table.csv").read_bytes().decode()
-    assert table.split("\n")[1].startswith('"a\rb",')
-    assert list(csv.reader(io.StringIO(table)))[1][0] == "a\rb"
+    records.write_bytes(_best_renamed(name).encode())
+    assert main([command, "--records", str(records)]) == 1
+    assert capsys.readouterr() == (
+        "", f"row 1, column name: BadName: record name {name!r} holds a line break\n")
+    assert list(tmp_path.iterdir()) == [records]
 
 
 _BARE_CR = ("BadCsv: carriage return inside an unquoted cell; "
@@ -1471,6 +1488,109 @@ def test_each_command_gives_what_the_library_gives(data, constants, k):
                            if out.exists() else {})
                 assert written == {name: text.encode()
                                    for name, text in files.items()}, argv
+
+
+# ------------------------------------------- every output reads back
+
+# Names holding what an output quotes, escapes or maps: ',' and '"' in
+# table.csv, '&', '<' and '"' in figure.svg, a tab in its attributes, and
+# whitespace and '#' in figure.dat; and any text at all.
+_ODD_NAMES = (st.text(st.sampled_from(',"&<>\'#: \t\u3000e\U0001d538'), min_size=1,
+                      max_size=6)
+              | st.text(min_size=1, max_size=6))
+
+
+@st.composite
+def _accepted_files(draw):
+    """The text of a records file of route records, some renamed to a name
+    a record accepts."""
+    records = draw(st.lists(st.sampled_from(_ROUTE_RECORDS), min_size=1, max_size=6,
+                            unique_by=lambda record: record.name))
+    names = {record.name for record in records}
+    for i, record in enumerate(records):
+        name = draw(_ODD_NAMES)
+        if name in names or not draw(st.booleans()):
+            continue
+        with suppress(stfom.CatalogError):
+            records[i] = record._replace(name=name)
+            names.add(name)
+    return CSV_HEADER + "\n" + "".join(map(_record_line, records))
+
+
+def _summary_keys(on_earth):
+    """The keys of a bounds summary with the filter all, in order; its
+    conservative entries need a record measured absolutely on Earth."""
+    labels = ("conservative", "best") if on_earth else ("best",)
+    keys = ["records", "filter", "baseline_record", "baseline_fom"]
+    if not on_earth:
+        keys.append("conservative_record")
+    for label in labels:
+        keys += [f"{label}_record", f"{label}_fom", f"{label}_orders_vs_baseline"]
+    for model in ("ultra-local-discrete", "non-local-continuous"):
+        keys.append(f"{model}.lower_bound")
+        for label in labels:
+            keys += [f"{model}.{label}_bound", f"{model}.{label}_si_bound"]
+        keys.append(f"{model}.best_below_lower_bound")
+    return keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(_accepted_files())
+# Accepted, this name made bounds print a line "record: x" of its own.
+@example(_best_renamed("Best\nrecord: x"))
+@example(_best_renamed('A\t#1 & <b> "c", d'))
+def test_every_output_of_what_validate_accepts_reads_back(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        records = tmp / "records.csv"
+        records.write_text(text, encoding="utf-8")
+        inputs = ["--records", str(records)]
+        if _run(["validate", *inputs])[0] != 0:
+            return
+        catalog = stfom.parse_records(text)
+        results = stfom.evaluate_catalog(catalog)
+        ranked = stfom.rank(catalog, results)
+        on_earth = stfom.rank(catalog, results, "absolute-on-earth")
+        warnings = sum(len(result.warnings) for result in results.values())
+        outputs = {}
+        for command in ("compute", "figure", "bounds"):
+            argv = [command, *inputs]
+            if command != "bounds":
+                argv += ["--out", str(tmp / "out")]
+            code, outputs[command], err = _run(argv)
+            assert code == 0, err
+            # One line per warning.
+            lines = err.splitlines()
+            assert len(lines) == warnings
+            assert all(line.startswith("warning: ") for line in lines)
+
+        def read(name):
+            return (tmp / "out" / name).read_text(encoding="utf-8")
+
+        # table.csv: a header, then each record's row under its name.
+        rows = list(csv.reader(io.StringIO(read("table.csv"), newline="")))
+        assert len(rows) == 1 + len(catalog)
+        assert [row[0] for row in rows[1:]] == [record.name for record in ranked]
+        # bounds.txt and the bounds stdout: each key once, on its own line.
+        for summary in (read("bounds.txt"), outputs["bounds"]):
+            keys = [line.partition(": ")[0] for line in summary.splitlines()]
+            assert keys == _summary_keys(bool(on_earth))
+            entries = _summary_map(summary)
+            assert entries["best_record"] == ranked[0].name
+            if on_earth:
+                assert entries["conservative_record"] == on_earth[0].name
+        # figure.svg: each marker's data-name is its record's name.
+        points = stfom.build_figure_points(ranked, results)
+        marked = [e.get("data-name") for e in ET.fromstring(read("figure.svg")).iter()
+                  if "data-name" in e.attrib]
+        assert marked == [point.name for point in points
+                          for _ in range(1 + (point.thermal_fom is not None))]
+        # figure.dat, read as a reader that skips what follows a '#' does:
+        # five fields on each marker's line.
+        fields = [line.split("#", 1)[0].split()
+                  for line in read("figure.dat").splitlines()]
+        assert fields[0] == [] and len(fields) == 1 + len(marked)
+        assert all(len(line) == 5 for line in fields[1:])
 
 
 def _sweep_like(rows):
