@@ -123,11 +123,11 @@ def _bad_number(row: int, column: str, value: float, message: str) -> Diagnostic
 
 def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
     """Every problem of one record's fields, given in ExperimentRecord
-    order, the acceleration density's after both densities'; the material
-    is not read, so it may be None.  Each rule is one comparison, which
-    also refuses NaN and the infinities, and those of the numbers stfom
-    prints refuse one above _PRINT_MAX; a message is built only when its
-    rule fails."""
+    order, the combined values' after both densities'; the material is not
+    read, so it may be None.  Each rule is one comparison, which also
+    refuses NaN and the infinities, and those of the numbers stfom prints
+    refuse one above _PRINT_MAX; a message is built only when its rule
+    fails."""
     (name, _, _, category, _, mass_kg, n_override, f0_hz, sqrt_sf, sqrt_sa,
      temp_k, quality, mode, location, _, _) = fields
     problems: list[Diagnostic] = []
@@ -148,13 +148,15 @@ def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
     if n_override is not None and not 1.0 <= n_override <= _PRINT_MAX:
         problems.append(_bad_number(row, "n_override", n_override, "nucleus count "
                                     f"must be finite and >= 1, got {n_override!r}"))
+        n_override = None  # so no other rule reads it
     if f0_hz is not None and not 0.0 < f0_hz <= _PRINT_MAX:
         problems.append(_bad_number(row, "f0_hz", f0_hz, "resonance frequency "
                                     f"must be finite and > 0, got {f0_hz!r}"))
-    # The FOM squares the authoritative acceleration density, taken from a
-    # mass and densities that pass their own rules.  The square is a
-    # product, because float ** raises OverflowError where * gives inf.
-    accel = None
+    # evaluate_record's values that no constant moves, each from values that
+    # pass their own rules: the squared acceleration density (a product, as
+    # float ** raises OverflowError where * gives inf), the force density of
+    # a lone sqrt_sa and the FOM of a quoted nucleus count.
+    accel = force = None
     if sqrt_sf is None:
         if sqrt_sa is None:
             problems.append(Diagnostic(row, "sqrt_sf", "MissingRequired",
@@ -169,10 +171,18 @@ def _validate_fields(row: int, fields: tuple) -> list[Diagnostic]:
             problems.append(_bad_number(row, "sqrt_sa", sqrt_sa, "noise density "
                                         f"must be finite and > 0, got {sqrt_sa!r}"))
         elif sqrt_sf is None:
-            column, accel = "sqrt_sa", sqrt_sa
+            column, accel, force = "sqrt_sa", sqrt_sa, sqrt_sa * mass_kg
     if accel is not None and not 0.0 < accel * accel < math.inf:
         problems.append(Diagnostic(row, column, "BadNumber", f"acceleration density "
                                    f"{accel!r} squared is not a finite float > 0"))
+        accel = None
+    if force is not None and mass_ok and not 0.0 < force <= _PRINT_MAX:
+        problems.append(Diagnostic(row, "sqrt_sa", "BadNumber", "sqrt_sa * mass_kg "
+                                   f"must be > 0 and at most {_PRINT_MAX!r}, got {force!r}"))
+    if (accel is not None and n_override is not None
+            and not (fom := accel * accel * n_override) <= _PRINT_MAX):
+        problems.append(Diagnostic(row, "n_override", "BadNumber", "figure of merit "
+                                   f"must be at most {_PRINT_MAX!r}, got {fom!r}"))
     if temp_k is not None and not 0.0 < temp_k < math.inf:
         problems.append(Diagnostic(row, "temp_k", "BadNumber",
                                    f"temperature must be finite and > 0, got {temp_k!r}"))
@@ -260,7 +270,7 @@ def _checked_records(source: str | Iterable[str]) -> Iterator[ExperimentRecord]:
     # Each name read, a name claimed by a row with problems included.
     names: dict[str, None] = {}
     years: dict[str, int] = {}
-    texts: dict[str, str] = {}
+    share = {}.setdefault  # cell text -> the one equal string kept
     row_number = -1  # the last row read; the header is row 0
     try:
         if next(csv.reader(lines), None) != list(_CSV_COLUMNS):
@@ -275,9 +285,51 @@ def _checked_records(source: str | Iterable[str]) -> Iterator[ExperimentRecord]:
                 else:
                     cells = next(csv.reader(itertools.chain((line,), lines)))
                 row_number += 1
-                record = _parse_row(row_number, cells, names, years, texts, problems)
-                if not problems:
-                    yield record
+                if len(cells) != len(_CSV_COLUMNS):
+                    problems.append(Diagnostic(
+                        row_number, "row", "BadHeader",
+                        f"expected {len(_CSV_COLUMNS)} cells, got {len(cells)}"))
+                    continue
+                (name, year_text, reference, category, material_text, mass_text,
+                 n_override_text, f0_text, sqrt_sf_text, sqrt_sa_text, temp_text,
+                 quality_text, mode, location, secondhand_text, notes) = cells
+                # Every cell is converted once; equal vocabulary, reference
+                # and year cells share one string or int through the parse's
+                # own dicts.  Not sys.intern: an interned string leaves the
+                # interpreter's table when it dies (except on Python 3.12), so
+                # a command that drops each record would add the cells again
+                # row after row, and can grow the table for good.  A row whose
+                # cells do not all convert, whose name is taken or whose fields
+                # fail their check is walked again, cell by cell, to name every
+                # problem.
+                try:
+                    year = years.get(year_text)
+                    if year is None:
+                        year = years[year_text] = int(year_text)
+                    fields = (
+                        name, year, share(reference, reference),
+                        share(category, category), parse_material(material_text),
+                        float(mass_text),
+                        float(n_override_text) if n_override_text else None,
+                        float(f0_text) if f0_text else None,
+                        float(sqrt_sf_text) if sqrt_sf_text else None,
+                        float(sqrt_sa_text) if sqrt_sa_text else None,
+                        float(temp_text) if temp_text else None,
+                        float(quality_text) if quality_text else None,
+                        share(mode, mode), share(location, location),
+                        _FLAGS[secondhand_text], notes,
+                    )
+                except (ValueError, KeyError, FormulaError):
+                    pass
+                else:
+                    if name not in names and not _validate_fields(row_number, fields):
+                        names[name] = None
+                        if not problems:
+                            # The fields were checked above, so the record
+                            # skips its own check.
+                            yield tuple.__new__(ExperimentRecord, fields)
+                        continue
+                problems += _row_problems(row_number, cells, names)
             if row_number == 0:
                 problems.append(Diagnostic(0, "file", "NoRecords",
                                            "records file holds no records"))
@@ -292,56 +344,6 @@ def _checked_records(source: str | Iterable[str]) -> Iterator[ExperimentRecord]:
         problems.append(Diagnostic(row_number + 1, "row", "BadCsv", message))
     if problems:
         raise CatalogError(tuple(problems))
-
-
-def _parse_row(row: int, cells: list[str], names: dict[str, None],
-               years: dict[str, int], texts: dict[str, str],
-               problems: list[Diagnostic]) -> ExperimentRecord | None:
-    """One data row's record, its name added to names; or None, with its
-    problems added to problems."""
-    if len(cells) != len(_CSV_COLUMNS):
-        problems.append(Diagnostic(row, "row", "BadHeader",
-                                   f"expected {len(_CSV_COLUMNS)} cells, "
-                                   f"got {len(cells)}"))
-        return None
-    (name, year_text, reference, category, material_text, mass_text,
-     n_override_text, f0_text, sqrt_sf_text, sqrt_sa_text, temp_text,
-     quality_text, mode, location, secondhand_text, notes) = cells
-    # Every cell is converted once; the vocabulary cells, the per-source
-    # reference and the year repeat across rows, so equal cells share one
-    # string or int through the parse's own dicts.  Not sys.intern: an
-    # interned string leaves the interpreter's table when it dies (except
-    # on Python 3.12), so a command that drops each record would add the
-    # cells to the table again row after row, and can grow it for good.
-    # A row whose cells do not all convert, whose name is taken or whose
-    # fields fail their check is walked again, cell by cell, to name every
-    # problem.
-    share = texts.setdefault
-    try:
-        year = years.get(year_text)
-        if year is None:
-            year = years[year_text] = int(year_text)
-        fields = (
-            name, year, share(reference, reference), share(category, category),
-            parse_material(material_text), float(mass_text),
-            float(n_override_text) if n_override_text else None,
-            float(f0_text) if f0_text else None,
-            float(sqrt_sf_text) if sqrt_sf_text else None,
-            float(sqrt_sa_text) if sqrt_sa_text else None,
-            float(temp_text) if temp_text else None,
-            float(quality_text) if quality_text else None,
-            share(mode, mode), share(location, location), _FLAGS[secondhand_text],
-            notes,
-        )
-    except (ValueError, KeyError, FormulaError):
-        pass
-    else:
-        if name not in names and not _validate_fields(row, fields):
-            names[name] = None
-            # The fields were checked above, so the record skips its own check.
-            return tuple.__new__(ExperimentRecord, fields)
-    problems += _row_problems(row, cells, names)
-    return None
 
 
 def _row_problems(row: int, cells: list[str],

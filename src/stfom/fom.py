@@ -79,9 +79,10 @@ def evaluate_record(
     present; the acceleration density is recomputed from it and a warning
     is attached if the quoted one disagrees by more than 2%.  A measured
     noise below the thermal floor is physically suspect, so it is flagged
-    with a warning rather than rejected.  A nucleus count, density, FOM or
-    thermal floor that is not a float > 0 and at most _PRINT_MAX, the
-    largest number stfom prints, raises OutOfRangeError.
+    with a warning rather than rejected.  A nucleus count, FOM or thermal
+    floor that is not a float > 0 and at most _PRINT_MAX, the largest
+    number stfom prints, raises OutOfRangeError; a checked record already
+    bounds both densities.
 
     The thermal floor amplitude is sqrt(4 k_B T m omega0 / Q).  The record
     is thermally limited when the floor exceeds half the measured force
@@ -114,14 +115,10 @@ def evaluate_record(
         sqrt_sf = sqrt_sa * mass_kg
 
     fom = sqrt_sa * sqrt_sa * n_nuclei
-    # Valid inputs can still overflow, for example the nucleus count of a
-    # 1e300 kg mass; validation cannot see it without the material.
+    # A count from the material needs N_A, so the record's check cannot see
+    # it or its FOM overflow, for example for a 1e300 kg mass of lead.
     if not 0.0 < n_nuclei <= _PRINT_MAX:
         raise OutOfRangeError("n_nuclei", n_nuclei, record=name)
-    if not 0.0 < sqrt_sf <= _PRINT_MAX:
-        raise OutOfRangeError("sqrt_sf", sqrt_sf, record=name)
-    if not 0.0 < sqrt_sa <= _PRINT_MAX:
-        raise OutOfRangeError("sqrt_sa", sqrt_sa, record=name)
     if not 0.0 < fom <= _PRINT_MAX:
         raise OutOfRangeError("fom", fom, record=name)
 

@@ -407,11 +407,12 @@ class _Tally:
                 continue
             fom = float(format_sig(entry[0]))
             entries.append((label, fom))
+            # Rounded first, so a value that rounds to 0 prints 0.0, not -0.0.
+            orders = round(orders_of_improvement(fom, baseline_fom), 1) + 0.0
             lines += [
                 f"{label}_record: {entry[1]}",
                 f"{label}_fom: {format_sig(fom)}",
-                f"{label}_orders_vs_baseline: "
-                f"{orders_of_improvement(fom, baseline_fom):.1f}",
+                f"{label}_orders_vs_baseline: {orders:.1f}",
             ]
 
         for model in ModelId:

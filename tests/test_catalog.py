@@ -908,9 +908,22 @@ def _reference_validate_fields(row, fields, unread):
         column, accel = "sqrt_sf", sqrt_sf / mass_kg
     elif not sf_given and sa_ok:
         column, accel = "sqrt_sa", sqrt_sa
-    if accel is not None and not 0.0 < accel * accel < math.inf:
+    square_ok = accel is not None and 0.0 < accel * accel < math.inf
+    if accel is not None and not square_ok:
         bad(column, "BadNumber",
             f"acceleration density {accel!r} squared is not a finite float > 0")
+    # The force density of a lone sqrt_sa, and the FOM of a quoted count,
+    # as evaluate_record computes them.
+    if not sf_given and sa_ok and mass_ok:
+        force = sqrt_sa * mass_kg
+        if not 0.0 < force <= _PRINT_MAX:
+            bad("sqrt_sa", "BadNumber", "sqrt_sa * mass_kg must be > 0 and at most "
+                f"{_PRINT_MAX!r}, got {force!r}")
+    if square_ok and n_override is not None and 1.0 <= n_override <= _PRINT_MAX:
+        fom = accel * accel * n_override
+        if not 0.0 < fom <= _PRINT_MAX:
+            bad("n_override", "BadNumber",
+                f"figure of merit must be at most {_PRINT_MAX!r}, got {fom!r}")
     if temp_k is not None and not 0.0 < temp_k < math.inf:
         bad("temp_k", "BadNumber",
             f"temperature must be finite and > 0, got {temp_k!r}")
@@ -1068,6 +1081,18 @@ def _hand_built_fields(cells):
 @example([_row(sqrt_sf="x")])
 @example([_row(sqrt_sf="x", sqrt_sa="1e-170")])
 @example([_row(sqrt_sf="", sqrt_sa="x")])
+# No constant moves a lone sqrt_sa's force density or a quoted count's
+# FOM, so the record refuses one out of range (inf or finite above
+# 1.795e308), after the squared acceleration density and only from values
+# that pass their own rules.
+@example([_row(mass_kg="1e300", sqrt_sf="", sqrt_sa="1e10")])
+@example([_row(mass_kg="1e160", sqrt_sf="", sqrt_sa="1.796e148")])
+@example([_row(mass_kg="1e-300", sqrt_sf="", sqrt_sa="1e-200", n_override="1e300")])
+@example([_row(mass_kg="1e-20", n_override="1e300", sqrt_sf="", sqrt_sa="1e100")])
+@example([_row(n_override="1.796e300", sqrt_sf="", sqrt_sa="1e4")])
+@example([_row(mass_kg="1e-20", n_override="1e300", sqrt_sf="1e-10")])
+@example([_row(mass_kg="x", n_override="x", sqrt_sf="", sqrt_sa="1e150")])
+@example([_row(n_override="inf")])
 def test_rows_convert_as_the_cell_by_cell_reference_does(rows):
     # Quoting every cell reads each row through the csv module; quoting only
     # the cells that need it leaves most rows plain.

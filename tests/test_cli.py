@@ -285,9 +285,11 @@ def test_bare_carriage_return_is_a_diagnostic(tmp_path, capsys, monkeypatch,
 
 # Every number is finite, but a derived one is not: the squared acceleration
 # density underflows, a subnormal mass overflows it, a 0 K thermal row has a
-# zero floor, the nucleus count of 1e300 kg of lead overflows, and mass times
-# quality underflows to 0 in the thermal FOM's denominator.  The last two
-# pass the field checks, so only the commands that evaluate can see them.
+# zero floor, a lone sqrt_sa times the mass overflows or underflows the force
+# density, a quoted nucleus count overflows the FOM, the nucleus count of
+# 1e300 kg of lead overflows, and mass times quality underflows to 0 in the
+# thermal FOM's denominator.  The last two need the constants, so only the
+# commands that evaluate can see them.
 _OUT_OF_RANGE_ROWS = {
     "underflow": ("Tiny,2021,synthetic,membrane,Si3N4,1e-11,,,,1e-170,,,"
                   "absolute,earth,false,",
@@ -298,6 +300,17 @@ _OUT_OF_RANGE_ROWS = {
     "zero-temperature": ("Cold,2021,synthetic,membrane,Si3N4,1e-9,,1e3,1e-15,,0,"
                          "1e4,absolute,earth,false,",
                          "row 1, column temp_k: BadNumber: "),
+    "force-overflow": ("Big,2021,s,massive,Pb,1e200,,,,1e150,,,absolute,earth,false,",
+                       "row 1, column sqrt_sa: BadNumber: sqrt_sa * mass_kg "
+                       "must be > 0 and at most 1.795e+308, got inf\n"),
+    "force-underflow": ("Wee,2021,s,trapped-ion,Mg+,1e-300,,,,1e-154,,,"
+                        "absolute,earth,false,",
+                        "row 1, column sqrt_sa: BadNumber: sqrt_sa * mass_kg "
+                        "must be > 0 and at most 1.795e+308, got 0.0\n"),
+    "quoted-count-fom": ("Ov,2021,s,trapped-ion,Mg+,1e-20,1e300,,,1e100,,,"
+                         "absolute,earth,false,",
+                         "row 1, column n_override: BadNumber: figure of merit "
+                         "must be at most 1.795e+308, got inf\n"),
     "overflow": ("Huge,2021,synthetic,massive,Pb,1e300,,,,1e-9,,,"
                  "absolute,earth,false,",
                  "error: Huge: n_nuclei is inf, "),

@@ -144,11 +144,16 @@ def test_evaluate_record_acceleration_only():
     assert res.sqrt_sa == 3e-6
 
 
+# The record's check refuses a density, or the FOM of a quoted count, out
+# of range; a count from the material needs N_A, so evaluate_record checks
+# it and its FOM.
 @pytest.mark.parametrize("name, fields", [
     ("n_nuclei", dict(material=parse_material("Pb"), mass_kg=1e300,
                       sqrt_sf=None, sqrt_sa=1e-9)),
-    ("sqrt_sf", dict(n_override=1.0, mass_kg=1e300, sqrt_sf=None, sqrt_sa=1e10)),
-    ("fom", dict(n_override=1e10, sqrt_sf=None, sqrt_sa=1e150)),
+    # 4 k_B T m omega0 / Q overflows before its root is taken.
+    ("thermal_sqrt_sf", dict(temp_k=1e300, f0_hz=1e3, quality=1e-40)),
+    ("fom", dict(material=parse_material("Pb"), mass_kg=1e200, sqrt_sf=None,
+                 sqrt_sa=1e50)),
     # mass_kg * quality underflows to 0 in the thermal FOM's denominator.
     ("thermal_fom", dict(mass_kg=1e-200, f0_hz=1e3, sqrt_sf=1e-190,
                          temp_k=300.0, quality=1e-200)),
@@ -374,9 +379,10 @@ _CONSTANTS = st.just(Constants()) | st.builds(
 @given(_evaluation_fields(), _CONSTANTS)
 @example(dict(material=parse_material("Pb"), mass_kg=1e300, sqrt_sf=None,
               sqrt_sa=1e-9), Constants())
-@example(dict(n_override=1.0, mass_kg=1e300, sqrt_sf=None, sqrt_sa=1e10),
+@example(dict(material=parse_material("Pb"), mass_kg=1.0, sqrt_sf=1e150),
          Constants())
-@example(dict(n_override=1e10, sqrt_sf=None, sqrt_sa=1e150), Constants())
+@example(dict(material=parse_material("Pb"), mass_kg=1e200, sqrt_sf=None,
+              sqrt_sa=1e50), Constants())
 @example(dict(temp_k=1e-320, f0_hz=1e3, quality=1e4), Constants())
 @example(dict(n_override=1.0, mass_kg=1e10, sqrt_sf=None, sqrt_sa=1e-9,
               temp_k=1e-300, f0_hz=1e3, quality=1e4), Constants())
@@ -389,6 +395,10 @@ def test_evaluate_record_matches_the_helper_route(fields, constants):
     got = _outcome(evaluate_record, record, constants)
     # repr tells -0.0 from 0.0, so every float is the same bit for bit.
     assert got == expected and repr(got) == repr(expected)
+    # The record's check decides every range that no constant moves.
+    if got[0] == "OutOfRangeError":
+        assert (got[2] in ("n_nuclei", "thermal_sqrt_sf", "thermal_fom")
+                or got[2] == "fom" and record.n_override is None), got
     if expected[0] != "OutOfRangeError":
         catalog_results = evaluate_catalog([record], constants)
         assert tuple(catalog_results[record.name]) == got
@@ -451,9 +461,9 @@ def test_evaluate_record_thermal_flags_split_at_half_the_amplitude(
 @pytest.mark.parametrize("fields, name", [
     (dict(material=parse_material("Pb"), mass_kg=6.18e283, sqrt_sf=None,
           sqrt_sa=1e-150), "n_nuclei"),
-    (dict(n_override=1.0, mass_kg=1e160, sqrt_sf=None, sqrt_sa=1.796e148),
-     "sqrt_sf"),
-    (dict(n_override=1.796e300, sqrt_sf=None, sqrt_sa=1e4), "fom"),
+    (dict(material=parse_material("Pb"), mass_kg=1.0, sqrt_sf=7.861e141), "fom"),
+    (dict(material=parse_material("Pb"), mass_kg=1.0, sqrt_sf=None,
+          sqrt_sa=7.861e141), "fom"),
     (dict(n_override=1e300, mass_kg=1e-10, sqrt_sf=1e-10, temp_k=5.176e13,
           f0_hz=1e3, quality=1e-3), "thermal_fom"),
 ])

@@ -560,6 +560,14 @@ def test_summary_baseline_only_catalog(catalog):
     assert entries["best_record"] == "Cavendish 1798"
     assert entries["best_orders_vs_baseline"] == "0.0"
     assert entries["conservative_orders_vs_baseline"] == "0.0"
+    # 1.01e14 against the default baseline's 1.00e14 is -0.004 decades,
+    # which rounds to -0.0 and is printed as 0.0.
+    near = Catalog((by_name["Cavendish 1798"]._replace(name="Near",
+                                                         n_override=1.01e26),))
+    entries = _summary_map(emit_bounds_summary(near, evaluate_catalog(near)))
+    assert (entries["baseline_fom"], entries["best_fom"]) == ("1.00e14", "1.01e14")
+    assert entries["best_orders_vs_baseline"] == "0.0"
+    assert entries["conservative_orders_vs_baseline"] == "0.0"
 
 
 def test_orders_vs_baseline_agree_with_the_printed_foms():
