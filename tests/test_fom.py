@@ -150,15 +150,22 @@ def test_evaluate_record_acceleration_only():
 @pytest.mark.parametrize("name, fields", [
     ("n_nuclei", dict(material=parse_material("Pb"), mass_kg=1e300,
                       sqrt_sf=None, sqrt_sa=1e-9)),
-    # 4 k_B T m omega0 / Q overflows before its root is taken.
-    ("thermal_sqrt_sf", dict(temp_k=1e300, f0_hz=1e3, quality=1e-40)),
+    # No constant moves the force density of a lone sqrt_sa.
+    ("sqrt_sf", dict(n_override=1.0, mass_kg=1e300, sqrt_sf=None, sqrt_sa=1e10)),
     ("fom", dict(material=parse_material("Pb"), mass_kg=1e200, sqrt_sf=None,
                  sqrt_sa=1e50)),
     # mass_kg * quality underflows to 0 in the thermal FOM's denominator.
     ("thermal_fom", dict(mass_kg=1e-200, f0_hz=1e3, sqrt_sf=1e-190,
                          temp_k=300.0, quality=1e-200)),
+    # 4 k_B T m omega0 / Q overflows before its root is taken.
+    ("thermal_sqrt_sf", dict(temp_k=1e300, f0_hz=1e3, quality=1e-40)),
 ])
 def test_evaluate_record_refuses_values_outside_float_range(name, fields):
+    if name == "sqrt_sf":
+        with pytest.raises(CatalogError, match=r"row 0, column sqrt_sa: "
+                           r"BadNumber: sqrt_sa \* mass_kg .*, got inf$"):
+            _record(**fields)
+        return
     with pytest.raises(OutOfRangeError, match=f"^probe: {name} is inf,"):
         evaluate_record(_record(**fields))
 
@@ -461,14 +468,26 @@ def test_evaluate_record_thermal_flags_split_at_half_the_amplitude(
 @pytest.mark.parametrize("fields, name", [
     (dict(material=parse_material("Pb"), mass_kg=6.18e283, sqrt_sf=None,
           sqrt_sa=1e-150), "n_nuclei"),
+    (dict(n_override=1.0, mass_kg=1e160, sqrt_sf=None, sqrt_sa=1.796e148),
+     "sqrt_sf"),
     (dict(material=parse_material("Pb"), mass_kg=1.0, sqrt_sf=7.861e141), "fom"),
-    (dict(material=parse_material("Pb"), mass_kg=1.0, sqrt_sf=None,
-          sqrt_sa=7.861e141), "fom"),
     (dict(n_override=1e300, mass_kg=1e-10, sqrt_sf=1e-10, temp_k=5.176e13,
           f0_hz=1e3, quality=1e-3), "thermal_fom"),
+    (dict(material=parse_material("Pb"), mass_kg=1.0, sqrt_sf=None,
+          sqrt_sa=7.861e141), "fom"),
 ])
 def test_a_derived_value_too_large_to_print_is_out_of_range(fields, name):
     # 1.796e308 is finite, but printed at 3 figures it reads back as inf.
+    if name == "sqrt_sf":
+        # No constant moves the force density, so the record refuses it.
+        force = fields["sqrt_sa"] * fields["mass_kg"]
+        assert _PRINT_MAX < force < math.inf
+        with pytest.raises(CatalogError) as err:
+            _record(**fields)
+        (diag,) = err.value.diagnostics
+        assert (diag.column, diag.code) == ("sqrt_sa", "BadNumber")
+        assert diag.message.endswith(f"got {force!r}")
+        return
     with pytest.raises(OutOfRangeError) as err:
         evaluate_record(_record(**fields))
     assert err.value.name == name
