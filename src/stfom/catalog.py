@@ -412,6 +412,13 @@ def _on_earth(record: ExperimentRecord) -> bool:
     return record.mode == "absolute" and record.location == "earth"
 
 
+def _keeps_all(which: RecordFilter) -> bool:
+    """Whether filter which keeps every record; an unknown one raises FilterError."""
+    if which != "all" and which != "absolute-on-earth":
+        raise FilterError(f"unknown filter {which!r}")
+    return which == "all"
+
+
 _NAME = attrgetter("name")
 
 
@@ -426,20 +433,19 @@ def rank(
     the records are sorted by name, then stably by figure of merit, which
     builds no key tuple per record.
     """
-    if which == "all":
-        records = list(catalog)
-    elif which == "absolute-on-earth":
-        records = [r for r in catalog if _on_earth(r)]
-    else:
-        raise FilterError(f"unknown filter {which!r}")
+    records = (list(catalog) if _keeps_all(which)
+               else [r for r in catalog if _on_earth(r)])
     records.sort(key=_NAME)
     records.sort(key=lambda r: results[r.name].fom)
     return records
 
 
+_FIGURE_K = 3  # the records the figure plots of each category by default
+
+
 def select_for_figure(
     ranked: Iterable[ExperimentRecord],
-    k: int = 3,
+    k: int = _FIGURE_K,
 ) -> list[ExperimentRecord]:
     """The first k records of every category, in the order given.
 

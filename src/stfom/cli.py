@@ -42,7 +42,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, get_args
 from .catalog import (
     ExperimentRecord,
     RecordFilter,
+    _FIGURE_K,
     _checked_records,
+    _keeps_all,
     _on_earth,
     embedded_catalog,
     parse_records,
@@ -206,7 +208,7 @@ def _evaluate(args, keep: Callable[[ExperimentRecord, FomResult], object]) -> Co
 
 def cmd_compute(args) -> str:
     tally = _Tally()
-    every = args.filter == "all"
+    every = _keeps_all(args.filter)
     # Each shown row as one bytes object: its FOM as a big-endian double,
     # then its name, a NUL and its line of table.csv in UTF-8.
     rows: list[bytes] = []
@@ -233,7 +235,7 @@ def cmd_compute(args) -> str:
 
 
 def cmd_figure(args) -> str:
-    k, every = args.k, args.filter == "all"
+    k, every = args.k, _keeps_all(args.filter)
     # The k least (fom, name, record, result) of each category, in order.
     kept: dict[str, list[tuple[float, str, ExperimentRecord, FomResult]]] = {}
 
@@ -300,7 +302,7 @@ _ARGUMENTS = {
     "--filter": {"type": str, "choices": get_args(RecordFilter), "default": "all",
                  "help": "record subset to analyse"},
     "--out": {"type": Path, "default": Path("."), "help": "output directory"},
-    "--k": {"type": _positive_int, "default": 3, "help": "points kept per category"},
+    "--k": {"type": _positive_int, "default": _FIGURE_K, "help": "points kept per category"},
     "text": {"type": str, "default": None, "help": "formula, e.g. Si3N4"},
 }
 _COMMANDS = {

@@ -19,7 +19,8 @@ noise floor
 and a measurement at that floor has the thermal FOM
 S_F_th / m^2 * N = 4 N k_B T omega0 / (m Q).
 
-evaluate_record is the one place these formulas are computed.
+evaluate_record computes these formulas.  The record check's range rules on
+sqrt_sf / m, sqrt_sa * m and a quoted N's FOM must copy evaluate_record's.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ if TYPE_CHECKING:
 
 __all__ = list(_EXPORTS["fom"])
 
-# Measured and thermal amplitudes within a factor of two of each other
-# are treated as thermally limited; beyond that the thermal floor gets
-# its own marker.  The two rules share one constant so they partition
-# the amplitude ratio axis exactly.
+# A record is thermally limited when its thermal floor amplitude exceeds
+# the measured amplitude divided by this factor.
 _THERMAL_AMPLITUDE_FACTOR = 2.0
 
 # Relative disagreement between a quoted acceleration density and the one
@@ -65,7 +64,6 @@ class FomResult(NamedTuple):
     thermal_sqrt_sf: float | None = None
     thermal_fom: float | None = None
     thermally_limited: bool = False
-    show_thermal_marker: bool = False
     warnings: tuple[str, ...] = ()
 
 
@@ -86,9 +84,9 @@ def evaluate_record(
 
     The thermal floor amplitude is sqrt(4 k_B T m omega0 / Q).  The record
     is thermally limited when the floor exceeds half the measured force
-    amplitude; a separate thermal marker is shown exactly otherwise.  No
-    input is sign-checked here, because a record's own check already
-    refuses a density, mass, temperature, frequency or quality <= 0.
+    amplitude.  No input is sign-checked here, because a record's own
+    check already refuses a density, mass, temperature, frequency or
+    quality <= 0.
     """
     name = record.name
     mass_kg = record.mass_kg
@@ -125,7 +123,6 @@ def evaluate_record(
     thermal_sqrt_sf = None
     thermal_fom_value = None
     limited = False
-    marker = False
     temp_k = record.temp_k
     f0_hz = record.f0_hz
     quality = record.quality
@@ -143,7 +140,6 @@ def evaluate_record(
         if not 0.0 < thermal_fom_value <= _PRINT_MAX:
             raise OutOfRangeError("thermal_fom", thermal_fom_value, record=name)
         limited = thermal_sqrt_sf > sqrt_sf / _THERMAL_AMPLITUDE_FACTOR
-        marker = sqrt_sf >= _THERMAL_AMPLITUDE_FACTOR * thermal_sqrt_sf
         if sqrt_sf < thermal_sqrt_sf:
             warnings += (
                 f"{name}: measured force noise is below the thermal floor",
@@ -151,7 +147,7 @@ def evaluate_record(
 
     return tuple.__new__(FomResult, (
         n_nuclei, sqrt_sf, sqrt_sa, fom, thermal_sqrt_sf, thermal_fom_value,
-        limited, marker, warnings,
+        limited, warnings,
     ))
 
 

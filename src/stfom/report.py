@@ -32,11 +32,12 @@ from .catalog import (
     Catalog,
     ExperimentRecord,
     RecordFilter,
+    _FIGURE_K,
     _csv_cell,
+    _keeps_all,
     _on_earth,
     select_for_figure,
 )
-from .errors import FilterError
 from .formula import _WHITESPACE_RE, format_material
 from .quantities import _DEFAULT_CONSTANTS, Constants
 
@@ -117,14 +118,14 @@ class FigurePoint(NamedTuple):
 def build_figure_points(
     ranked: Iterable[ExperimentRecord],
     results: Mapping[str, FomResult],
-    k: int = 3,
+    k: int = _FIGURE_K,
 ) -> tuple[FigurePoint, ...]:
     """Points for the first k records of each category, in the order given.
 
     Given rank()'s list, these are the k best of each category, ranked.
     Differential measurements get open markers.  A thermal diamond
-    accompanies a point only when the measured noise sits well above the
-    thermal floor, so the floor is genuinely a separate feature.
+    accompanies a point only when the record is not thermally limited, so
+    the floor is genuinely a separate feature.
     """
     points = []
     for record in select_for_figure(ranked, k):
@@ -135,7 +136,7 @@ def build_figure_points(
             mass_kg=record.mass_kg,
             fom=result.fom,
             marker="circle-open" if record.mode == "differential" else "circle",
-            thermal_fom=result.thermal_fom if result.show_thermal_marker else None,
+            thermal_fom=None if result.thermally_limited else result.thermal_fom,
         ))
     return tuple(points)
 
@@ -383,12 +384,7 @@ class _Tally:
 
     def summary(self, constants: Constants, which: RecordFilter) -> str:
         """emit_bounds_summary's text for the records added so far."""
-        if which == "all":
-            best = self.best
-        elif which == "absolute-on-earth":
-            best = self.best_on_earth
-        else:
-            raise FilterError(f"unknown filter {which!r}")
+        best = self.best if _keeps_all(which) else self.best_on_earth
         baseline_name = "-" if self.baseline is None else "Cavendish 1798"
         baseline_fom = float(format_sig(
             CAVENDISH_FOM if self.baseline is None else self.baseline))

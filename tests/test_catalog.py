@@ -566,12 +566,14 @@ def test_a_density_cell_that_does_not_convert_is_not_missing():
 
 
 def test_filter_and_selection_errors_are_stfom_errors(catalog, results, ranked):
-    with pytest.raises(FilterError) as err:
-        rank(catalog, results, "best-only")
-    assert isinstance(err.value, StfomError)
-    with pytest.raises(FilterError) as err:
-        emit_bounds_summary(catalog, results, which="best-only")
-    assert str(err.value) == "unknown filter 'best-only'"
+    # Both filter users refuse an unknown name alike, with a catalog or none.
+    for records in (catalog, Catalog(())):
+        for refuse in (lambda: rank(records, results, "best-only"),
+                       lambda: emit_bounds_summary(records, results, which="best-only")):
+            with pytest.raises(FilterError) as err:
+                refuse()
+            assert isinstance(err.value, StfomError)
+            assert str(err.value) == "unknown filter 'best-only'"
     with pytest.raises(FilterError) as err:
         select_for_figure(ranked, k=0)
     assert isinstance(err.value, StfomError)
@@ -989,12 +991,26 @@ def _row(**changes):
             for column, cell in zip(columns, _GOOD_CELL_ROW)]
 
 
+# Magnitudes whose pairs leave the range of a float when multiplied, as
+# the record check's force density and quoted-count FOM do.
+_EXTREME_CELLS = st.sampled_from(("1e-300", "1e-170", "1e-154", "1e150", "1e200",
+                                  "1e300"))
+# mass_kg, n_override, sqrt_sf and sqrt_sa.
+_EXTREME_COLUMNS = (5, 6, 8, 9)
+
+
 @st.composite
 def _cell_rows(draw):
-    """One to four rows of 16 cells, each clean but for up to three cells."""
+    """One to four rows of 16 cells, each clean but for some of the mass,
+    count and density cells at an extreme magnitude and up to three other
+    cells.  Each extreme is drawn on its own, so a row often holds two of
+    them at once, as a rule that reads two cells needs."""
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         cells = [draw(cell) for cell in _GOOD_CELLS]
+        for column in _EXTREME_COLUMNS:
+            if draw(st.booleans()):
+                cells[column] = draw(_EXTREME_CELLS)
         for column in draw(st.lists(st.integers(0, 15), max_size=3)):
             cells[column] = draw(_ANY_CELLS[column])
         rows.append(cells)

@@ -195,7 +195,6 @@ def test_evaluate_record_thermal_fields_need_all_three_inputs():
         assert res.thermal_sqrt_sf is None
         assert res.thermal_fom is None
         assert not res.thermally_limited
-        assert not res.show_thermal_marker
 
 
 def test_evaluate_record_thermal_context():
@@ -206,9 +205,8 @@ def test_evaluate_record_thermal_context():
     assert res.thermal_sqrt_sf == pytest.approx(expected_floor, rel=1e-12)
     expected_fom = 4.0 * res.n_nuclei * K_B * 300.0 * omega0 / (1e-9 * 1e8)
     assert res.thermal_fom == pytest.approx(expected_fom, rel=1e-12)
-    # measurement well above the floor: marker shown, not limited
+    # measurement well above the floor: not limited
     assert res.sqrt_sf > 2.0 * res.thermal_sqrt_sf
-    assert res.show_thermal_marker
     assert not res.thermally_limited
 
 
@@ -217,7 +215,6 @@ def test_evaluate_record_flags_noise_below_thermal_floor():
     res = evaluate_record(rec)
     assert res.sqrt_sf < res.thermal_sqrt_sf
     assert res.thermally_limited
-    assert not res.show_thermal_marker
     assert any("thermal floor" in w for w in res.warnings)
 
 
@@ -296,7 +293,6 @@ def _reference_evaluate_record(record, constants):
     thermal_sqrt_sf = None
     thermal_fom_value = None
     limited = False
-    marker = False
     temp_k, f0_hz, quality = record.temp_k, record.f0_hz, record.quality
     if temp_k is not None and f0_hz is not None and quality is not None:
         k_b = constants.k_B
@@ -317,14 +313,13 @@ def _reference_evaluate_record(record, constants):
             if not 0.0 < value <= _PRINT_MAX:
                 raise OutOfRangeError(name, value, record=record.name)
         limited = thermal_sqrt_sf > sqrt_sf / 2.0
-        marker = sqrt_sf >= 2.0 * thermal_sqrt_sf
         if sqrt_sf < thermal_sqrt_sf:
             warnings.append(
                 f"{record.name}: measured force noise is below the thermal floor"
             )
 
     return (n_nuclei, sqrt_sf, sqrt_sa, fom, thermal_sqrt_sf, thermal_fom_value,
-            limited, marker, tuple(warnings))
+            limited, tuple(warnings))
 
 
 def _outcome(evaluate, record, constants):
@@ -413,35 +408,29 @@ def test_evaluate_record_matches_the_helper_route(fields, constants):
 
 # ------------------------------------------------ thermal classification
 
-def _thermal_flags(measured_over_floor):
+def _thermally_limited(measured_over_floor):
     # A record whose measured force amplitude is `measured_over_floor`
     # times its thermal floor; the floor does not depend on the
     # measured density.
     thermal = dict(mass_kg=1e-9, temp_k=300.0, f0_hz=1e3, quality=1e4)
     floor = evaluate_record(_record(**thermal)).thermal_sqrt_sf
     res = evaluate_record(_record(sqrt_sf=floor * measured_over_floor, **thermal))
-    return res.thermally_limited, res.show_thermal_marker
+    return res.thermally_limited
 
 
 def test_classify_thermal_regions():
-    # floor just above half the measurement: limited, no marker
-    assert _thermal_flags(1 / 0.6) == (True, False)
-    # exactly twice the floor belongs to the marker side
-    assert _thermal_flags(2.0) == (False, True)
-    assert _thermal_flags(1 / 0.49) == (False, True)
+    # floor just above half the measurement: limited
+    assert _thermally_limited(1 / 0.6)
+    # exactly twice the floor is not limited
+    assert not _thermally_limited(2.0)
+    assert not _thermally_limited(1 / 0.49)
     # measurement below the floor is still "limited"
-    assert _thermal_flags(0.5) == (True, False)
+    assert _thermally_limited(0.5)
     # a negative amplitude never reaches the classification
     for fields in (dict(sqrt_sf=-1.0), dict(mass_kg=-1.0)):
         with pytest.raises(CatalogError):
             _record(temp_k=300.0, f0_hz=1e3, quality=1e4, **fields)
 
-
-@given(measured_over_floor=st.floats(min_value=1e-6, max_value=1e6,
-                                     allow_nan=False, allow_infinity=False))
-def test_classify_thermal_flags_are_complementary(measured_over_floor):
-    limited, marker = _thermal_flags(measured_over_floor)
-    assert limited != marker
 
 @given(mass_kg=_magnitude(-20, 1), temp_k=_magnitude(-3, 2),
        f0_hz=_magnitude(-1, 6), quality=_magnitude(0, 8),
@@ -460,7 +449,6 @@ def test_evaluate_record_thermal_flags_split_at_half_the_amplitude(
     res = evaluate_record(_record(sqrt_sf=floor / ratio, **thermal))
     assert res.thermal_sqrt_sf == floor
     assert res.thermally_limited == (res.thermal_sqrt_sf > res.sqrt_sf / 2)
-    assert res.show_thermal_marker == (not res.thermally_limited)
     if ratio == 0.5:
         assert not res.thermally_limited and res.sqrt_sf / 2 == floor
 

@@ -229,9 +229,27 @@ def test_thermal_floor_well_below_measurement_gets_a_marker():
     (point,) = build_figure_points(catalog, results, k=1)
     result = results["Hot Probe"]
     assert not result.thermally_limited
-    assert result.show_thermal_marker
     assert point.thermal_fom == result.thermal_fom
     assert point.thermal_fom < point.fom / 4
+
+
+@pytest.mark.parametrize("toward, drawn", [(0.0, False), (None, True), (math.inf, True)])
+def test_thermal_floor_is_drawn_exactly_when_not_thermally_limited(toward, drawn):
+    # Measured force amplitudes just under, exactly and just over twice the
+    # thermal floor, which does not depend on the measured density.  The
+    # tie is not thermally limited, so its floor is drawn.
+    thermal = dict(name="Hot Probe", year=2024, reference="synthetic",
+                   category="membrane", material=parse_material("Si3N4"),
+                   mass_kg=1e-9, temp_k=300.0, f0_hz=1e3, quality=1e4)
+    floor = evaluate_catalog(Catalog((ExperimentRecord(sqrt_sf=1.0, **thermal),))
+                             )["Hot Probe"].thermal_sqrt_sf
+    twice = 2.0 * floor
+    sqrt_sf = twice if toward is None else math.nextafter(twice, toward)
+    catalog = Catalog((ExperimentRecord(sqrt_sf=sqrt_sf, **thermal),))
+    results = evaluate_catalog(catalog)
+    (point,) = build_figure_points(catalog, results, k=1)
+    assert results["Hot Probe"].thermally_limited is not drawn
+    assert point.thermal_fom == (results["Hot Probe"].thermal_fom if drawn else None)
 
 
 # ----------------------------------------------------------------- emit_figure
@@ -453,8 +471,8 @@ def _reference_figure_points(catalog, results, k):
             name=r.name, category=r.category, mass_kg=r.mass_kg,
             fom=results[r.name].fom,
             marker="circle-open" if r.mode == "differential" else "circle",
-            thermal_fom=(results[r.name].thermal_fom
-                         if results[r.name].show_thermal_marker else None),
+            thermal_fom=(None if results[r.name].thermally_limited
+                         else results[r.name].thermal_fom),
         )
         for r in chosen
     )
@@ -480,7 +498,8 @@ def _tied_catalogs(draw):
         results[name] = FomResult(
             n_nuclei=1.0, sqrt_sf=1.0, sqrt_sa=1.0,
             fom=draw(st.sampled_from((1e-3, 1.0, 1e3))),
-            thermal_fom=thermal, show_thermal_marker=thermal is not None,
+            thermal_fom=thermal,
+            thermally_limited=thermal is not None and draw(st.booleans()),
         )
     return Catalog(tuple(records)), results
 
