@@ -62,19 +62,16 @@ class BoundAnchor(_Checked, _AnchorFields):
                 raise OutOfRangeError(name, value)
 
 
+# Both models are anchored at the same experiment's figure of merit.
+_FOM_REF = 2.98e-1
+
 DEFAULT_ANCHORS: MappingProxyType[ModelId, BoundAnchor] = MappingProxyType({
-    ModelId.ULTRA_LOCAL_DISCRETE: BoundAnchor(
-        model=ModelId.ULTRA_LOCAL_DISCRETE,
-        fom_ref=2.98e-1,
-        bound_ref=1.0e-16,
-        lower_bound=1.0e-25,
-    ),
-    ModelId.NON_LOCAL_CONTINUOUS: BoundAnchor(
-        model=ModelId.NON_LOCAL_CONTINUOUS,
-        fom_ref=2.98e-1,
-        bound_ref=1.0e-24,
-        lower_bound=1.0e-35,
-    ),
+    anchor.model: anchor for anchor in (
+        BoundAnchor(model=ModelId.ULTRA_LOCAL_DISCRETE, fom_ref=_FOM_REF,
+                    bound_ref=1.0e-16, lower_bound=1.0e-25),
+        BoundAnchor(model=ModelId.NON_LOCAL_CONTINUOUS, fom_ref=_FOM_REF,
+                    bound_ref=1.0e-24, lower_bound=1.0e-35),
+    )
 })
 
 
@@ -117,12 +114,12 @@ def anchored_bound(fom: float, anchor: BoundAnchor) -> float:
 
 def fom_threshold(bound: float, anchor: BoundAnchor) -> float:
     """Figure of merit needed to reach a given bound in anchor.model;
-    inverse of anchored_bound.  A threshold that is not a finite float > 0
-    raises OutOfRangeError."""
+    inverse of anchored_bound.  A threshold that is not a float > 0 and at
+    most _PRINT_MAX raises OutOfRangeError."""
     if not 0.0 <= bound < math.inf:
         raise OutOfRangeError("bound", bound, ">= 0")
     threshold = _rescale(bound, anchor.bound_ref, anchor.fom_ref)
-    if not 0.0 < threshold < math.inf:
+    if not 0.0 < threshold <= _PRINT_MAX:
         raise OutOfRangeError("fom_threshold", threshold, record=anchor.model.value)
     return threshold
 

@@ -17,7 +17,7 @@ import math
 import sys
 from functools import lru_cache
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, NamedTuple, get_args
 
 from . import _EXPORTS
 from .errors import (
@@ -54,6 +54,8 @@ _LOCATIONS = frozenset(("earth", "space"))
 _FLAGS = {"true": True, "false": False}
 
 RecordFilter = Literal["all", "absolute-on-earth"]
+# A tuple, so an unhashable filter is refused with FilterError, not TypeError.
+_FILTERS = get_args(RecordFilter)
 
 # A subnormal mass loses precision and overflows the densities divided by it.
 _SMALLEST_NORMAL = sys.float_info.min
@@ -414,7 +416,7 @@ def _on_earth(record: ExperimentRecord) -> bool:
 
 def _keeps_all(which: RecordFilter) -> bool:
     """Whether filter which keeps every record; an unknown one raises FilterError."""
-    if which != "all" and which != "absolute-on-earth":
+    if which not in _FILTERS:
         raise FilterError(f"unknown filter {which!r}")
     return which == "all"
 

@@ -36,13 +36,13 @@ from bisect import insort
 from pathlib import Path
 from types import SimpleNamespace
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, get_args
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 # bench/tracing.py wraps nine of these names on stfom.cli, used here or not.
 from .catalog import (
     ExperimentRecord,
-    RecordFilter,
     _FIGURE_K,
+    _FILTERS,
     _checked_records,
     _keeps_all,
     _on_earth,
@@ -299,7 +299,7 @@ _ARGUMENTS = {
     "--records": {"type": Path, "default": None,
                   "help": "records CSV (default: embedded catalog)"},
     "--constants": {"type": Path, "default": None, "help": "constants override file"},
-    "--filter": {"type": str, "choices": get_args(RecordFilter), "default": "all",
+    "--filter": {"type": str, "choices": _FILTERS, "default": "all",
                  "help": "record subset to analyse"},
     "--out": {"type": Path, "default": Path("."), "help": "output directory"},
     "--k": {"type": _positive_int, "default": _FIGURE_K, "help": "points kept per category"},

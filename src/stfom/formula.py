@@ -161,6 +161,11 @@ def parse_formula(text: str, /) -> Formula:
     return Formula(tuple(terms), charge_ignored=charge is not None)
 
 
+# How far a mixture's mass fractions may sum from 1; MaterialSpec._check and
+# parse_material's one-pass check must agree on it.
+_FRACTION_SUM_TOLERANCE = 1e-9
+
+
 class _MaterialFields(NamedTuple):
     components: tuple[tuple[Formula, float], ...]
 
@@ -187,7 +192,7 @@ class MaterialSpec(_Checked, _MaterialFields):
                     f"mass fraction must be in (0, 1], got {fraction!r}"
                 )
             total += fraction
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > _FRACTION_SUM_TOLERANCE:
             raise FormulaError(f"mass fractions sum to {total!r}, expected 1")
 
     @classmethod
@@ -239,7 +244,7 @@ def parse_material(text: str, /) -> MaterialSpec:
         if not 0.0 < fraction <= 1.0:
             in_range = False
         total += fraction
-    if in_range and abs(total - 1.0) <= 1e-9:
+    if in_range and abs(total - 1.0) <= _FRACTION_SUM_TOLERANCE:
         return tuple.__new__(MaterialSpec, (tuple(components),))
     return MaterialSpec(tuple(components))
 

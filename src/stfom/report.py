@@ -149,18 +149,11 @@ _VIEW_W, _VIEW_H = 1080, 620
 _PLOT_LEFT, _PLOT_RIGHT = 80.0, 820.0
 _PLOT_TOP, _PLOT_BOTTOM = 30.0, 560.0
 
-CATEGORY_COLORS: Mapping[str, str] = {
-    "trapped-ion": "#e377c2",
-    "atom-interferometry": "#17becf",
-    "nanotube": "#1f77b4",
-    "nanowire": "#ff7f0e",
-    "nanobeam": "#2ca02c",
-    "membrane": "#d62728",
-    "optical-levitation": "#7f7f7f",
-    "magnetic-levitation": "#bcbd22",
-    "mesoscopic": "#9467bd",
-    "massive": "#8c564b",
-}
+# One marker colour per category, in CATEGORIES order.
+CATEGORY_COLORS: Mapping[str, str] = dict(zip(CATEGORIES, (
+    "#e377c2", "#17becf", "#1f77b4", "#ff7f0e", "#2ca02c",
+    "#d62728", "#7f7f7f", "#bcbd22", "#9467bd", "#8c564b",
+), strict=True))
 
 
 def _decades(values: list[float], lo: int, hi: int) -> tuple[int, int]:
@@ -224,22 +217,17 @@ def emit_figure(points: tuple[FigurePoint, ...]) -> tuple[str, str]:
 
     # Shaded bands from the bottom of the frame up to each model's
     # current reach; the wider (discrete) band goes underneath.
-    band_styles = {
-        ModelId.ULTRA_LOCAL_DISCRETE: ("#c8d8e8", "0.55"),
-        ModelId.NON_LOCAL_CONTINUOUS: ("#9fb8cf", "0.55"),
-    }
-    for model in ModelId:
+    for model, color in zip(ModelId, ("#c8d8e8", "#9fb8cf"), strict=True):
         anchor = DEFAULT_ANCHORS[model]
         threshold = fom_threshold(anchor.lower_bound, anchor)
         top = min(max(py(threshold), _PLOT_TOP), _PLOT_BOTTOM)
-        color, opacity = band_styles[model]
         svg.append(
             f'<rect class="band" data-model="{model.value}" '
             f'data-fom-threshold="{format_sig(threshold)}" '
             f'x="{_PLOT_LEFT:.2f}" y="{top:.2f}" '
             f'width="{_PLOT_RIGHT - _PLOT_LEFT:.2f}" '
             f'height="{_PLOT_BOTTOM - top:.2f}" '
-            f'fill="{color}" fill-opacity="{opacity}"/>'
+            f'fill="{color}" fill-opacity="0.55"/>'
         )
 
     # A grid line every g decades and a label on every 3rd line: g is 1 on

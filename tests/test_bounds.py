@@ -195,7 +195,9 @@ def test_fom_threshold_survives_an_overflowing_ratio():
     assert anchored_bound(got, anchor) == pytest.approx(3e292, rel=1e-12)
 
 
-@pytest.mark.parametrize("bound", [1e300, sys.float_info.max, 0.0])
+# 6.03e292 gives a finite 1.797e308 that format_sig would print as 1.80e308,
+# which reads back as inf.
+@pytest.mark.parametrize("bound", [6.03e292, 1e300, sys.float_info.max, 0.0])
 def test_fom_threshold_outside_the_range_of_a_float_raises(bound):
     with pytest.raises(OutOfRangeError) as err:
         fom_threshold(bound, DEFAULT_ANCHORS[DISCRETE])

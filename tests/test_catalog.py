@@ -566,14 +566,16 @@ def test_a_density_cell_that_does_not_convert_is_not_missing():
 
 
 def test_filter_and_selection_errors_are_stfom_errors(catalog, results, ranked):
-    # Both filter users refuse an unknown name alike, with a catalog or none.
-    for records in (catalog, Catalog(())):
-        for refuse in (lambda: rank(records, results, "best-only"),
-                       lambda: emit_bounds_summary(records, results, which="best-only")):
-            with pytest.raises(FilterError) as err:
-                refuse()
-            assert isinstance(err.value, StfomError)
-            assert str(err.value) == "unknown filter 'best-only'"
+    # Both filter users refuse an unknown filter alike, with a catalog or
+    # none, whether or not the filter is hashable.
+    for which in ("best-only", ["all"], None):
+        for records in (catalog, Catalog(())):
+            for refuse in (lambda: rank(records, results, which),
+                           lambda: emit_bounds_summary(records, results, which=which)):
+                with pytest.raises(FilterError) as err:
+                    refuse()
+                assert isinstance(err.value, StfomError)
+                assert str(err.value) == f"unknown filter {which!r}"
     with pytest.raises(FilterError) as err:
         select_for_figure(ranked, k=0)
     assert isinstance(err.value, StfomError)

@@ -396,6 +396,7 @@ def _mixture(parts):
     [("0.8", "SiO2"), ("0.2", "B2O3")],
     [("0.5", "Mg+"), ("0.5", "C")],
     [("0.5000000001", "SiO2"), ("0.5", "B2O3")],  # off by less than 1e-9
+    [("0.5000000005", "SiO2"), ("0.5", "B2O3")],  # off by 5e-10
     [("0.1", "H2O"), ("0.2", "NaCl"), ("0.7", "SiO2")],
     [("0.7", "SiO2"), ("0.1", "B2O3"), ("0.1", "Na2O"), ("0.1", "Al2O3")],
     [("0.1", "C"), ("0.2", "C"), ("0.3", "C"), ("0.4", "C")],
@@ -418,6 +419,7 @@ def test_parsed_mixture_equals_the_checked_spec(parts):
     [("inf", "SiO2")],
     [("0.5", "SiO2"), ("0.500001", "B2O3")],
     [("0.5", "SiO2"), ("0.499999", "B2O3")],
+    [("0.50000001", "SiO2"), ("0.5", "B2O3")],  # off by 1e-8
 ])
 def test_bad_fractions_raise_what_the_checked_spec_raises(parts):
     text, components = _mixture(parts)
